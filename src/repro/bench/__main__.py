@@ -1,0 +1,8 @@
+"""Entry point: ``PYTHONPATH=src python -m repro.bench``."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())
