@@ -2,11 +2,19 @@
 
 For every workload we run four configurations — no profiler, the framework
 profiler baseline, DeepContext without native call paths and DeepContext with
-native call paths — and report wall-clock overhead ratios.  The shape asserted
-matches the paper: DeepContext without native call paths is in the same league
-as the framework profiler, the native variant costs more (extra unwinding),
-and the small-kernel LLM workloads show the largest overheads.
+native call paths — and report wall-clock overhead ratios, each the median of
+three runs.  The sweeps run on a fresh thread, so call paths carry a script's
+few outer frames rather than pytest's ~30 (see ``on_fresh_stack``).
+
+The shape asserted matches the paper: DeepContext without native call paths
+is in the same league as the framework profiler (its median overhead is at
+most 2.5x the framework profiler's), the native variant costs more (extra
+unwinding), and the small-kernel LLM workloads are among the most expensive
+to profile with native call paths (their mean overhead is at least 0.8x the
+other workloads' mean).
 """
+
+from concurrent.futures import ThreadPoolExecutor
 
 from conftest import print_block
 
@@ -22,9 +30,23 @@ from repro.experiments import (
 from repro.workloads import workload_names
 
 
+def on_fresh_stack(func, *args, **kwargs):
+    """Call ``func`` on a new thread and return its result.
+
+    The profiler records every Python frame outside the ``repro`` package.
+    Under pytest that puts the runner's ~30 frames into every call path,
+    which a training script does not have and which would make the ratios
+    measure pytest's stack depth.  A new thread's stack starts at its
+    bootstrap, a few frames deep, as a script's does.
+    """
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        return pool.submit(func, *args, **kwargs).result()
+
+
 def test_figure6a_time_overhead_pytorch_mode(once):
-    rows = once(overhead_sweep, workload_names(), "a100", MODE_EAGER, 2, True)
-    amd_rows = overhead_sweep(["unet", "resnet", "llama3"], device="mi250",
+    rows = once(on_fresh_stack, overhead_sweep, workload_names(), "a100", MODE_EAGER,
+                2, True, 3)
+    amd_rows = on_fresh_stack(overhead_sweep, ["unet", "resnet", "llama3"], device="mi250",
                               mode=MODE_EAGER, iterations=2, small=True)
     print_block("Figure 6(a): time overhead, PyTorch mode, Nvidia A100",
                 format_overhead_rows(rows, which="time"))
@@ -41,9 +63,12 @@ def test_figure6a_time_overhead_pytorch_mode(once):
     assert medians[PROFILER_DEEPCONTEXT_NATIVE] >= medians[PROFILER_DEEPCONTEXT] * 0.95
     # The trace-based framework profiler does the least per-event work.
     assert medians[PROFILER_FRAMEWORK] <= medians[PROFILER_DEEPCONTEXT_NATIVE]
+    # Same league: DeepContext's median is within 2.5x the framework profiler's.
+    assert medians[PROFILER_DEEPCONTEXT] <= medians[PROFILER_FRAMEWORK] * 2.5
 
     # The LLM workloads (many small kernels) are among the most expensive to
-    # profile with native call paths, as the paper observes.
+    # profile with native call paths, as the paper observes: their mean is at
+    # least 0.8x the other workloads' mean.
     native = {row.workload: row.time_overhead[PROFILER_DEEPCONTEXT_NATIVE] for row in rows}
     llm_mean = (native["Llama3-8B"] + native["Gemma-7B"] + native["NanoGPT"]) / 3
     others = [value for name, value in native.items()

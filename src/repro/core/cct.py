@@ -199,13 +199,16 @@ class CallingContextTree:
 
         The call path's own root frame (kind ``ROOT``) collapses with the tree
         root; remaining frames create or reuse children level by level.
-        Returns the leaf node.
+        Returns the leaf node.  Almost every level already exists, so the
+        walk probes ``children`` inline and calls ``child_for`` only to create.
         """
         node = self.root
+        root_kind = FrameKind.ROOT
         for frame in callpath:
-            if frame.kind == FrameKind.ROOT:
+            if frame.kind is root_kind:
                 continue
-            node = node.child_for(frame)
+            child = node.children.get(frame.identity())
+            node = child if child is not None else node.child_for(frame)
         self.insertions += 1
         return node
 

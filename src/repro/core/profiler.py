@@ -1,8 +1,9 @@
 """The DeepContext profiler: session orchestration.
 
 ``DeepContextProfiler`` ties the pieces together exactly as Figure 2 of the
-paper lays them out: it initialises DLMonitor, registers callbacks for the
-framework and GPU domains, attaches the CUPTI/RocTracer activity and sampling
+paper lays them out: it initialises DLMonitor (whose framework interception
+keeps the operator shadow stacks that call paths are built from), registers
+a GPU-domain callback, attaches the CUPTI/RocTracer activity and sampling
 consumers, starts CPU interval sampling, and aggregates every metric online
 into a single calling context tree.  Stopping the session flushes outstanding
 activity buffers and packages everything into a :class:`ProfileDatabase`.
@@ -23,7 +24,6 @@ import time
 from typing import Dict, Optional
 
 from ..dlmonitor.api import DLMonitor, dlmonitor_init
-from ..dlmonitor.domains import DLMONITOR_FRAMEWORK, PHASE_ENTER, FrameworkEvent
 from ..framework.eager import EagerEngine
 from ..framework.jit import JitCompiler
 from .cct import CallingContextTree, ShardedCallingContextTree
@@ -34,7 +34,6 @@ from .database import ProfileDatabase, ProfileMetadata
 from ..obs import TELEMETRY
 from .gpu_collector import GpuMetricCollector
 from .streaming import CheckpointStats, StreamingProfileWriter
-from . import metrics as M
 
 
 class DeepContextProfiler:
@@ -62,7 +61,6 @@ class DeepContextProfiler:
         self._wall_start = 0.0
         self._wall_seconds = 0.0
         self._virtual_start = 0.0
-        self.framework_ops_seen = 0
         self.iterations = 0
         #: Whether this session turned the telemetry registry on (and so is
         #: responsible for turning it off at ``stop()``).  A registry the
@@ -87,7 +85,6 @@ class DeepContextProfiler:
             program_name=self.config.program_name,
             enable_callpath_cache=self.config.callpath_cache,
         )
-        self.monitor.callback_register(DLMONITOR_FRAMEWORK, self._on_framework_event)
         if self.config.collect_gpu:
             self.gpu_collector = GpuMetricCollector(self.monitor, self.tree,
                                                     self.correlations, self.config)
@@ -259,12 +256,6 @@ class DeepContextProfiler:
             profiler_wall_seconds=wall,
             config=self._config_snapshot(),
         )
-
-    def _on_framework_event(self, event: FrameworkEvent) -> None:
-        """Framework-domain callback: count operator invocations per context."""
-        if event.phase != PHASE_ENTER or event.kind != "operator":
-            return
-        self.framework_ops_seen += 1
 
     def _config_snapshot(self) -> Dict[str, object]:
         return {

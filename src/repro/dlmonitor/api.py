@@ -24,7 +24,7 @@ from ..native.unwinder import Unwinder
 from ..pycontext import capture_user_frames
 from .association import ForwardBackwardAssociator, ForwardRecord
 from .audit import CustomDriverInterceptor, LibraryAuditor, parse_interception_config
-from .cache import CachedPrefix, CallPathCache
+from .cache import CallPathCache
 from .callpath import CallPath
 from .domains import (
     DLMONITOR_FRAMEWORK,
@@ -158,7 +158,7 @@ class DLMonitor:
         tid = thread.tid
         stack = self.shadow_stacks.for_thread(tid)
 
-        cached_prefix: Optional[CachedPrefix] = None
+        cached_prefix: Optional[ShadowEntry] = None
         if self.enable_callpath_cache:
             cached_prefix = self.cache.lookup(tid)
 
@@ -225,16 +225,9 @@ class DLMonitor:
             stack.push(entry)
             if not info.is_backward:
                 self.associator.record_forward(info.sequence_id, info.op_name, tid,
-                                               python_triples, tuple(info.scope))
+                                               python_triples, entry.scope)
             if self.enable_callpath_cache:
-                self.cache.store(tid, CachedPrefix(
-                    op_name=info.op_name,
-                    dispatch_pc=dispatch_pc,
-                    python_callpath=python_triples,
-                    scope=tuple(info.scope),
-                    is_backward=info.is_backward,
-                    sequence_id=info.sequence_id,
-                ))
+                self.cache.store(tid, entry)
             self._dispatch_framework(info, PHASE_ENTER)
         else:
             self._dispatch_framework(info, PHASE_EXIT)

@@ -2,9 +2,10 @@
 
 Many deep-learning operators launch several GPU kernels that share the same
 Python and operator call path.  DLMonitor therefore caches, per thread, the
-Python call path and the operator frame captured when the operator was first
-entered; subsequent GPU API callbacks from the same operator reuse the cached
-prefix.  Two modes exist:
+shadow-stack entry pushed when the operator was first entered: it already
+holds the Python call path captured at entry and the operator's dispatch
+address, so subsequent GPU API callbacks from the same operator reuse it
+instead of walking the interpreter stack again.  Two modes exist:
 
 * without native call-path collection, the cached Python path is concatenated
   with the shadow operator stack and the GPU API/kernel frames directly;
@@ -14,46 +15,33 @@ prefix.  Two modes exist:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
-from ..pycontext import PyFrame
-
-
-@dataclass
-class CachedPrefix:
-    """The cached context of the operator currently executing on a thread."""
-
-    op_name: str
-    dispatch_pc: int
-    python_callpath: Tuple[PyFrame, ...]
-    scope: Tuple[str, ...]
-    is_backward: bool = False
-    sequence_id: Optional[int] = None
+from .shadow_stack import ShadowEntry
 
 
 class CallPathCache:
     """Per-thread cache of the current operator's call-path prefix."""
 
     def __init__(self) -> None:
-        self._by_thread: Dict[int, CachedPrefix] = {}
+        self._by_thread: Dict[int, ShadowEntry] = {}
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
 
-    def store(self, tid: int, prefix: CachedPrefix) -> None:
-        """Cache the prefix for a thread (called when an operator is entered)."""
-        self._by_thread[tid] = prefix
+    def store(self, tid: int, entry: ShadowEntry) -> None:
+        """Cache an operator's entry for a thread (called when it is entered)."""
+        self._by_thread[tid] = entry
 
-    def lookup(self, tid: int) -> Optional[CachedPrefix]:
-        prefix = self._by_thread.get(tid)
-        if prefix is not None:
+    def lookup(self, tid: int) -> Optional[ShadowEntry]:
+        entry = self._by_thread.get(tid)
+        if entry is not None:
             self.hits += 1
         else:
             self.misses += 1
-        return prefix
+        return entry
 
-    def peek(self, tid: int) -> Optional[CachedPrefix]:
+    def peek(self, tid: int) -> Optional[ShadowEntry]:
         """Look without affecting hit/miss statistics."""
         return self._by_thread.get(tid)
 

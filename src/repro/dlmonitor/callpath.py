@@ -15,7 +15,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 
 class FrameKind(Enum):
@@ -44,18 +44,17 @@ class Frame:
     #: Free-form annotation (e.g. "backward", a stall reason, a device name).
     tag: str = ""
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_identity", self._compute_identity())
+
     def identity(self) -> Tuple:
         """The key used to collapse equal frames in the calling context tree.
 
-        Computed once per frame instance and memoized — ``child_for`` calls it
-        on every level of every inserted call path, and interned frames (see
-        :func:`intern_frame`) make the cache hit rate approach 100%.
+        Computed once per frame instance, at construction, because
+        ``CallingContextTree.insert`` asks for it on every level of every
+        inserted call path.
         """
-        cached = self.__dict__.get("_identity")
-        if cached is None:
-            cached = self._compute_identity()
-            object.__setattr__(self, "_identity", cached)
-        return cached
+        return self._identity
 
     def _compute_identity(self) -> Tuple:
         if self.kind == FrameKind.PYTHON:
@@ -151,20 +150,39 @@ class CallPath:
 
 # Distinct frames built during live profiling are bounded by distinct code
 # locations (the same argument that bounds the CCT's size).  Interning makes
-# repeated call-path constructions reuse one Frame object per location, which
-# in turn makes the per-instance identity() memoization hit every time.
+# repeated call-path constructions reuse one Frame object, and so one
+# identity tuple, per location.
+#
+# The table is keyed by the field tuple ``(kind value, name, file, line,
+# library, pc, tag)`` — the same equivalence as Frame equality — so the
+# helpers below look a frame up by their constructor arguments: a hit builds
+# no Frame and hashes no FrameKind (whose hash is a Python-level call).
+# ``_PYTHON_FRAMES`` maps ``(file, line, function)`` triples, which is what
+# the Python part of every call path arrives as, to the same interned frames.
+#
 # Deserialization and thread frames deliberately do NOT intern (loaded trees
 # build every frame exactly once, and tids are unbounded across sessions);
 # long-lived processes can still call ``clear_frame_intern`` between sessions
 # if they want a hard reset.
-_FRAME_INTERN: dict = {}
+_FRAME_INTERN: Dict[Tuple, Frame] = {}
+_PYTHON_FRAMES: Dict[Tuple[str, int, str], Frame] = {}
+
+
+def _interned(key: Tuple) -> Frame:
+    """The canonical frame for a ``(kind value, name, file, line, library, pc, tag)`` key."""
+    frame = _FRAME_INTERN.get(key)
+    if frame is None:
+        frame = _FRAME_INTERN[key] = Frame(FrameKind(key[0]), *key[1:])
+    return frame
 
 
 def intern_frame(frame: Frame) -> Frame:
     """Return the canonical instance for ``frame`` (by field equality)."""
-    cached = _FRAME_INTERN.get(frame)
+    key = (frame.kind.value, frame.name, frame.file, frame.line,
+           frame.library, frame.pc, frame.tag)
+    cached = _FRAME_INTERN.get(key)
     if cached is None:
-        _FRAME_INTERN[frame] = frame
+        _FRAME_INTERN[key] = frame
         return frame
     return cached
 
@@ -175,36 +193,36 @@ def frame_intern_size() -> int:
 
 
 def clear_frame_intern() -> None:
-    """Drop the intern table (safe: interning is an identity optimisation only)."""
+    """Drop the intern tables (safe: interning is an identity optimisation only)."""
     _FRAME_INTERN.clear()
+    _PYTHON_FRAMES.clear()
 
 
 # -- frame construction helpers ---------------------------------------------------------
 
 def python_frame(file: str, line: int, function: str) -> Frame:
-    return intern_frame(Frame(kind=FrameKind.PYTHON, name=function, file=file, line=line))
+    return _interned(("python", function, file, line, "", 0, ""))
 
 
 def framework_frame(op_name: str, backward: bool = False) -> Frame:
-    return intern_frame(
-        Frame(kind=FrameKind.FRAMEWORK, name=op_name, tag="backward" if backward else ""))
+    return _interned(("framework", op_name, "", 0, "", 0, "backward" if backward else ""))
 
 
 def native_frame(function: str, library: str, pc: int = 0) -> Frame:
-    return intern_frame(Frame(kind=FrameKind.NATIVE, name=function, library=library, pc=pc))
+    return _interned(("native", function, "", 0, library, pc, ""))
 
 
 def gpu_api_frame(api_name: str, library: str = "", pc: int = 0) -> Frame:
-    return intern_frame(Frame(kind=FrameKind.GPU_API, name=api_name, library=library, pc=pc))
+    return _interned(("gpu_api", api_name, "", 0, library, pc, ""))
 
 
 def scope_frame(scope_name: str) -> Frame:
     """A module / semantic scope frame (``loss_fn``, layer names, ...)."""
-    return intern_frame(Frame(kind=FrameKind.FRAMEWORK, name=scope_name, tag="scope"))
+    return _interned(("framework", scope_name, "", 0, "", 0, "scope"))
 
 
 def gpu_kernel_frame(kernel_name: str, device: str = "") -> Frame:
-    return intern_frame(Frame(kind=FrameKind.GPU_KERNEL, name=kernel_name, tag=device))
+    return _interned(("gpu_kernel", kernel_name, "", 0, "", 0, device))
 
 
 def gpu_instruction_frame(kernel_name: str, pc_offset: int, stall_reason: str) -> Frame:
@@ -221,9 +239,15 @@ def thread_frame(thread_name: str, tid: int) -> Frame:
 
 
 def root_frame(program: str = "program") -> Frame:
-    return intern_frame(Frame(kind=FrameKind.ROOT, name=program))
+    return _interned(("root", program, "", 0, "", 0, ""))
+
+
+def _python_frame_of(triple: Tuple[str, int, str]) -> Frame:
+    frame = _PYTHON_FRAMES[triple] = python_frame(*triple)
+    return frame
 
 
 def python_frames_from_triples(triples: Sequence[Tuple[str, int, str]]) -> List[Frame]:
     """Convert ``(file, line, function)`` triples into Python frames."""
-    return [python_frame(file, line, function) for file, line, function in triples]
+    table = _PYTHON_FRAMES
+    return [table.get(triple) or _python_frame_of(triple) for triple in triples]

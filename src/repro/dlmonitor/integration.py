@@ -29,7 +29,6 @@ from ..native.unwinder import NativeFrame, Unwinder
 from ..pycontext import PyFrame
 from .association import ForwardRecord
 from .audit import LibraryAuditor
-from .cache import CachedPrefix
 from .callpath import (
     CallPath,
     Frame,
@@ -42,7 +41,7 @@ from .callpath import (
     root_frame,
     thread_frame,
 )
-from .shadow_stack import ShadowStack
+from .shadow_stack import ShadowEntry, ShadowStack
 
 
 @dataclass(frozen=True)
@@ -102,7 +101,7 @@ class CallPathBuilder:
         python_triples: Sequence[PyFrame],
         sources: CallPathSources,
         gpu_leaf: Optional[GpuLeafContext] = None,
-        cached_prefix: Optional[CachedPrefix] = None,
+        cached_prefix: Optional[ShadowEntry] = None,
         forward_record: Optional[ForwardRecord] = None,
     ) -> CallPath:
         """Assemble the unified call path for ``thread``."""
@@ -135,7 +134,7 @@ class CallPathBuilder:
     # -- parts ---------------------------------------------------------------------
 
     def _python_part(self, thread: ThreadContext, python_triples: Sequence[PyFrame],
-                     sources: CallPathSources, cached_prefix: Optional[CachedPrefix],
+                     sources: CallPathSources, cached_prefix: Optional[ShadowEntry],
                      forward_record: Optional[ForwardRecord]) -> List[Frame]:
         if not sources.python:
             return []
@@ -154,22 +153,25 @@ class CallPathBuilder:
         if not sources.framework:
             return []
         frames: List[Frame] = []
+        # A scope frame's identity is its name (operator frames never share
+        # a scope's identity), so the names seen so far dedupe scopes.
+        scopes_seen = set()
         if forward_record is not None:
             for scope_name in forward_record.scope:
                 frames.append(scope_frame(scope_name))
+            scopes_seen.update(forward_record.scope)
             frames.append(framework_frame(forward_record.op_name, backward=False))
         for entry in shadow_stack.entries:
             for scope_name in entry.scope:
-                scope = scope_frame(scope_name)
-                scope_identity = scope.identity()
-                if not any(f.identity() == scope_identity for f in frames):
-                    frames.append(scope)
+                if scope_name not in scopes_seen:
+                    scopes_seen.add(scope_name)
+                    frames.append(scope_frame(scope_name))
             frames.append(framework_frame(entry.op_name, backward=entry.is_backward))
         return frames
 
     def _integrate_native(self, thread: ThreadContext, shadow_stack: ShadowStack,
                           python_part: List[Frame], framework_part: List[Frame],
-                          cached_prefix: Optional[CachedPrefix],
+                          cached_prefix: Optional[ShadowEntry],
                           include_operators: bool = True) -> List[Frame]:
         """Merge native frames with the Python and framework parts.
 

@@ -11,7 +11,6 @@ import pytest
 from repro.cpu.clock import MachineClock
 from repro.dlmonitor.association import ForwardRecord
 from repro.dlmonitor.audit import LibraryAuditor
-from repro.dlmonitor.cache import CachedPrefix
 from repro.dlmonitor.callpath import FrameKind
 from repro.dlmonitor.integration import CallPathBuilder, CallPathSources, GpuLeafContext
 from repro.dlmonitor.shadow_stack import ShadowEntry, ShadowStack
@@ -113,9 +112,9 @@ class TestIntegrationRules:
     def test_cached_prefix_supplies_python_frames(self, setup):
         _space, thread, builder = setup
         shadow = _shadow_for(thread)
-        cached = CachedPrefix(op_name="aten::conv2d",
-                              dispatch_pc=shadow.top().dispatch_pc,
-                              python_callpath=PYTHON_TRIPLES, scope=("net",))
+        cached = ShadowEntry(op_name="aten::conv2d", is_backward=False, sequence_id=None,
+                             dispatch_pc=shadow.top().dispatch_pc,
+                             python_callpath=PYTHON_TRIPLES, scope=("net",))
         path = builder.build(thread, shadow, (), CallPathSources.all(), cached_prefix=cached)
         python_files = [frame.file for frame in path.frames_of_kind(FrameKind.PYTHON)]
         assert python_files == ["train.py", "model.py"]
@@ -123,9 +122,9 @@ class TestIntegrationRules:
     def test_cached_prefix_stops_unwinding_early(self, setup):
         space, thread, builder = setup
         shadow = _shadow_for(thread)
-        cached = CachedPrefix(op_name="aten::conv2d",
-                              dispatch_pc=shadow.top().dispatch_pc,
-                              python_callpath=PYTHON_TRIPLES, scope=())
+        cached = ShadowEntry(op_name="aten::conv2d", is_backward=False, sequence_id=None,
+                             dispatch_pc=shadow.top().dispatch_pc,
+                             python_callpath=PYTHON_TRIPLES, scope=())
         steps_before = builder.unwinder.steps
         builder.build(thread, shadow, (), CallPathSources.all(), cached_prefix=cached)
         cached_steps = builder.unwinder.steps - steps_before

@@ -1,10 +1,11 @@
 """Tests for the call-path model, shadow stacks, caches, association, fusion map."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.dlmonitor import (
-    CachedPrefix,
     CallPath,
     CallPathCache,
     ForwardBackwardAssociator,
@@ -15,12 +16,21 @@ from repro.dlmonitor import (
     ShadowEntry,
     ShadowStack,
     ShadowStackRegistry,
+    callpath,
     framework_frame,
+    gpu_api_frame,
     gpu_kernel_frame,
     native_frame,
     python_frame,
+    python_frames_from_triples,
     root_frame,
     thread_frame,
+)
+from repro.dlmonitor.callpath import (
+    clear_frame_intern,
+    frame_intern_size,
+    intern_frame,
+    scope_frame,
 )
 
 
@@ -53,6 +63,53 @@ class TestFrameIdentity:
         assert "[libc.so]" in native_frame("f", "libc.so", 1).label()
         assert "long_scoreboard" in Frame(kind=FrameKind.GPU_INSTRUCTION, name="k",
                                           pc=16, tag="long_scoreboard").label()
+
+
+def _helper_cases(name, text, number, flag):
+    """(helper, arguments, directly constructed frame) for every interning helper."""
+    python = Frame(kind=FrameKind.PYTHON, name=name, file=text, line=number)
+    return [
+        (python_frame, (text, number, name), python),
+        (lambda *triple: python_frames_from_triples([triple])[0], (text, number, name), python),
+        (framework_frame, (name, flag),
+         Frame(kind=FrameKind.FRAMEWORK, name=name, tag="backward" if flag else "")),
+        (native_frame, (name, text, number),
+         Frame(kind=FrameKind.NATIVE, name=name, library=text, pc=number)),
+        (gpu_api_frame, (name, text, number),
+         Frame(kind=FrameKind.GPU_API, name=name, library=text, pc=number)),
+        (scope_frame, (name,), Frame(kind=FrameKind.FRAMEWORK, name=name, tag="scope")),
+        (gpu_kernel_frame, (name, text), Frame(kind=FrameKind.GPU_KERNEL, name=name, tag=text)),
+        (root_frame, (name,), Frame(kind=FrameKind.ROOT, name=name)),
+    ]
+
+
+class TestFrameInterning:
+    @given(name=st.text(max_size=6), text=st.text(max_size=6),
+           number=st.integers(min_value=0, max_value=2**40), flag=st.booleans())
+    def test_helpers_intern_by_constructor_arguments(self, name, text, number, flag):
+        cases = _helper_cases(name, text, number, flag)
+        for helper, args, direct in cases:
+            frame = helper(*args)
+            assert frame == direct and type(frame) is Frame
+            assert frame.identity() == direct.identity()
+            assert helper(*args) is frame
+            assert intern_frame(dataclasses.replace(direct)) is frame
+
+        clear_frame_intern()
+        assert frame_intern_size() == 0 and not callpath._PYTHON_FRAMES
+        # After a reset, whichever of intern_frame and a helper comes first
+        # supplies the canonical object.
+        for helper, args, direct in cases:
+            clear_frame_intern()
+            fresh = dataclasses.replace(direct)
+            assert intern_frame(fresh) is fresh
+            assert helper(*args) is fresh
+
+    def test_python_frames_from_triples_keeps_order_and_duplicates(self):
+        triples = [("a.py", 1, "f"), ("b.py", 2, "g"), ("a.py", 1, "f")]
+        frames = python_frames_from_triples(triples)
+        assert [(f.file, f.line, f.name) for f in frames] == triples
+        assert frames[0] is frames[2]
 
 
 class TestCallPath:
@@ -129,7 +186,7 @@ class TestCallPathCache:
     def test_hit_miss_and_invalidate(self):
         cache = CallPathCache()
         assert cache.lookup(1) is None
-        cache.store(1, CachedPrefix("aten::relu", 0x10, (), ()))
+        cache.store(1, ShadowEntry("aten::relu", False, None, 0x10))
         assert cache.lookup(1).op_name == "aten::relu"
         cache.invalidate(1)
         assert cache.lookup(1) is None
