@@ -1,16 +1,19 @@
-"""Fleet aggregation — lazy cross-run queries vs eager load-and-merge.
+"""Fleet aggregation — index-served cross-run queries vs eager load + merge.
 
 Microbenchmark for the fleet subsystem's headline claim: answering a
-fleet-wide ``top_kernels`` over many stored runs from **lazy column sums**
-(one frame table + one metric column per shard, per run; no tree ever
-hydrated) must beat **eagerly** loading every run's profile, merging all the
-trees into a fleet CCT and aggregating there, by ≥5x.
+fleet-wide ``top_kernels`` over many stored runs from the **fleet query
+index** (each run's per-name summary rows, written at ingest; no profile
+opened and no tree ever hydrated) must beat **eagerly** loading every run's
+profile, merging all the trees into a fleet CCT and aggregating there, by
+≥5x.  A store aggregator serves every run from its stored summary here; the
+bytes-reading fallback (``use_index=False``) is timed by
+``test_perf_fleet_index.py``.
 
 The fixture is a store of 8 ingested runs (2 shards × ~6k nodes × 6 metric
 columns each — ~50k stored nodes fleet-wide, the same scale as the storage
 I/O benchmark).  The eager path pays for decoding every metric column of
-every shard plus ~50k ``merge_from`` node unions; the lazy path decodes
-exactly the frame tables and the one GPU-time column it needs.
+every shard plus ~50k ``merge_from`` node unions; the indexed path reads 8
+small JSON summaries.
 
 Run standalone with::
 
@@ -103,7 +106,7 @@ def best_of(trials: int, func):
 
 
 class TestFleetAggregation:
-    def test_lazy_fleet_top_kernels_vs_eager_merge(self, once, tmp_path):
+    def test_indexed_fleet_top_kernels_vs_eager_merge(self, once, tmp_path):
         import gc
 
         store = ProfileStore(tmp_path / "fleet")
@@ -114,14 +117,14 @@ class TestFleetAggregation:
         run_ids = store.run_ids()
         assert len(run_ids) == RUNS
 
-        def lazy_top_kernels():
+        def indexed_top_kernels():
             with store.aggregator(run_ids=run_ids) as aggregator:
                 top = aggregator.top_kernels(10)
                 assert aggregator.hydrated_run_ids == []
                 return top
 
         def eager_top_kernels():
-            # What fleet queries cost without the lazy gear: load every run,
+            # What fleet queries cost without summary rows: load every run,
             # hydrate every shard (all columns), union everything into one
             # fleet tree, then aggregate there.
             combined = CallingContextTree("fleet-bench")
@@ -146,18 +149,18 @@ class TestFleetAggregation:
         gc.disable()  # GC pauses over the merged trees would swamp timings
         try:
             eager_seconds, eager_rows = best_of(2, eager_top_kernels)
-            lazy_seconds, lazy_rows = best_of(3, lazy_top_kernels)
+            indexed_seconds, indexed_rows = best_of(3, indexed_top_kernels)
         finally:
             gc.enable()
 
         # Same answer either way (summation orders differ, so approx).
-        assert [row["kernel"] for row in lazy_rows] == \
+        assert [row["kernel"] for row in indexed_rows] == \
             [row["kernel"] for row in eager_rows]
-        for lazy_row, eager_row in zip(lazy_rows, eager_rows):
-            assert lazy_row[M.METRIC_GPU_TIME] == pytest.approx(
+        for indexed_row, eager_row in zip(indexed_rows, eager_rows):
+            assert indexed_row[M.METRIC_GPU_TIME] == pytest.approx(
                 eager_row[M.METRIC_GPU_TIME])
 
-        speedup = eager_seconds / lazy_seconds
+        speedup = eager_seconds / indexed_seconds
         once(lambda: None)  # record the run under pytest-benchmark
         print_block(
             f"fleet top_kernels over {RUNS} stored runs "
@@ -165,13 +168,13 @@ class TestFleetAggregation:
             json.dumps({
                 "runs": RUNS,
                 "stored_nodes": stored_nodes,
-                "lazy_column_sums_s": lazy_seconds,
+                "indexed_s": indexed_seconds,
                 "eager_load_and_merge_s": eager_seconds,
                 "speedup": speedup,
             }, indent=2))
 
         assert speedup >= MIN_SPEEDUP, (
-            f"lazy fleet top_kernels must be ≥{MIN_SPEEDUP}x faster than "
-            f"eagerly loading and merging all {RUNS} trees, got "
-            f"{speedup:.1f}x ({lazy_seconds * 1e3:.2f} ms vs "
+            f"index-served fleet top_kernels must be ≥{MIN_SPEEDUP}x faster "
+            f"than eagerly loading and merging all {RUNS} trees, got "
+            f"{speedup:.1f}x ({indexed_seconds * 1e3:.2f} ms vs "
             f"{eager_seconds * 1e3:.2f} ms)")

@@ -1,19 +1,22 @@
-"""Fleet query index — indexed catalog-side queries vs lazy-view decode.
+"""Fleet query index — stored summaries vs summaries rebuilt from bytes.
 
-Microbenchmark for PR 8's headline claim: over a large stored population,
-``FleetAggregator.top_kernels`` + ``aggregate_by_name`` served from the
-**fleet query index** (per-run columnar summaries + global name dictionary;
-no profile opened at all) must beat the **lazy-view** path (one frame table
-+ one metric column decoded per shard per run) by ≥10x — and return the
-*identical* floats, because the index rows are the same per-name Welford
-states the lazy path computes, folded in the same order.
+Microbenchmark for the query index's headline claim: over a large stored
+population, ``FleetAggregator.top_kernels`` + ``aggregate_by_name`` served
+from the **fleet query index** (per-run summaries + global name dictionary;
+no profile opened at all) must beat ``use_index=False``, where every run
+**rebuilds its summary from its profile bytes** (``RunSummary.from_view``:
+every frames and column block decoded per run), by ≥10x — and return the
+*identical* floats, because both gears fold the same per-name Welford rows
+in the same order.  The ``use_index=False`` arm is what a run without a
+valid stored summary pays on its first query.
 
-The fixture is a store of 64 ingested runs (~26k stored nodes fleet-wide).
+The fixture is a store of 64 ingested runs (~122k stored nodes fleet-wide).
 Each trial builds a fresh aggregator, so both gears pay their real
-end-to-end cost: the lazy path opens 64 mmaps and decodes 64 frame tables +
-columns per query; the indexed path reads 64 small JSON summaries.  The
-parallel lazy decode (``max_workers=4``) is timed as well, for reference —
-it bounds what the fallback path can recover when the index is absent.
+end-to-end cost: the fallback opens 64 mmaps and rebuilds 64 summaries; the
+indexed path reads 64 small JSON summaries.  The parallel rebuild
+(``max_workers=4``) is timed as well, for reference — it bounds what the
+fallback path can recover when the index is absent.  In the printed report,
+``lazy_views_s`` is the ``use_index=False`` arm.
 
 Run standalone with::
 
@@ -138,8 +141,8 @@ class TestFleetIndexQueries:
         # The indexed gear answered every run from index rows...
         assert lazy_indexed == []
         assert len(indexed) == RUNS
-        # ...and bit-for-bit identically to the lazy-view path: the index
-        # rows replay the exact accumulation sequence, so this is ==, not
+        # ...and bit-for-bit identically to the rebuilt summaries: both
+        # gears fold the same rows in the same order, so this is ==, not
         # approx.
         assert top == lazy_top
         assert by_name == lazy_by_name
@@ -160,5 +163,5 @@ class TestFleetIndexQueries:
 
         assert speedup >= MIN_SPEEDUP, (
             f"indexed fleet queries must be ≥{MIN_SPEEDUP}x faster than the "
-            f"lazy-view path over {RUNS} runs, got {speedup:.1f}x "
+            f"use_index=False path over {RUNS} runs, got {speedup:.1f}x "
             f"({indexed_seconds * 1e3:.2f} ms vs {lazy_seconds * 1e3:.2f} ms)")

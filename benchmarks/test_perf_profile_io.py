@@ -208,9 +208,10 @@ class TestChecksumOverhead:
         save + lazily-verified-read cycle of the 50k-node profile.
 
         The read arm touches every block — the meta block at open, every
-        shard's frame table through the names-only rollup, and every metric
-        column through the totals — so each fresh view verifies each CRC
-        exactly once, which is the worst case for the checksummed file.
+        shard's frame table through the per-name states a fleet summary
+        stores, and every metric column through the totals — so each fresh
+        view verifies each CRC exactly once, which is the worst case for the
+        checksummed file.
         """
         database = build_profile()
         backend = backend_for(FORMAT_BINARY_V1)
@@ -220,8 +221,7 @@ class TestChecksumOverhead:
             with backend.open(path) as view:
                 for metric in view.metric_names():
                     view.total_metric(metric)
-                view.column_aggregate_by_name(kind=FrameKind.GPU_KERNEL,
-                                              metric=M.METRIC_GPU_TIME)
+                view.column_name_states(M.METRIC_GPU_TIME)
 
         plain_path = str(tmp_path / "plain.cctb")
         checked_path = str(tmp_path / "checked.cctb")

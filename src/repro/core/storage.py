@@ -422,8 +422,8 @@ def _decode_frames_prefix(buffer):
 
     The single definition of the block's leading layout (header, string
     heap + offsets, kind codes, name indexes), shared by the full structural
-    decode and the names-only fast path so the two cannot drift.  Returns
-    ``(node_count, frame_count, string_count, heap, string_offsets,
+    decode and the names-only per-name state walk so the two cannot drift.
+    Returns ``(node_count, frame_count, string_count, heap, string_offsets,
     kind_codes, names, offset)`` with ``offset`` positioned at the file
     column.
     """
@@ -463,9 +463,9 @@ def _decode_frames_block(buffer) -> Tuple[CallingContextTree, List[CCTNode]]:
         [frames[i] for i in frame_indexes], parents)
 
 
-#: Partial decode of a frames block for name-level rollups: the string heap
+#: Partial decode of a frames block for per-name states: the string heap
 #: with its offsets, per-frame kind codes and name indexes, and the per-node
-#: frame indexes — everything ``aggregate_by_name`` needs, nothing it
+#: frame indexes — everything ``name_states_columns`` needs, nothing it
 #: doesn't (no ``Frame`` objects, no tree, no per-node allocation at all).
 _NameIndex = Tuple[bytes, "array.array", bytes, "array.array", "array.array"]
 
@@ -578,12 +578,14 @@ def accumulate_name_state(totals: Dict, key,
                           maximum: float, mean: float, m2: float) -> None:
     """Fold one Welford state tuple into ``totals[key]``.
 
-    The statistical fields merge with the exact operation sequence of
-    ``MetricAggregate.merge`` (parallel/Chan Welford), but the ``sum`` field
-    follows the accumulation recurrence of the name-rollup fast paths —
-    ``totals.get(name, 0.0) + value`` — so sums stay bit-for-bit equal to
-    ``aggregate_by_name_columns`` / ``column_aggregate_by_name`` even for
-    the ``0.0 + (-0.0)`` corner a copy-on-first-merge would get wrong.
+    The one fold behind every per-name summary row: per shard, across
+    shards (:meth:`LazyProfileView.column_name_states`) and across runs
+    (``FleetAggregator.name_states``).  The statistical fields merge with
+    the exact operation sequence of ``MetricAggregate.merge``
+    (parallel/Chan Welford), but the ``sum`` field follows the tree path's
+    ``aggregate_by_name`` recurrence — ``totals.get(name, 0.0) + value`` —
+    so a row's sum is bit for bit that rollup's value, even for the
+    ``0.0 + (-0.0)`` corner a copy-on-first-merge would get wrong.
     Callers only feed states with ``count > 0`` (stored column entries are
     filtered at write time), so the zero-count branches of the aggregate
     merge never arise here.
@@ -696,46 +698,6 @@ class _LazyShard:
         self.ensure_column(metric)
         return self.tree().aggregate_by_name(kind=kind, metric=metric)
 
-    def aggregate_by_name_columns(self, kind: Optional[FrameKind],
-                                  metric: str) -> Dict[str, float]:
-        """Name-level rollup straight from the raw blocks: no tree decode.
-
-        Walks the metric column against a partial frames-block decode (heap,
-        kind codes, name indexes — no ``Frame`` or node objects), summing in
-        node-index order, which is the registration order the tree-based
-        ``aggregate_by_name`` also sums in — the two paths agree bit for bit.
-        Stored column entries all have count > 0 (both writers filter through
-        ``BinaryV1Backend._columns``), so the observation-count gate the tree
-        path applies is already satisfied.  Falls back to the tree path when
-        this shard's structure or this column is warm anyway.
-        """
-        if self.structure_decoded or metric in self.loaded_columns:
-            return self.aggregate_by_name(kind, metric)
-        descriptor = self.entry["columns"].get(metric)
-        if descriptor is None:
-            return {}
-        if self._name_index is None:
-            self._name_index = _decode_name_index(
-                self._block(self.entry["frames"], self._frames_label()))
-        heap, string_offsets, kind_codes, names, frame_indexes = self._name_index
-        node_indexes, _counts, sums, *_rest = _decode_column_block(
-            self._block(descriptor, self._column_label(metric)))
-        wanted = KIND_CODES[kind] if kind is not None else None
-        name_of: Dict[int, str] = {}
-        totals: Dict[str, float] = {}
-        for node_index, value in zip(node_indexes, sums):
-            frame = frame_indexes[node_index]
-            if wanted is not None and kind_codes[frame] != wanted:
-                continue
-            name = name_of.get(frame)
-            if name is None:
-                string = names[frame]
-                name = heap[string_offsets[string]:
-                            string_offsets[string + 1]].decode("utf-8")
-                name_of[frame] = name
-            totals[name] = totals.get(name, 0.0) + value
-        return totals
-
     def name_states_columns(self, metric: str) -> Dict[Tuple[int, str], Tuple]:
         """Per-name Welford states straight from the raw blocks.
 
@@ -743,12 +705,12 @@ class _LazyShard:
         with one row per ``(kind, name)`` pair observed in this shard *plus*
         an :data:`ALL_KINDS` row per name (the unfiltered rollup, which is
         not derivable from the per-kind rows — see :data:`ALL_KINDS`).  One
-        walk of the column in node-index order feeds both key families, so
-        each family's addition sequence is identical to the filtered walk
-        ``aggregate_by_name_columns`` performs: every row's ``sum`` matches
-        that path bit for bit.  This is what the fleet query index persists
-        per run at ingest; it always reads the sealed blocks (never a warm
-        decoded tree), so index building and drift fallbacks see the same
+        walk of the column in node-index order — the registration order the
+        tree path's ``aggregate_by_name`` sums in — feeds both key families,
+        so every row's ``sum`` matches that path's filtered rollup bit for
+        bit.  Only names and kind codes are decoded from the frames block
+        (no ``Frame`` or node objects), and it always reads the sealed
+        blocks (never a warm decoded tree), so every summary sees the same
         bytes the durability checks verified.
         """
         descriptor = self.entry["columns"].get(metric)
@@ -1122,46 +1084,20 @@ class LazyProfileView:
         self._aggregate_cache[key] = (self._generation_signature(), totals)
         return dict(totals)
 
-    def column_aggregate_by_name(self, kind: Optional[FrameKind] = None,
-                                 metric: str = "gpu_time") -> Dict[str, float]:
-        """``aggregate_by_name`` without decoding trees at all.
-
-        Per shard, the metric column is walked against a partial frames-block
-        decode (names and kind codes only) — no ``Frame`` objects, no nodes.
-        Produces bit-for-bit the same rows as :meth:`aggregate_by_name` (the
-        per-shard fast path sums in the same order the tree path would) and
-        shares its memoization, but leaves ``decoded_shard_ids`` untouched:
-        nothing structural was materialized.  This is the fleet aggregator's
-        gear for cross-run rollups over many profiles at once; per-shard
-        state that is already decoded is reused rather than re-read.
-        """
-        if self._hydrated is not None:
-            return self._hydrated.aggregate_by_name(kind=kind, metric=metric)
-        key = (kind, metric)
-        cached = self._aggregate_cache.get(key)
-        signature = self._generation_signature()
-        if cached is not None and cached[0] == signature:
-            return dict(cached[1])
-        totals: Dict[str, float] = {}
-        for shard in self._shards.values():
-            for name, value in shard.aggregate_by_name_columns(kind,
-                                                               metric).items():
-                totals[name] = totals.get(name, 0.0) + value
-        self._aggregate_cache[key] = (self._generation_signature(), totals)
-        return dict(totals)
-
     def column_name_states(self, metric: str) -> Dict[Tuple[int, str], Tuple]:
         """Whole-profile per-name Welford states from the raw blocks.
 
-        Per-shard :meth:`_LazyShard.name_states_columns` results fold in
-        shard order with :func:`accumulate_name_state`, mirroring the
-        cross-shard sum accumulation of :meth:`column_aggregate_by_name`
-        exactly — for any kind code (including :data:`ALL_KINDS`), the
-        ``sum`` fields here equal that method's values bit for bit.  Not
-        memoized (the fleet index computes it once per metric at ingest;
-        query-time callers cache at their own layer) and deliberately
-        independent of decode caches: it reads the sealed bytes even when a
-        hydrated tree is warm.
+        Returns ``{(kind_code, name): (count, sum, min, max, mean, m2)}``:
+        per-shard :meth:`_LazyShard.name_states_columns` results folded in
+        shard order with :func:`accumulate_name_state`, the cross-shard
+        recurrence :meth:`aggregate_by_name` uses — for any kind code
+        (including :data:`ALL_KINDS`), projecting the ``sum`` fields gives
+        that method's rows bit for bit, without decoding any structure.
+        These are the rows a fleet summary stores per run
+        (``RunSummary.from_view``).  Not memoized (summaries are built once
+        and cached at their own layer) and deliberately independent of
+        decode caches: it reads the sealed bytes even when a hydrated tree
+        is warm.
         """
         totals: Dict[Tuple[int, str], Tuple] = {}
         for shard in self._shards.values():

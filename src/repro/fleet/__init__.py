@@ -1,9 +1,11 @@
 """Fleet aggregation: multi-run profile store, cross-run merge, differentials.
 
 This package scales the single-run profiler into a fleet tool: a
-content-addressed :class:`ProfileStore` catalogs many runs' sealed profiles,
-a :class:`FleetAggregator` answers fleet-wide queries from lazy column sums
-(or materializes the fleet CCT when structure is needed), and a
+content-addressed :class:`ProfileStore` catalogs many runs' sealed profiles
+and indexes each as a :class:`RunSummary` of per-name Welford rows; a
+:class:`FleetAggregator` answers fleet-wide queries from those rows (a run
+the index cannot serve rebuilds its summary from its bytes) or
+materializes the fleet CCT when structure is needed; and a
 :class:`DifferentialProfile` aligns two runs — or two run populations — on
 calling contexts to rank regressions.  The analyzer's ``RegressionAnalysis``
 and the experiment runner's ``store_path``/``baseline`` options build on

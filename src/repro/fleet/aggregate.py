@@ -1,21 +1,19 @@
 """Cross-run fleet aggregation over stored profiles.
 
 A :class:`FleetAggregator` answers "across these N runs, where does the time
-go?" in three gears, fastest first:
+go?" in two gears:
 
-* **index rows** — for runs carrying a valid fleet-index summary (see
-  ``repro.fleet.index``), ``total_metric``, ``aggregate_by_name``,
+* **summary rows** — ``total_metric``, ``aggregate_by_name``,
   ``top_kernels``, ``per_run_totals`` and ``name_states`` are pure dict
-  arithmetic over catalog-side columnar aggregates: *no profile is opened at
-  all*.  Indexed answers are bit-for-bit equal to the lazy-view path — the
-  index rows are the per-name Welford states
-  ``LazyProfileView.column_name_states`` computes, whose ``sum`` fields
-  follow the exact accumulation recurrence of the column fast path;
-* **lazy column sums** — runs without a usable summary answer through their
-  mmap-backed ``LazyProfileView``: one frame table plus one metric column
-  per shard is decoded and nothing is hydrated into a merged tree.  With
-  ``max_workers > 1`` these per-run decodes run on a thread pool (zlib and
-  struct release the GIL);
+  arithmetic over each run's :class:`~repro.fleet.index.RunSummary`
+  (per-metric totals plus per-name Welford states).  A run carrying a valid
+  fleet-index summary (see ``repro.fleet.index``) is served from it and *no
+  profile is opened at all*.  Every other run — no valid stored summary,
+  ``use_index=False``, or a view handed to the constructor — builds the
+  same summary from its view with ``RunSummary.from_view`` on its first
+  query, reading every column block once; with ``max_workers > 1`` those
+  builds run on a thread pool (zlib and struct release the GIL).  Stored
+  and rebuilt rows are identical, so the two answer bit for bit alike;
 * **the fleet CCT** — :meth:`merged_tree` unions every run's shards with
   ``CallingContextTree.merge_from`` (parallel Welford ``MetricSet.merge``
   per aligned context), in run order then shard order — the identical merge
@@ -24,15 +22,18 @@ go?" in three gears, fastest first:
   one profile that collected all N runs (the property the fleet test suite
   pins down).  Structure needs bytes, so this gear opens views on demand.
 
-Per-run query passes are memoized per ``(query, fingerprint)``: repeated
-``top_kernels(k=...)`` calls with different ``k`` reuse one aggregate pass,
-and the memo drops whenever an underlying view moves (live attach/refresh).
+Per-run passes are memoized per metric and fingerprint: every per-name query
+on a metric (``aggregate_by_name`` of any kind, ``name_states``,
+``top_kernels`` with any ``k``) reads one rows pass, ``total_metric`` and
+``per_run_totals`` share a totals pass, and the memo — with every rebuilt
+summary — drops whenever an underlying view moves (live attach/refresh).
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Tuple
 
 from ..core import metrics as M
@@ -66,14 +67,15 @@ class DegradedRun:
 
 
 class _RunSource:
-    """One healthy run: its catalog record, index summary and/or open view.
+    """One healthy run: its catalog record, summary and/or open view.
 
-    ``summary`` present → index-served (no I/O per query); otherwise the
-    ``view`` (opened eagerly for fallback runs, on demand for indexed runs
-    that a structural query touches) serves the lazy column paths.
+    ``summary`` is what every per-name query reads.  A source built with
+    one is ``indexed``: it holds the store's validated summary and opens its
+    ``view`` only for structural queries.  Every other source holds its view
+    and builds ``summary`` from it on its first query.
     """
 
-    __slots__ = ("run_id", "record", "summary", "view")
+    __slots__ = ("run_id", "record", "summary", "view", "indexed")
 
     def __init__(self, run_id: str, record: Optional["RunRecord"] = None,
                  summary: Optional[RunSummary] = None,
@@ -82,6 +84,7 @@ class _RunSource:
         self.record = record
         self.summary = summary
         self.view = view
+        self.indexed = summary is not None
 
 
 class FleetAggregator:
@@ -89,9 +92,9 @@ class FleetAggregator:
 
     **Graceful degradation**: a corrupt run never poisons a fleet answer and
     never turns one into an exception.  Runs already quarantined in the
-    catalog are skipped at construction; a fallback run whose corruption
-    only surfaces lazily — a checksum failure on the first touch of a block
-    mid-query — is demoted on the spot: dropped from the healthy set,
+    catalog are skipped at construction; a run that builds its summary
+    from its view reads every block on its first query, and a checksum
+    failure there demotes it on the spot: dropped from the healthy set,
     quarantined back into the originating store (when known), and recorded
     in :meth:`degradation_report`, while the query returns the aggregate
     over every healthy run.  Index-served runs never read profile bytes, so
@@ -121,14 +124,14 @@ class FleetAggregator:
         self._index_problems: Dict[str, str] = {}
         self._requested = len(self._sources) + len(self._degraded)
         self._merged: Optional[CallingContextTree] = None
-        self._aggregate_cache: Dict = {}
-        self._total_cache: Dict[str, float] = {}
-        #: Memoized per-run passes, keyed ``(query, ...)`` — valid for the
-        #: stamped fingerprint only (cleared by ``_ensure_fresh``).
+        #: Memoized per-run passes, keyed ``("total" | "rows", metric)`` —
+        #: valid for the stamped fingerprint only (cleared by
+        #: ``_ensure_fresh``).
         self._per_run_cache: Dict[Tuple, Dict[str, object]] = {}
         #: How many per-run aggregate passes have actually run (each one
-        #: decodes or reads every run once) — observable, so tests can pin
-        #: that repeated queries reuse passes instead of re-scanning.
+        #: reads every run's summary once, building missing ones) —
+        #: observable, so tests can pin that repeated queries reuse passes
+        #: instead of re-scanning.
         self.aggregate_passes = 0
         self._fingerprint: Optional[tuple] = None
 
@@ -143,13 +146,14 @@ class FleetAggregator:
         Runs with a valid fleet-index summary are *not* opened — their
         queries will be served from index rows.  Runs without one (a
         pre-index store, a stale or corrupt index file, ``use_index=False``)
-        open eagerly as before; open failures are skipped into the
-        degradation report and quarantined instead of raising, and an
-        explicit ``run_ids`` selection that names a quarantined run degrades
-        it the same way rather than resurrecting it.  ``max_workers`` sets
-        the thread-pool width for fallback per-run decodes (``None``/``1``
-        = sequential).  The returned aggregator owns any views it opens:
-        ``close()`` (or the context manager) releases every mapping.
+        open eagerly and build their summary from the view on their first
+        query; open failures are skipped into the degradation report and
+        quarantined instead of raising, and an explicit ``run_ids``
+        selection that names a quarantined run degrades it the same way
+        rather than resurrecting it.  ``max_workers`` sets the thread-pool
+        width for those summary builds (``None``/``1`` = sequential).  The
+        returned aggregator owns any views it opens: ``close()`` (or the
+        context manager) releases every mapping.
         """
         if run_ids is not None:
             records = [store.get(run_id) for run_id in run_ids]
@@ -226,7 +230,7 @@ class FleetAggregator:
     def indexed_run_ids(self) -> List[str]:
         """Runs whose queries are served from index rows (no profile I/O)."""
         return [run_id for run_id, source in self._sources.items()
-                if source.summary is not None]
+                if source.indexed]
 
     @property
     def opened_run_ids(self) -> List[str]:
@@ -246,12 +250,8 @@ class FleetAggregator:
     def metric_names(self) -> List[str]:
         names: List[str] = []
         for source in self._sources.values():
-            if source.summary is not None:
-                run_metrics = source.summary.metric_names()
-            elif source.view is not None:
-                run_metrics = source.view.metric_names()
-            else:  # pragma: no cover - index-served source always has summary
-                run_metrics = []
+            run_metrics = (source.view.metric_names() if source.summary is None
+                           else source.summary.metric_names())
             for metric in run_metrics:
                 if metric not in names:
                     names.append(metric)
@@ -259,7 +259,8 @@ class FleetAggregator:
 
     @property
     def hydrated_run_ids(self) -> List[str]:
-        """Runs whose views were fully hydrated (lazy queries keep this empty)."""
+        """Runs whose views were fully hydrated (summary-row queries keep this
+        empty)."""
         return [run_id for run_id, source in self._sources.items()
                 if source.view is not None and source.view.hydrated]
 
@@ -288,8 +289,9 @@ class FleetAggregator:
 
         The ``index`` section is informational: a run listed in its
         ``problems`` (a corrupt/stale/version-mismatched summary) still
-        answers every query — through the lazy view — it just lost the fast
-        path.  Only ``degraded_runs`` entries are missing from answers.
+        answers every query — from a summary rebuilt from its profile
+        bytes — it just lost the fast path.  Only ``degraded_runs`` entries
+        are missing from answers.
 
         ``counts`` is a stable flat rollup (every value an ``int`` except
         the per-stage dict) so dashboards and tests read sizes directly
@@ -327,7 +329,7 @@ class FleetAggregator:
     def _demote(self, run_id: str, reason: str, stage: str = "query") -> None:
         """Drop a run that turned out corrupt mid-query (or unopenable).
 
-        The view is closed and removed, partial answers memoized before the
+        The view is closed and removed, per-run passes memoized before the
         corruption surfaced are discarded, the run is recorded in the
         degradation report, and — when this aggregator came from a store —
         quarantined in its catalog so every later reader skips it too.
@@ -339,8 +341,6 @@ class FleetAggregator:
                                              stage=stage)
         if TELEMETRY.enabled:
             TELEMETRY.count("fleet.degraded_runs")
-        self._aggregate_cache.clear()
-        self._total_cache.clear()
         self._per_run_cache.clear()
         self._merged = None
         if self._store is not None:
@@ -375,7 +375,7 @@ class FleetAggregator:
         a bad argument — propagates untouched.  With ``max_workers > 1`` the
         thunks run on a thread pool: each touches only its own run's view,
         and zlib decompression / struct decoding release the GIL, so
-        fallback decode work over many runs genuinely overlaps.  Results
+        decode work over many runs genuinely overlaps.  Results
         keep task order; demotion happens on the calling thread afterwards.
         """
         results: Dict[str, object] = {}
@@ -404,48 +404,53 @@ class FleetAggregator:
             self._demote(run_id, reason)
         return results
 
-    def _per_run(self, key: Tuple, index_value: Callable,
-                 view_compute: Callable) -> Dict[str, object]:
-        """One memoized per-run pass: index rows where valid, views otherwise.
+    def _per_run(self, key: Tuple,
+                 value: Callable[[RunSummary], object]) -> Dict[str, object]:
+        """One memoized per-run pass: ``run id → value(summary)``, run order.
 
-        ``index_value(summary)`` serves summary-backed runs (pure dict
-        reads); ``view_compute(view)`` serves the rest, demoting runs whose
-        blocks turn out corrupt.  The result — ``run id → per-run answer``
-        in run order — is memoized under ``key`` for the current
-        fingerprint, so every query shape that shares a pass (``top_kernels``
-        with any ``k``, ``total_metric`` + ``per_run_totals``) pays it once.
+        Runs without a summary build it from their view first (see
+        :meth:`_build_summaries`).  The result is memoized under ``key`` for
+        the current fingerprint, so every query shape that shares a pass
+        (the per-name queries on one metric, ``total_metric`` +
+        ``per_run_totals``) pays it once.
         """
+        self._ensure_fresh()
         cached = self._per_run_cache.get(key)
         if cached is not None:
             return cached
         self.aggregate_passes += 1
-        results: Dict[str, object] = {}
-        lazy: List[Tuple[str, Callable]] = []
-        for source in self._sources.values():
-            if source.summary is not None:
-                results[source.run_id] = index_value(source.summary)
-            else:
-                results[source.run_id] = None  # placeholder keeps run order
-                lazy.append((source.run_id,
-                             (lambda view=source.view: view_compute(view))))
         if TELEMETRY.enabled:
             TELEMETRY.count("fleet.aggregate_passes")
-            if len(results) > len(lazy):
-                TELEMETRY.count("fleet.index_served",
-                                len(results) - len(lazy))
-            if lazy:
-                TELEMETRY.count("fleet.lazy_served", len(lazy))
-        if lazy:
-            gathered = self._gather(lazy)
-            for run_id, value in gathered.items():
-                results[run_id] = value
-            if len(gathered) < len(lazy):  # demotions: drop their placeholders
-                results = {run_id: value for run_id, value in results.items()
-                           if run_id in self._sources}
+            indexed = sum(source.indexed for source in self._sources.values())
+            if indexed:
+                TELEMETRY.count("fleet.index_served", indexed)
+            if len(self._sources) > indexed:
+                TELEMETRY.count("fleet.lazy_served",
+                                len(self._sources) - indexed)
+        self._build_summaries()
+        results = {run_id: value(source.summary)
+                   for run_id, source in self._sources.items()}
         self._per_run_cache[key] = results
+        self._stamp()
         return results
 
-    # -- lazy column-sum queries --------------------------------------------------------
+    def _build_summaries(self) -> None:
+        """Give every run without a summary one built from its view.
+
+        ``RunSummary.from_view`` reads every frames and column block, so a
+        build that hits corruption demotes the run (stage ``"query"``).
+        """
+        missing = [(source.run_id,
+                    partial(RunSummary.from_view, source.run_id,
+                            source.record.digest if source.record else "",
+                            source.view))
+                   for source in self._sources.values()
+                   if source.summary is None]
+        if missing:
+            for run_id, summary in self._gather(missing).items():
+                self._sources[run_id].summary = summary
+
+    # -- summary-row queries --------------------------------------------------------
 
     def _current_fingerprint(self) -> tuple:
         return tuple(
@@ -455,7 +460,7 @@ class FleetAggregator:
             for run_id, source in self._sources.items())
 
     def _ensure_fresh(self) -> None:
-        """Drop memoized results when any underlying view moved.
+        """Drop memoized passes and rebuilt summaries when a view moved.
 
         Store-backed views are immutable files, so this never fires for
         them; but an aggregator may also hold live-attached views
@@ -467,35 +472,34 @@ class FleetAggregator:
         generations without changing any result — does not self-invalidate.
         """
         if self._current_fingerprint() != self._fingerprint:
-            self._aggregate_cache.clear()
-            self._total_cache.clear()
             self._per_run_cache.clear()
             self._merged = None
+            for source in self._sources.values():
+                if not source.indexed:
+                    source.summary = None
 
     def _stamp(self) -> None:
         self._fingerprint = self._current_fingerprint()
 
-    def total_metric(self, metric: str) -> float:
-        """Fleet-wide metric total: the sum of every run's column sums.
+    def _run_totals(self, metric: str) -> Dict[str, object]:
+        return self._per_run(("total", metric),
+                             lambda summary: summary.totals.get(metric, 0.0))
 
-        Index-served runs contribute the catalog-side total recorded at
-        ingest (the identical float the lazy path recomputes); a fallback
-        run whose column blocks fail verification is demoted (see
+    def _rows(self, metric: str):
+        """Every run's ``{(kind_code, name): state}`` rows for ``metric``, in
+        run order — one pass per metric, whatever the kind or fold."""
+        return self._per_run(
+            ("rows", metric),
+            lambda summary: summary.states.get(metric, {})).values()
+
+    def total_metric(self, metric: str) -> float:
+        """Fleet-wide metric total: the sum of every run's summary total.
+
+        A run whose summary build fails block verification is demoted (see
         :meth:`degradation_report`) and the total covers the healthy rest.
         """
         with TELEMETRY.span("fleet.query.total_metric", metric=metric):
-            self._ensure_fresh()
-            cached = self._total_cache.get(metric)
-            if cached is not None:
-                return cached
-            per_run = self._per_run(
-                ("total", metric),
-                lambda summary: summary.totals.get(metric, 0.0),
-                lambda view: view.total_metric(metric))
-            total = float(sum(per_run.values()))
-            self._total_cache[metric] = total
-            self._stamp()
-            return total
+            return float(sum(self._run_totals(metric).values()))
 
     def per_run_totals(self, metric: str) -> Dict[str, float]:
         """``run id → metric total`` (the per-run breakdown of a fleet sum).
@@ -504,48 +508,27 @@ class FleetAggregator:
         breakdown after the total (or vice versa) costs no second scan.
         """
         with TELEMETRY.span("fleet.query.per_run_totals", metric=metric):
-            self._ensure_fresh()
-            per_run = self._per_run(
-                ("total", metric),
-                lambda summary: summary.totals.get(metric, 0.0),
-                lambda view: view.total_metric(metric))
-            self._stamp()
             return {run_id: float(total)
-                    for run_id, total in per_run.items()}
+                    for run_id, total in self._run_totals(metric).items()}
 
     def aggregate_by_name(self, kind: Optional[FrameKind] = None,
                           metric: str = M.METRIC_GPU_TIME) -> Dict[str, float]:
-        """Fleet-wide bottom-up rollup: per-run aggregations summed by name.
+        """Fleet-wide bottom-up rollup: per-run rows summed by name.
 
-        Indexed runs answer from their summary rows (``name → sum`` in pure
-        dict reads); fallback runs answer through
-        ``LazyProfileView.column_aggregate_by_name`` — the metric column
-        walked against a names-only partial decode of the frame tables.  The
-        two sources produce identical floats (the index rows are computed by
-        the same accumulation recurrence at ingest), and per-run answers sum
-        name-wise in run order either way, so mixing them keeps the result
-        bit-for-bit equal to the all-lazy path.
+        Each run contributes the ``sum`` fields of its summary rows for the
+        kind (:data:`ALL_KINDS` rows when ``kind`` is None), added name-wise
+        in run order.  For one run that is bit for bit the tree path's
+        ``aggregate_by_name`` (see :func:`accumulate_name_state`).
         """
         with TELEMETRY.span("fleet.query.aggregate_by_name", metric=metric,
                             kind=kind.name if kind is not None else ""):
-            self._ensure_fresh()
-            key = (kind, metric)
-            cached = self._aggregate_cache.get(key)
-            if cached is not None:
-                return dict(cached)
             wanted = KIND_CODES[kind] if kind is not None else ALL_KINDS
-            per_run = self._per_run(
-                ("aggregate", kind, metric),
-                lambda summary: summary.name_sums(metric, wanted),
-                lambda view: view.column_aggregate_by_name(kind=kind,
-                                                           metric=metric))
             totals: Dict[str, float] = {}
-            for rows in per_run.values():
-                for name, value in rows.items():
-                    totals[name] = totals.get(name, 0.0) + value
-            self._aggregate_cache[key] = totals
-            self._stamp()
-            return dict(totals)
+            for states in self._rows(metric):
+                for (kind_code, name), state in states.items():
+                    if kind_code == wanted:
+                        totals[name] = totals.get(name, 0.0) + state[1]
+            return totals
 
     def name_states(self, kind: Optional[FrameKind] = None,
                     metric: str = M.METRIC_GPU_TIME) -> Dict[str, Tuple]:
@@ -553,34 +536,18 @@ class FleetAggregator:
 
         ``name → (count, sum, min, max, mean, m2)``, folded across runs in
         run order with the same merge arithmetic the CCT's parallel Welford
-        uses — what the index-served drift scans
-        (:func:`repro.fleet.differential.name_drift`) consume.  Indexed runs
-        contribute their summary rows; fallback runs recompute the identical
-        states from their sealed column blocks.
+        uses — what the drift scans
+        (:func:`repro.fleet.differential.name_drift`) consume.
         """
         with TELEMETRY.span("fleet.query.name_states", metric=metric,
                             kind=kind.name if kind is not None else ""):
-            self._ensure_fresh()
-            key = ("states", kind, metric)
-            cached = self._aggregate_cache.get(key)
-            if cached is not None:
-                return dict(cached)
             wanted = KIND_CODES[kind] if kind is not None else ALL_KINDS
-            per_run = self._per_run(
-                ("name_states", metric),
-                lambda summary: summary.states.get(metric, {}),
-                lambda view: view.column_name_states(metric))
-            totals: Dict[Tuple[int, str], Tuple] = {}
-            for states in per_run.values():
+            totals: Dict[str, Tuple] = {}
+            for states in self._rows(metric):
                 for (kind_code, name), state in states.items():
-                    if kind_code != wanted:
-                        continue
-                    accumulate_name_state(totals, (kind_code, name), *state)
-            result = {name: state
-                      for (_code, name), state in totals.items()}
-            self._aggregate_cache[key] = result
-            self._stamp()
-            return dict(result)
+                    if kind_code == wanted:
+                        accumulate_name_state(totals, name, *state)
+            return totals
 
     def top_kernels(self, k: int = 10,
                     metric: str = M.METRIC_GPU_TIME) -> List[Dict[str, object]]:

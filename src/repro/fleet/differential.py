@@ -26,11 +26,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from ..core import metrics as M
 from ..core.cct import CallingContextTree, CCTNode
 from ..dlmonitor.callpath import FrameKind
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .aggregate import FleetAggregator
 
 #: Significance assigned to deterministic changes (zero variance on both
 #: sides, or a context appearing/vanishing outright): a finite sample cannot
@@ -489,40 +492,20 @@ class NameDelta:
                 f"{self.candidate_sum:.6g} ({self.delta_sum:+.6g} {self.metric})")
 
 
-def _name_states(population, kind: Optional[FrameKind], metric: str) -> Dict[str, Tuple]:
-    states = getattr(population, "name_states", None)
-    if callable(states):  # FleetAggregator (or view): index rows / column sums
-        return states(kind=kind, metric=metric)
-    # Tree fallback: fold exclusive Welford states by label in registration
-    # order with the same merge recurrence the column/index paths use.
-    from ..core.storage import accumulate_name_state
-
-    tree = resolve_tree(population)
-    totals: Dict[str, Tuple] = {}
-    for node in tree.all_nodes():
-        if kind is not None and node.kind != kind:
-            continue
-        aggregate = node.exclusive.get(metric)
-        if aggregate is None or aggregate.count == 0:
-            continue
-        accumulate_name_state(totals, node.frame.label(), *aggregate.state())
-    return totals
-
-
-def name_drift(baseline, candidate, kind: Optional[FrameKind] = None,
+def name_drift(baseline: "FleetAggregator", candidate: "FleetAggregator",
+               kind: Optional[FrameKind] = None,
                metric: str = M.METRIC_GPU_TIME) -> List[NameDelta]:
-    """Name-level drift between two populations, biggest movers first.
+    """Name-level drift between two run populations, biggest movers first.
 
-    ``baseline``/``candidate`` are typically :class:`FleetAggregator`\\ s —
-    over a fully indexed store this scan reads *only* index rows (no profile
-    opened on either side) — but any tree-like also works.  Each side's
-    per-name Welford states fold across its runs first, then names align:
-    new / vanished / changed / unchanged, each carrying a Welch z of the
-    per-observation means.  Ranked by ``-abs(score)`` so the largest
-    evidence-weighted movement — in either direction — leads.
+    Each side's :meth:`FleetAggregator.name_states` — per-name Welford
+    states folded across its runs; over a fully indexed store, index rows
+    only, no profile opened on either side — align by name: new / vanished
+    / changed / unchanged, each carrying a Welch z of the per-observation
+    means.  Ranked by ``-abs(score)`` so the largest evidence-weighted
+    movement — in either direction — leads.
     """
-    base = _name_states(baseline, kind, metric)
-    cand = _name_states(candidate, kind, metric)
+    base = baseline.name_states(kind=kind, metric=metric)
+    cand = candidate.name_states(kind=kind, metric=metric)
     deltas: List[NameDelta] = []
     for name in dict.fromkeys((*base, *cand)):
         b, c = base.get(name), cand.get(name)

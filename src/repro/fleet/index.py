@@ -1,23 +1,25 @@
-"""The fleet query index: catalog-side columnar aggregates per run.
+"""The fleet query index: catalog-side per-name summary rows per run.
 
-PR 5's lazy column sums made a fleet query cost one frame table plus one
-metric column per shard *per run* — still linear decode work in run count on
-every query.  The index pays that decode once, at ingest, and persists what
-the standing fleet queries actually consume:
+Every fleet query (``FleetAggregator.total_metric`` / ``aggregate_by_name`` /
+``top_kernels`` / ``name_states`` and the name-level drift scans built on
+them) reads one representation per run: a :class:`RunSummary`, the run's
+per-metric totals plus per-name Welford states.  The index builds that
+summary once, at ingest, and persists it:
 
 * a **global name dictionary** (``index/names.json``) interning every frame
   display name the store has seen, so per-run summaries store integer ids
   instead of repeating strings;
 * a **per-run columnar summary** (``index/runs/<run_id>.json``): for each
   metric, rows of ``(name_id, kind_code, count, sum, min, max, mean, m2)``
-  — the exact per-name Welford states ``LazyProfileView.column_name_states``
+  — the per-name Welford states ``LazyProfileView.column_name_states``
   computes from the sealed blocks, including the :data:`ALL_KINDS` rollup
   rows an unfiltered ``aggregate_by_name`` needs.
 
-``FleetAggregator`` then answers ``total_metric`` / ``aggregate_by_name`` /
-``top_kernels`` — and name-level drift scans — for indexed runs from these
-rows alone, in pure dict arithmetic, bit-for-bit equal to the lazy-view
-path, without opening a single profile.
+``FleetAggregator`` answers indexed runs from these rows alone, in pure dict
+arithmetic, without opening a single profile.  A run without a valid stored
+summary builds the identical one from its bytes (:meth:`RunSummary.from_view`,
+the one function ingest, ``reindex`` and the aggregator all build through),
+so indexed and rebuilt answers are bit-for-bit equal.
 
 Lifecycle contract:
 
@@ -28,8 +30,11 @@ Lifecycle contract:
 * a summary is **valid** for a record only when its schema version matches
   :data:`INDEX_VERSION`, its digest matches the record's content address,
   and every name id resolves in the dictionary — anything else (including a
-  missing or corrupt file) falls back to the lazy-view path for that run,
-  reported but never fatal;
+  missing or corrupt file) makes that run rebuild its summary from its
+  profile bytes, reported but never fatal;
+* a lost dictionary (missing, unreadable or from another version) drops
+  every stored summary at the next write, because ids restart from zero and
+  old ids would resolve to new names;
 * ``ProfileStore.reindex()`` rebuilds summaries (backfilling pre-index
   stores); quarantine invalidates a run's summary, restore and scrub
   rebuild it.
@@ -40,12 +45,15 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..obs import TELEMETRY
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..core.storage import LazyProfileView
+
 #: Schema version stamped into every index file.  Bump on any layout change:
-#: readers refuse (and fall back to lazy views) rather than misread.
+#: readers refuse (and rebuild from profile bytes) rather than misread.
 INDEX_VERSION = 1
 
 #: Store-relative directory the index lives in.
@@ -59,7 +67,7 @@ SUMMARY_SUFFIX = ".json"
 
 @dataclass
 class RunSummary:
-    """One run's decoded index summary: per-metric per-name Welford states."""
+    """One run's query rows: per-metric totals and per-name Welford states."""
 
     run_id: str
     #: Full SHA-256 of the canonical profile bytes the summary was computed
@@ -72,20 +80,25 @@ class RunSummary:
     #: including the ``ALL_KINDS`` rows (see ``repro.core.storage``).
     states: Dict[str, Dict[Tuple[int, str], Tuple]] = field(default_factory=dict)
 
+    @classmethod
+    def from_view(cls, run_id: str, digest: str,
+                  view: "LazyProfileView") -> "RunSummary":
+        """Build a run's summary from its profile bytes.
+
+        Totals are ``view.total_metric`` and states are
+        ``view.column_name_states``, for every metric the profile stores.
+        Ingest, ``ProfileStore.reindex`` and the aggregator's fallback runs
+        all build through here, so one function turns profile bytes into
+        query rows.  Reads every frames and column block, so a block that
+        fails verification raises ``ProfileCorruptionError`` here.
+        """
+        totals = {metric: view.total_metric(metric)
+                  for metric in view.metric_names()}
+        states = {metric: view.column_name_states(metric) for metric in totals}
+        return cls(run_id=run_id, digest=digest, totals=totals, states=states)
+
     def metric_names(self) -> List[str]:
         return list(self.totals)
-
-    def name_sums(self, metric: str, kind_code: int) -> Dict[str, float]:
-        """``name → sum`` for one metric and kind code, summary row order.
-
-        These are exactly the values ``column_aggregate_by_name`` would
-        return for the run (the index rows' ``sum`` fields are computed with
-        the same accumulation recurrence), so fleet-level folds over them
-        reproduce the lazy-view path bit for bit.
-        """
-        return {name: state[1]
-                for (code, name), state in self.states.get(metric, {}).items()
-                if code == kind_code}
 
 
 class FleetIndex:
@@ -164,47 +177,56 @@ class FleetIndex:
 
     # -- writing ---------------------------------------------------------------------
 
-    def write_summary(self, record, states: Mapping[str, Mapping]) -> None:
+    def write_summary(self, summary: RunSummary) -> None:
         """Persist one run's summary, interning new names as needed.
 
-        ``record`` is the run's catalog :class:`~repro.fleet.store.RunRecord`
-        (digest and per-metric totals come from it); ``states`` maps metric
-        names to the ``{(kind_code, name): state}`` dicts
-        ``LazyProfileView.column_name_states`` returns.  The whole
-        read-intern-write cycle runs under the advisory catalog lock so two
-        ingesting processes serialize their dictionary appends (ids are
-        append-only: an interned name never changes id), and each file write
-        is a temp-file + ``os.replace`` promotion — a crash can never leave
-        a half-written index file behind.
+        The whole read-intern-write cycle runs under the advisory catalog
+        lock so two ingesting processes serialize their dictionary appends
+        (ids are append-only: an interned name never changes id), and each
+        file write is a temp-file + ``os.replace`` promotion — a crash can
+        never leave a half-written index file behind.
+
+        When the dictionary is missing, unreadable or from another
+        :data:`INDEX_VERSION`, ids restart from zero — so every stored
+        summary is removed first, under the same lock, or its ids would
+        stay in range and resolve to this run's names.  Those runs rebuild
+        their summaries from their bytes until ``reindex``/``scrub``
+        persist them again.
         """
         os.makedirs(self.runs_dir, exist_ok=True)
-        with TELEMETRY.span("fleet.index.build", run_id=record.run_id), \
+        with TELEMETRY.span("fleet.index.build", run_id=summary.run_id), \
                 self._catalog_lock():
             self._names_cache = None  # re-read under the lock, not from cache
-            names = self.names() or []
+            names = self.names()
+            rewrite_names = names is None
+            if rewrite_names:
+                names = []
+                dropped = [run_id for run_id in self.run_ids()
+                           if self.remove(run_id)]
+                if dropped and TELEMETRY.enabled:
+                    TELEMETRY.count("fleet.index_demoted", len(dropped))
             ids: Dict[str, int] = {name: i for i, name in enumerate(names)}
-            grew = False
-            for metric_states in states.values():
+            for metric_states in summary.states.values():
                 for (_kind_code, name) in metric_states:
                     if name not in ids:
                         ids[name] = len(names)
                         names.append(name)
-                        grew = True
+                        rewrite_names = True
             payloads = []
-            if grew or self._names_signature() is None:
+            if rewrite_names:
                 payloads.append((self.names_path,
                                  {"version": INDEX_VERSION, "names": names}))
-            payloads.append((self.summary_path(record.run_id), {
+            payloads.append((self.summary_path(summary.run_id), {
                 "version": INDEX_VERSION,
-                "run_id": record.run_id,
-                "digest": record.digest,
-                "totals": dict(record.metrics),
+                "run_id": summary.run_id,
+                "digest": summary.digest,
+                "totals": dict(summary.totals),
                 "metrics": {
                     metric: [[ids[name], int(kind_code), int(state[0]),
                               state[1], state[2], state[3], state[4], state[5]]
                              for (kind_code, name), state in
                              metric_states.items()]
-                    for metric, metric_states in states.items()
+                    for metric, metric_states in summary.states.items()
                 },
             }))
             for index_path, payload in payloads:
@@ -218,7 +240,7 @@ class FleetIndex:
                         os.unlink(temp_index_path)
                     raise
         self._names_cache = None
-        self._summary_cache.pop(record.run_id, None)
+        self._summary_cache.pop(summary.run_id, None)
         if TELEMETRY.enabled:
             TELEMETRY.count("fleet.index_builds")
 
@@ -256,7 +278,7 @@ class FleetIndex:
 
         ``(summary, None)`` when the run's summary validates; ``(None,
         None)`` when the run simply has no summary (pre-index store — a
-        silent lazy fallback); ``(None, reason)`` when a summary exists but
+        silent rebuild); ``(None, reason)`` when a summary exists but
         cannot be trusted — unparseable, wrong schema version, stale digest,
         or unresolvable name ids.  Never raises: the index accelerates
         queries, it must not be able to fail them.
@@ -277,8 +299,8 @@ class FleetIndex:
                                               summary, problem)
         if problem is not None and TELEMETRY.enabled:
             # Counted once per fresh validation failure (cache hits on the
-            # same rotten file don't re-count): each bump is one summary
-            # demoted to the lazy path.
+            # same rotten file don't re-count): each bump is one stored
+            # summary rejected, so its run rebuilds from profile bytes.
             TELEMETRY.count("fleet.index_demoted")
         return summary, problem
 

@@ -45,7 +45,7 @@ from ..core.storage import (FORMAT_BINARY_V1, LazyProfileView,
                             ProfileFormatError, backend_for,
                             check_compression, load_profile, recover_profile)
 from ..obs import TELEMETRY
-from .index import FleetIndex
+from .index import FleetIndex, RunSummary
 
 CATALOG_NAME = "catalog.json"
 CATALOG_VERSION = 1
@@ -630,14 +630,14 @@ class ProfileStore:
                 if callable(close):
                     close()
 
-        record, states = self._record_for(run_id, digest, relative, database,
-                                          identity, labels)
+        record, summary = self._record_for(run_id, digest, relative, database,
+                                           identity, labels)
         self._records[run_id] = record
         self._save_catalog()
         # Derived data last: a crash after the catalog write leaves an
-        # unindexed run, which queries serve via the lazy fallback and
-        # ``reindex``/``scrub`` backfill later.
-        self.fleet_index.write_summary(record, states)
+        # unindexed run, which queries serve from a summary rebuilt from its
+        # bytes and ``reindex``/``scrub`` backfill later.
+        self.fleet_index.write_summary(summary)
         if TELEMETRY.enabled:
             TELEMETRY.count("fleet.ingests")
         return record
@@ -645,19 +645,16 @@ class ProfileStore:
     def _record_for(self, run_id: str, digest: str, relative: str,
                     database: ProfileDatabase, identity: str,
                     labels: Optional[Mapping[str, str]]
-                    ) -> Tuple[RunRecord, Dict[str, Dict]]:
+                    ) -> Tuple[RunRecord, RunSummary]:
         metadata = database.metadata
         with backend_for(FORMAT_BINARY_V1).open(
                 os.path.join(self.root, relative)) as view:
-            totals = {metric: view.total_metric(metric)
-                      for metric in view.metric_names()}
-            nodes = view.stored_node_count()
-            shards = view.shard_count()
             # The index summary is computed while the canonical bytes are
             # already mapped — the one decode pass ingest pays so standing
             # fleet queries never pay it again.
-            states = {metric: view.column_name_states(metric)
-                      for metric in totals}
+            summary = RunSummary.from_view(run_id, digest, view)
+            nodes = view.stored_node_count()
+            shards = view.shard_count()
         record = RunRecord(
             run_id=run_id,
             digest=digest,
@@ -675,10 +672,10 @@ class ProfileStore:
             profiler_wall_seconds=metadata.profiler_wall_seconds,
             nodes=nodes,
             shards=shards,
-            metrics=totals,
+            metrics=dict(summary.totals),
             labels=dict(labels or {}),
         )
-        return record, states
+        return record, summary
 
     @staticmethod
     def _digest_file(path: str) -> str:
@@ -849,12 +846,13 @@ class ProfileStore:
         """(Re)build per-run index summaries; returns the run ids rebuilt.
 
         Backfills stores that predate the index (or whose index rotted):
-        each healthy run's sealed profile is opened once and its per-name
-        Welford states recomputed — exactly the pass ingest performs — then
-        written under the catalog lock.  Quarantined runs get their summary
-        *invalidated* instead (a quarantined run must not serve indexed
-        answers); a run whose profile cannot be opened is skipped, not
-        quarantined — ``scrub`` is the tool that moves health states.
+        each healthy run's sealed profile is opened once and its summary
+        rebuilt with ``RunSummary.from_view`` — exactly the pass ingest
+        performs — then written under the catalog lock.  Quarantined runs
+        get their summary *invalidated* instead (a quarantined run must not
+        serve indexed answers); a run whose profile cannot be opened is
+        skipped, not quarantined — ``scrub`` is the tool that moves health
+        states.
         """
         records = ([self.get(run_id) for run_id in run_ids]
                    if run_ids is not None else self._ordered_records())
@@ -866,11 +864,11 @@ class ProfileStore:
             try:
                 with backend_for(FORMAT_BINARY_V1).open(
                         os.path.join(self.root, record.path)) as view:
-                    states = {metric: view.column_name_states(metric)
-                              for metric in view.metric_names()}
+                    summary = RunSummary.from_view(record.run_id,
+                                                   record.digest, view)
             except (ProfileFormatError, OSError):
                 continue
-            self.fleet_index.write_summary(record, states)
+            self.fleet_index.write_summary(summary)
             rebuilt.append(record.run_id)
         return rebuilt
 
@@ -896,8 +894,8 @@ class ProfileStore:
         """Lift a run's quarantine without re-verifying (prefer scrub).
 
         The run's index summary is rebuilt from its profile; if the bytes
-        are genuinely unreadable the rebuild is skipped and queries fall
-        back to the lazy view (which is where the rot will resurface)."""
+        are genuinely unreadable the rebuild is skipped and queries rebuild
+        it from the view instead (which is where the rot will resurface)."""
         record = self.get(run_id)
         record.status = STATUS_OK
         record.quarantine_reason = ""

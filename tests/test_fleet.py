@@ -8,7 +8,7 @@ Pins the subsystem's contracts:
   (recovered at their last intact seal), lazy views, filters and ``latest``;
 * the **aggregator**: hypothesis property that fleet-merging N single-run
   profiles through a real store is *bit-for-bit* Welford-equivalent to one
-  profile containing all N runs' shards, and that the lazy column-sum
+  profile containing all N runs' shards, and that the summary-row
   queries match the merged tree without hydrating any view;
 * the **differential**: new / vanished / changed call paths, Welch
   significance and ranking, the self-diff-is-empty acceptance contract, and
@@ -306,7 +306,7 @@ class TestFleetAggregator:
             fleet_total = aggregator.total_metric(M.METRIC_GPU_TIME)
             top = aggregator.top_kernels(2)
             per_run = aggregator.per_run_totals(M.METRIC_GPU_TIME)
-            # The lazy gear never hydrated a single run's view.
+            # Summary-row queries never hydrated a single run's view.
             assert aggregator.hydrated_run_ids == []
             assert sorted(aggregator.metric_names()) == [
                 M.METRIC_GPU_TIME, M.METRIC_KERNEL_COUNT]

@@ -7,13 +7,17 @@ Pins the index subsystem's contracts:
   rebuilds it; ``reindex`` backfills pre-index stores; ``scrub`` heals a
   rotten index; re-ingesting known bytes heals a missing summary;
 * **equality**: a hypothesis property that indexed fleet queries are
-  *bit-for-bit* equal to the lazy-view path — totals, per-name sums and
-  full per-name Welford states — including after quarantine + reindex +
-  restore, and Welford-consistent with the eager merged tree;
+  *bit-for-bit* equal to ``use_index=False`` answers, which rebuild every
+  summary from profile bytes — totals, per-name sums and full per-name
+  Welford states — including after quarantine + reindex + restore, and
+  Welford-consistent with the eager merged tree;
 * **fallback**: a hand-corrupted summary, a stale digest, a schema-version
-  bump, a rotten name dictionary or an unresolvable name id all fall back
-  to lazy views with a ``degradation_report()["index"]`` problem entry —
-  same answers, never a crash;
+  bump, a rotten name dictionary or an unresolvable name id all make the
+  run rebuild its summary from its bytes, with a
+  ``degradation_report()["index"]`` problem entry — same answers, never a
+  crash;
+* **dictionary loss**: a rotten or deleted name dictionary never lets an
+  older summary resolve to the names a later ingest interns;
 * **staleness**: a second ingest is reflected by the next aggregator, and
   per-run query passes are memoized per fingerprint (``top_kernels`` with
   different ``k`` reuse one pass);
@@ -349,6 +353,49 @@ class TestIndexFallback:
             report = aggregator.degradation_report()
         assert report["index"]["indexed_runs"] == 0
         assert report["index"]["fallback_runs"] == len(records)
+
+
+class TestNameDictionaryLoss:
+    """A lost dictionary restarts ids at zero, so the summaries that
+    referenced it must go: otherwise their ids stay in range and silently
+    resolve to whatever names the next ingest interns."""
+
+    FIRST = [("conv", "k_conv", 0.010), ("linear", "k_gemm", 0.020)]
+    SECOND = [("attn", "k_attn", 0.010), ("norm", "k_norm", 0.020)]
+
+    def assert_old_runs_keep_their_names(self, tmp_path, lose, heal):
+        store = ProfileStore(tmp_path / "store")
+        first = store.ingest(make_database("wl-first", self.FIRST))
+        lose(store.fleet_index.names_path)
+        second = store.ingest(make_database("wl-second", self.SECOND))
+        reopened = ProfileStore(tmp_path / "store")
+
+        def kernels(run_ids):
+            with reopened.aggregator(run_ids=run_ids) as aggregator:
+                return (aggregator.aggregate_by_name(kind=FrameKind.GPU_KERNEL),
+                        aggregator.indexed_run_ids,
+                        aggregator.degradation_report()["index"]["problems"])
+
+        # The first run lost its summary and rebuilds it from its bytes.
+        assert kernels([first.run_id]) == (
+            {"k_conv": 0.010, "k_gemm": 0.020}, [], [])
+        assert kernels([second.run_id]) == (
+            {"k_attn": 0.010, "k_norm": 0.020}, [second.run_id], [])
+        heal(reopened)
+        assert kernels([first.run_id]) == (
+            {"k_conv": 0.010, "k_gemm": 0.020}, [first.run_id], [])
+
+    def test_rotten_dictionary_does_not_rename_indexed_runs(self, tmp_path):
+        def rot(path):
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write("[broken")
+
+        self.assert_old_runs_keep_their_names(tmp_path, rot,
+                                              lambda store: store.reindex())
+
+    def test_deleted_dictionary_does_not_rename_indexed_runs(self, tmp_path):
+        self.assert_old_runs_keep_their_names(tmp_path, os.unlink,
+                                              lambda store: store.scrub())
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from repro.core import (
     registered_formats,
 )
 from repro.core import metrics as M
-from repro.core.storage import BINARY_MAGIC
+from repro.core.storage import ALL_KINDS, BINARY_MAGIC, KIND_CODES
 from repro.dlmonitor.callpath import (
     CallPath,
     FrameKind,
@@ -249,31 +249,30 @@ class TestLazyProfileView:
         assert view.decoded_columns() == {(2, M.METRIC_GPU_TIME)}
         assert not view.hydrated
 
-    def test_column_aggregate_matches_tree_path_bitwise(self, tmp_path):
-        """The names-only fast path returns bit-for-bit the tree path's rows
-        while decoding no structure at all (the fleet aggregator's gear)."""
-        database, loaded = self._binary_database(tmp_path)
+    def test_column_name_states_match_tree_path_bitwise(self, tmp_path):
+        """The per-name Welford rows a fleet summary stores: their sums,
+        projected per kind and for ``ALL_KINDS``, are bit for bit the tree
+        path's rows, and computing them decodes no structure at all."""
+        _database, loaded = self._binary_database(tmp_path)
         view = loaded.tree
+        states = view.column_name_states(M.METRIC_GPU_TIME)
+        assert view.decoded_shard_ids() == set()
+        assert view.decoded_columns() == set()
+        assert not view.hydrated
         for kind in (FrameKind.GPU_KERNEL, None):
-            fast = view.column_aggregate_by_name(kind=kind,
-                                                 metric=M.METRIC_GPU_TIME)
-            assert view.decoded_shard_ids() == set()
-            assert view.decoded_columns() == set()
-            assert not view.hydrated
-            # A fresh view (the fast result is memoized on the first one).
+            code = KIND_CODES[kind] if kind is not None else ALL_KINDS
+            sums = [(name, state[1]) for (row_code, name), state
+                    in states.items() if row_code == code]
+            # A fresh view decodes the tree path from the same bytes.
             tree_view = ProfileDatabase.load(view.path).tree
-            assert fast == tree_view.aggregate_by_name(
-                kind=kind, metric=M.METRIC_GPU_TIME)
-        assert view.column_aggregate_by_name(
-            kind=FrameKind.GPU_KERNEL, metric="no_such_metric") == {}
-        # Once a shard is warm (tree decoded), the fast path reuses it.
+            assert sums == list(tree_view.aggregate_by_name(
+                kind=kind, metric=M.METRIC_GPU_TIME).items())
+        assert view.column_name_states("no_such_metric") == {}
+        # The rows always come from the sealed blocks: a warm shard tree
+        # changes nothing.
         view.shard_aggregate_by_name(1, kind=FrameKind.GPU_KERNEL,
                                      metric=M.METRIC_GPU_TIME)
-        warm = view.column_aggregate_by_name(kind=FrameKind.GPU_KERNEL,
-                                             metric=M.METRIC_GPU_TIME)
-        fresh = ProfileDatabase.load(view.path).tree
-        assert warm == fresh.aggregate_by_name(kind=FrameKind.GPU_KERNEL,
-                                               metric=M.METRIC_GPU_TIME)
+        assert view.column_name_states(M.METRIC_GPU_TIME) == states
 
     def test_cross_shard_aggregate_touches_one_column_per_shard(self, tmp_path):
         database, loaded = self._binary_database(tmp_path)

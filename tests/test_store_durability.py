@@ -348,7 +348,7 @@ class TestDegradedAggregation:
         store, records = self._store_with_runs(tmp_path)
         truncate_file(store.profile_path(records[1].run_id), 4)
         # use_index=False: an index-served run never opens its profile, so
-        # this test pins the preserved lazy fallback path explicitly.
+        # this test pins the open-time fallback path explicitly.
         with store.aggregator(use_index=False) as aggregator:
             assert aggregator.run_count == 2
             assert aggregator.degraded_run_ids == [records[1].run_id]
@@ -383,6 +383,28 @@ class TestDegradedAggregation:
         assert entry["stage"] == "query"
         assert "CRC-32" in entry["reason"]
         # The demotion wrote back: every later reader skips the run too.
+        assert not store.get(records[1].run_id).healthy
+
+    def test_summary_rebuild_demotes_rot_in_an_unqueried_column(
+            self, tmp_path):
+        """A run without a stored summary rebuilds it from every column
+        block on its first query, as ingest would — so rot in a column the
+        query never asks about demotes the run there too."""
+        store, records = self._store_with_runs(tmp_path)
+        path = store.profile_path(records[1].run_id)
+        flip_bit(path, _column_block_offset(path, M.METRIC_KERNEL_COUNT) + 3)
+        expected = sum(records[index].metrics[M.METRIC_GPU_TIME]
+                       for index in (0, 2))
+        with store.aggregator(use_index=False) as aggregator:
+            assert aggregator.run_count == 3  # opened fine, rot is lazy
+            assert aggregator.total_metric(M.METRIC_GPU_TIME) == expected
+            assert aggregator.run_count == 2
+            report = aggregator.degradation_report()
+        (entry,) = report["degraded_runs"]
+        assert entry["run_id"] == records[1].run_id
+        assert entry["stage"] == "query"
+        assert "CRC-32" in entry["reason"]
+        assert M.METRIC_KERNEL_COUNT in entry["reason"]
         assert not store.get(records[1].run_id).healthy
 
     def test_degradation_surfaces_as_analyzer_issues(self, tmp_path):
