@@ -708,6 +708,72 @@ class CallingContextTree:
 
 
 # ---------------------------------------------------------------------------
+# Wrapper trees: the read API served from one merged tree
+# ---------------------------------------------------------------------------
+
+class ProfileTree:
+    """The read API of a tree whose queries a merged tree answers.
+
+    :class:`ShardedCallingContextTree` (the union of its shards) and
+    ``LazyProfileView`` (the tree its blocks decode into) serve every
+    structural query from :meth:`merged`; this base implements those
+    accessors once.  :class:`CallingContextTree` is not a subclass: it is
+    the merged tree itself, and its ``root`` is the instance attribute
+    ``insert`` reads on every call.
+    """
+
+    def merged(self) -> CallingContextTree:
+        raise NotImplementedError
+
+    @property
+    def root(self) -> CCTNode:
+        return self.merged().root
+
+    def nodes(self) -> Iterator[CCTNode]:
+        return self.merged().nodes()
+
+    def bfs(self) -> Iterator[CCTNode]:
+        return self.merged().bfs()
+
+    def all_nodes(self) -> List[CCTNode]:
+        return self.merged().all_nodes()
+
+    def leaves(self) -> Iterator[CCTNode]:
+        return self.merged().leaves()
+
+    def find(self, predicate: Callable[[CCTNode], bool]) -> List[CCTNode]:
+        return self.merged().find(predicate)
+
+    def nodes_of_kind(self, kind: FrameKind) -> List[CCTNode]:
+        return self.merged().nodes_of_kind(kind)
+
+    @property
+    def kernels(self) -> List[CCTNode]:
+        return self.merged().kernels
+
+    @property
+    def operators(self) -> List[CCTNode]:
+        return self.merged().operators
+
+    @property
+    def scopes(self) -> List[CCTNode]:
+        return self.merged().scopes
+
+    def node_count(self) -> int:
+        return self.merged().node_count()
+
+    def max_depth(self) -> int:
+        return self.merged().max_depth()
+
+    def ensure_inclusive(self) -> None:
+        self.merged().ensure_inclusive()
+
+    def aggregate_by_name(self, kind: Optional[FrameKind] = None,
+                          metric: str = "gpu_time") -> Dict[str, float]:
+        return self.merged().aggregate_by_name(kind=kind, metric=metric)
+
+
+# ---------------------------------------------------------------------------
 # Per-thread shards, merged at query time
 # ---------------------------------------------------------------------------
 
@@ -717,7 +783,7 @@ DEFAULT_SHARD_ID = 0
 SHARDED_TREE_FORMAT = "cct-columnar-sharded-v1"
 
 
-class ShardedCallingContextTree:
+class ShardedCallingContextTree(ProfileTree):
     """Per-thread CCT shards with a lazily merged query-time view.
 
     Collection side: every simulated CPU thread gets its own private
@@ -952,9 +1018,6 @@ class ShardedCallingContextTree:
                                         len(shard._registry))
         return True
 
-    def ensure_inclusive(self) -> None:
-        self.merged().ensure_inclusive()
-
     @property
     def generation(self) -> int:
         """Sum of shard generation counters (cache key, monotonic)."""
@@ -971,51 +1034,7 @@ class ShardedCallingContextTree:
         return (self._retired_propagations + merged
                 + sum(shard.propagations for shard in self._shards.values()))
 
-    # -- read API (delegates to the merged view) ---------------------------------------
-
-    @property
-    def root(self) -> CCTNode:
-        return self.merged().root
-
-    def nodes(self) -> Iterator[CCTNode]:
-        return self.merged().nodes()
-
-    def bfs(self) -> Iterator[CCTNode]:
-        return self.merged().bfs()
-
-    def all_nodes(self) -> List[CCTNode]:
-        return self.merged().all_nodes()
-
-    def leaves(self) -> Iterator[CCTNode]:
-        return self.merged().leaves()
-
-    def find(self, predicate: Callable[[CCTNode], bool]) -> List[CCTNode]:
-        return self.merged().find(predicate)
-
-    def nodes_of_kind(self, kind: FrameKind) -> List[CCTNode]:
-        return self.merged().nodes_of_kind(kind)
-
-    @property
-    def kernels(self) -> List[CCTNode]:
-        return self.merged().kernels
-
-    @property
-    def operators(self) -> List[CCTNode]:
-        return self.merged().operators
-
-    @property
-    def scopes(self) -> List[CCTNode]:
-        return self.merged().scopes
-
-    def node_count(self) -> int:
-        return self.merged().node_count()
-
-    def max_depth(self) -> int:
-        return self.merged().max_depth()
-
-    def aggregate_by_name(self, kind: Optional[FrameKind] = None,
-                          metric: str = "gpu_time") -> Dict[str, float]:
-        return self.merged().aggregate_by_name(kind=kind, metric=metric)
+    # -- totals and footprint (per shard, no merge) -----------------------------------
 
     def total_metric(self, metric: str) -> float:
         """Whole-profile total of ``metric`` across every shard.

@@ -18,17 +18,15 @@ eager trees, decoding shards and metric columns only as queries touch them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
-from .cct import SHARDED_TREE_FORMAT, CallingContextTree, ShardedCallingContextTree
+from .cct import (SHARDED_TREE_FORMAT, CallingContextTree, ProfileTree,
+                  ShardedCallingContextTree)
 from . import metrics as M
 
-if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
-    from .storage import LazyProfileView
-
-#: Anything that serves the profile-tree read API.
-ProfileTree = Union[CallingContextTree, ShardedCallingContextTree,
-                    "LazyProfileView"]
+#: Anything that serves the profile-tree read API: a plain tree, or a
+#: sharded tree or lazy view answering through its merged tree.
+AnyTree = Union[CallingContextTree, ProfileTree]
 
 
 @dataclass
@@ -79,7 +77,7 @@ class ProfileMetadata:
 class ProfileDatabase:
     """The persistent result of one profiling session."""
 
-    def __init__(self, tree: ProfileTree,
+    def __init__(self, tree: AnyTree,
                  metadata: Optional[ProfileMetadata] = None,
                  dlmonitor_stats: Optional[Dict[str, int]] = None) -> None:
         self.tree = tree

@@ -23,8 +23,13 @@ several sealed checkpoints (block runs each terminated by a TOC + tail), the
 newest seal at EOF being the authoritative one.  :func:`recover_profile`
 scans backwards for the last intact seal of a crashed/truncated stream, and
 :meth:`LazyProfileView.attach`/:meth:`LazyProfileView.refresh` open (and
-follow) a profile that another process is still appending to.  The writer
-side lives in :mod:`repro.core.streaming`.
+follow) a profile that another process is still appending to.
+
+This module is the only one that knows the binary layout: every magic,
+block, TOC and tail is written by :class:`SealWriter`, whether for a
+one-shot ``save``, a streamed checkpoint or a compaction.  The streaming
+policy — which shards to re-encode, when to seal and compact — lives in
+:mod:`repro.core.streaming`.
 """
 
 from __future__ import annotations
@@ -36,11 +41,12 @@ import os
 import struct
 import sys
 import zlib
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import (Callable, Dict, Iterable, List, Mapping, Optional, Tuple,
+                    Union)
 
 from ..dlmonitor.callpath import Frame, FrameKind
 from ..obs import TELEMETRY
-from .cct import (DEFAULT_SHARD_ID, CallingContextTree, CCTNode,
+from .cct import (DEFAULT_SHARD_ID, CallingContextTree, CCTNode, ProfileTree,
                   ShardedCallingContextTree)
 from .database import ProfileDatabase, ProfileMetadata
 
@@ -291,7 +297,7 @@ def recover_profile(path: str) -> ProfileDatabase:
 # JSON-family backends
 # ---------------------------------------------------------------------------
 
-def _atomic_write(path: str, writer) -> str:
+def atomic_write(path: str, writer) -> str:
     """Stream into a sibling temp file and rename over the target, so neither
     an encoding failure nor a mid-write crash/disk-full can truncate an
     existing profile at ``path``."""
@@ -330,7 +336,7 @@ class JsonBackend(StorageBackend):
                     f"format={FORMAT_COLUMNAR_JSON!r} or "
                     f"{FORMAT_BINARY_V1!r} instead") from None
 
-        return _atomic_write(path, write)
+        return atomic_write(path, write)
 
     def load(self, path: str) -> ProfileDatabase:
         return load_profile(path, expected_format=self.name)
@@ -481,34 +487,6 @@ def _decode_name_index(buffer) -> _NameIndex:
         _skipped, offset = _read_array(typecode, buffer, offset, frame_count)
     frame_indexes, _offset = _read_array("I", buffer, offset, node_count)
     return heap, string_offsets, kind_codes, names, frame_indexes
-
-
-def pack_block(block: bytes, offset: int, codec: Optional[str],
-               compress: bool, checksum: bool = True) -> Tuple[bytes, Dict]:
-    """Apply per-block compression and build the block's TOC descriptor.
-
-    The single definition of the descriptor protocol (``offset``/``length``
-    plus the ``compression``/``raw_length``/``crc32`` flags) shared by
-    one-shot saves and streamed checkpoints, so the two writers cannot
-    diverge on what the lazy reader must understand.
-
-    With ``checksum`` (the default) the descriptor carries the CRC-32 of the
-    *stored* bytes (i.e. after compression), which is what lets a reader
-    verify a block straight off the mapping before spending any decode work
-    on it.  Readers that predate the flag simply ignore the extra key, and
-    files without it load as before — the flag is backward- and
-    forward-compatible.
-    """
-    descriptor: Dict = {"offset": offset}
-    if compress and codec is not None:
-        raw_length = len(block)
-        block = zlib.compress(block)
-        descriptor["compression"] = codec
-        descriptor["raw_length"] = raw_length
-    descriptor["length"] = len(block)
-    if checksum:
-        descriptor["crc32"] = zlib.crc32(block) & 0xFFFFFFFF
-    return block, descriptor
 
 
 # Column block layout: u32 entry count, then node-index / count / sum / min /
@@ -751,7 +729,7 @@ class _LazyShard:
 _REFRESH_PROBE_BYTES = 256
 
 
-class LazyProfileView:
+class LazyProfileView(ProfileTree):
     """Query-facing view of an mmap-backed ``cct-binary-v1`` profile.
 
     Opening a profile maps the file and reads the footer TOC; nothing else is
@@ -767,10 +745,10 @@ class LazyProfileView:
       hydrates the full tree on first use — :meth:`hydrate` — after which the
       view behaves exactly like the eager tree it decodes into.
 
-    The read API mirrors ``CallingContextTree``/``ShardedCallingContextTree``
-    so the query layer, the GUI exporters and the experiment harness work
-    unchanged against either.  Lazy views are read-only: mutate the tree
-    returned by :meth:`hydrate` instead.
+    The structural accessors come from :class:`~repro.core.cct.ProfileTree`,
+    served by the hydrated tree, so the query layer, the GUI exporters and
+    the experiment harness work unchanged against any tree.  Lazy views are
+    read-only: mutate the tree returned by :meth:`hydrate` instead.
     """
 
     is_merged_view = False
@@ -1156,51 +1134,6 @@ class LazyProfileView:
             return hydrated.merged()
         return hydrated
 
-    # -- eager read API (delegates to the hydrated tree) -------------------------------
-
-    @property
-    def root(self) -> CCTNode:
-        return self.merged().root
-
-    def nodes(self):
-        return self.merged().nodes()
-
-    def bfs(self):
-        return self.merged().bfs()
-
-    def all_nodes(self) -> List[CCTNode]:
-        return self.merged().all_nodes()
-
-    def leaves(self):
-        return self.merged().leaves()
-
-    def find(self, predicate) -> List[CCTNode]:
-        return self.merged().find(predicate)
-
-    def nodes_of_kind(self, kind: FrameKind) -> List[CCTNode]:
-        return self.merged().nodes_of_kind(kind)
-
-    @property
-    def kernels(self) -> List[CCTNode]:
-        return self.merged().kernels
-
-    @property
-    def operators(self) -> List[CCTNode]:
-        return self.merged().operators
-
-    @property
-    def scopes(self) -> List[CCTNode]:
-        return self.merged().scopes
-
-    def node_count(self) -> int:
-        return self.merged().node_count()
-
-    def max_depth(self) -> int:
-        return self.merged().max_depth()
-
-    def ensure_inclusive(self) -> None:
-        self.merged().ensure_inclusive()
-
     @property
     def generation(self) -> int:
         """0 while the view is an immutable mapping; the hydrated tree's
@@ -1230,6 +1163,194 @@ class LazyProfileView:
                 f"hydrated={self.hydrated})")
 
 
+# ---------------------------------------------------------------------------
+# cct-binary-v1 writer (every magic, block, TOC and tail)
+# ---------------------------------------------------------------------------
+
+def _shard_map(tree) -> Tuple[Dict[int, CallingContextTree],
+                              List[Dict[str, object]], str, str]:
+    """``(shards by id, provenance, tree_kind, program)`` of a profile tree;
+    a plain tree is the degenerate single shard."""
+    if isinstance(tree, LazyProfileView):
+        tree = tree.hydrate()
+    if isinstance(tree, ShardedCallingContextTree):
+        return (tree.shards(), tree.shard_provenance(), "sharded",
+                tree.program_name)
+    provenance = [{"shard_id": DEFAULT_SHARD_ID, "thread_name": "",
+                   "thread_kind": ""}]
+    return ({DEFAULT_SHARD_ID: tree}, provenance, "single",
+            tree.root.frame.name)
+
+
+def _columns(shard: CallingContextTree) -> Dict[str, List[Tuple[int, Tuple]]]:
+    """Per-metric ``(node index, aggregate state)`` columns of one shard.
+
+    Count-0 zombie aggregates are skipped, the same policy the JSON
+    encodings apply (``MetricSet.as_dict``): they mean "nothing observed"
+    and would round-trip as spurious rows.
+    """
+    columns: Dict[str, List[Tuple[int, Tuple]]] = {}
+    for index, node in enumerate(shard.all_nodes()):
+        for metric, aggregate in node.exclusive.items():
+            if aggregate.count <= 0:
+                continue
+            columns.setdefault(metric, []).append((index, aggregate.state()))
+    return columns
+
+
+#: What a ``reuse`` callback hands :meth:`SealWriter.seal` for one shard:
+#: its sealed ``frames`` descriptor and its ``{metric: descriptor}`` columns
+#: to carry forward, None for each part the seal must encode afresh.
+ShardBlocks = Tuple[Optional[Dict], Optional[Dict[str, Dict]]]
+
+
+class SealWriter:
+    """The one writer of ``cct-binary-v1`` bytes.
+
+    Every magic, block, TOC and tail of a binary profile is written here,
+    so the layout and the block descriptor protocol have one definition:
+
+    * a one-shot save is one :meth:`seal` on a fresh file;
+    * a streamed checkpoint is one more :meth:`seal` appended to the open
+      stream, carrying unchanged shards' blocks forward through ``reuse``;
+    * compaction is :meth:`copy_seal` into a fresh file.
+
+    Constructing the writer writes the leading magic.  ``offset`` is the
+    file offset of the next byte: a caller that truncates a failed append
+    away resets it to the last sealed offset.
+    """
+
+    def __init__(self, handle, codec: Optional[str] = None,
+                 checksums: bool = True) -> None:
+        self._handle = handle
+        #: Per-block compression for :meth:`emit` (None or ``"zlib"``); a
+        #: streamed writer may change it between seals, since readers honour
+        #: each block's own descriptor flag.
+        self.codec = codec
+        self._checksums = checksums
+        self._toc_offset = 0
+        handle.write(BINARY_MAGIC)
+        self.offset = len(BINARY_MAGIC)
+
+    def _append(self, data: bytes) -> None:
+        self._handle.write(data)
+        self.offset += len(data)
+
+    def emit(self, block: bytes, compress: bool = False) -> Dict:
+        """Append one block; returns its TOC descriptor.
+
+        The descriptor carries ``offset``/``length`` plus the
+        ``compression``/``raw_length`` flags when ``compress`` applies the
+        writer's codec.  With ``checksums`` it also carries the CRC-32 of
+        the *stored* bytes (after compression), which lets a reader verify a
+        block straight off the mapping before spending any decode work on
+        it.  Readers that predate the flag ignore the extra key, and files
+        without it load as before.
+        """
+        descriptor: Dict = {"offset": self.offset}
+        if compress and self.codec is not None:
+            raw_length = len(block)
+            block = zlib.compress(block)
+            descriptor["compression"] = self.codec
+            descriptor["raw_length"] = raw_length
+        descriptor["length"] = len(block)
+        if self._checksums:
+            descriptor["crc32"] = zlib.crc32(block) & 0xFFFFFFFF
+        self._append(block)
+        return descriptor
+
+    def seal(self, database: ProfileDatabase,
+             reuse: Optional[Callable[[int, CallingContextTree],
+                                      ShardBlocks]] = None,
+             seal: Optional[int] = None) -> Dict:
+        """Append one complete seal of ``database``; returns its TOC.
+
+        Writes the meta block, then per shard its frames block and one
+        column block per metric — or whatever sealed descriptors
+        ``reuse(shard_id, shard)`` hands back instead — then the TOC and the
+        tail.  ``seal`` numbers a streamed checkpoint in the TOC; one-shot
+        saves pass none, which keeps their bytes (and so a re-ingested
+        run's content address) free of streaming state.
+        """
+        shards, provenance, tree_kind, program = _shard_map(database.tree)
+        meta = self.emit(json.dumps({
+            "metadata": database.metadata.as_dict(),
+            "dlmonitor_stats": dict(database.dlmonitor_stats),
+            "issues": list(database.issues),
+        }).encode("utf-8"))
+        entries: List[Dict] = []
+        for origin, shard in zip(provenance, shards.values()):
+            frames, columns = (reuse(origin["shard_id"], shard)
+                               if reuse is not None else (None, None))
+            if frames is None:
+                frames = self.emit(_encode_frames_block(shard), compress=True)
+            if columns is None:
+                columns = {}
+                for metric, column in _columns(shard).items():
+                    descriptor = columns[metric] = self.emit(
+                        _encode_column_block(column), compress=True)
+                    descriptor["entries"] = len(column)
+            entries.append(dict(origin, insertions=shard.insertions,
+                                nodes=shard.node_count(), frames=frames,
+                                columns=columns))
+        toc: Dict = {"format": FORMAT_BINARY_V1, "version": 1,
+                     "tree_kind": tree_kind, "program": program}
+        if seal is not None:
+            toc["seal"] = seal
+        toc["meta"] = meta
+        toc["shards"] = entries
+        if self._checksums:
+            # TOC-level flag: every descriptor in this seal carries a
+            # CRC-32.  Readers that predate it ignore the key.
+            toc["checksum"] = "crc32"
+        self._write_toc(toc)
+        return toc
+
+    def copy_seal(self, source, toc: Mapping) -> None:
+        """Copy the blocks ``toc`` references out of ``source`` and seal them.
+
+        Compaction: the stored bytes move verbatim (no re-encode, so every
+        CRC still holds) in the order a one-shot save writes them, and the
+        TOC is rewritten with only the offsets changed.
+        """
+        def copy(descriptor: Mapping) -> Dict:
+            source.seek(int(descriptor["offset"]))
+            moved = dict(descriptor)
+            moved["offset"] = self.offset
+            self._append(source.read(int(descriptor["length"])))
+            return moved
+
+        compacted = dict(toc)
+        compacted["meta"] = copy(toc["meta"])
+        compacted["shards"] = [
+            dict(entry, frames=copy(entry["frames"]),
+                 columns={metric: copy(descriptor) for metric, descriptor
+                          in entry["columns"].items()})
+            for entry in toc["shards"]]
+        self._write_toc(compacted)
+
+    def _write_toc(self, toc: Mapping) -> None:
+        """Append the TOC and the 24-byte tail that seals every byte before."""
+        encoded = json.dumps(toc).encode("utf-8")
+        self._toc_offset = self.offset
+        self._append(encoded)
+        self._append(_TAIL.pack(self._toc_offset, len(encoded), BINARY_MAGIC))
+
+    def unreferenced_bytes(self, toc: Mapping) -> int:
+        """Bytes before the TOC just written that ``toc``, that TOC, does
+        not reference.
+
+        After a streamed seal these are the superseded blocks and the older
+        seals' TOCs and tails: exactly what :meth:`copy_seal` drops.
+        """
+        live = int(toc["meta"]["length"]) + sum(
+            int(entry["frames"]["length"])
+            + sum(int(column["length"])
+                  for column in entry["columns"].values())
+            for entry in toc["shards"])
+        return self._toc_offset - len(BINARY_MAGIC) - live
+
+
 class BinaryV1Backend(StorageBackend):
     """The mmap-backed binary columnar format (``cct-binary-v1``)."""
 
@@ -1240,97 +1361,16 @@ class BinaryV1Backend(StorageBackend):
     def sniff(self, head: bytes) -> bool:
         return head.startswith(BINARY_MAGIC)
 
-    # -- save ---------------------------------------------------------------------------
-
     def save(self, database: ProfileDatabase, path: str,
              compression: Optional[str] = None,
              checksums: bool = True) -> str:
         codec = check_compression(compression)
-        shards, provenance, tree_kind, program = self._shard_map(database.tree)
 
         def write(temp_path: str) -> None:
             with open(temp_path, "wb") as handle:
-                handle.write(BINARY_MAGIC)
-                offset = len(BINARY_MAGIC)
+                SealWriter(handle, codec, checksums).seal(database)
 
-                def emit(block: bytes, compress: bool = False) -> Dict[str, int]:
-                    nonlocal offset
-                    block, descriptor = pack_block(block, offset, codec,
-                                                   compress,
-                                                   checksum=checksums)
-                    handle.write(block)
-                    offset += len(block)
-                    return descriptor
-
-                meta_block = emit(json.dumps({
-                    "metadata": database.metadata.as_dict(),
-                    "dlmonitor_stats": dict(database.dlmonitor_stats),
-                    "issues": list(database.issues),
-                }).encode("utf-8"))
-
-                shard_entries: List[Dict] = []
-                for origin, (_tid, shard) in zip(provenance, shards.items()):
-                    entry: Dict[str, object] = dict(origin)
-                    entry["insertions"] = shard.insertions
-                    entry["nodes"] = shard.node_count()
-                    entry["frames"] = emit(_encode_frames_block(shard),
-                                           compress=True)
-                    columns: Dict[str, Dict] = {}
-                    for metric, column in self._columns(shard).items():
-                        descriptor = emit(_encode_column_block(column),
-                                          compress=True)
-                        descriptor["entries"] = len(column)
-                        columns[metric] = descriptor
-                    entry["columns"] = columns
-                    shard_entries.append(entry)
-
-                document = {
-                    "format": FORMAT_BINARY_V1,
-                    "version": 1,
-                    "tree_kind": tree_kind,
-                    "program": program,
-                    "meta": meta_block,
-                    "shards": shard_entries,
-                }
-                if checksums:
-                    # TOC-level flag: every descriptor in this seal carries a
-                    # CRC-32.  Readers that predate it ignore the key.
-                    document["checksum"] = "crc32"
-                toc = json.dumps(document).encode("utf-8")
-                toc_offset = offset
-                handle.write(toc)
-                handle.write(_TAIL.pack(toc_offset, len(toc), BINARY_MAGIC))
-
-        return _atomic_write(path, write)
-
-    @staticmethod
-    def _shard_map(tree) -> Tuple[Dict[int, CallingContextTree],
-                                  List[Dict[str, object]], str, str]:
-        if isinstance(tree, LazyProfileView):
-            tree = tree.hydrate()
-        if isinstance(tree, ShardedCallingContextTree):
-            return (tree.shards(), tree.shard_provenance(), "sharded",
-                    tree.program_name)
-        provenance = [{"shard_id": DEFAULT_SHARD_ID, "thread_name": "",
-                       "thread_kind": ""}]
-        return ({DEFAULT_SHARD_ID: tree}, provenance, "single",
-                tree.root.frame.name)
-
-    @staticmethod
-    def _columns(shard: CallingContextTree) -> Dict[str, List[Tuple[int, Tuple]]]:
-        """Per-metric ``(node index, aggregate state)`` columns of one shard.
-
-        Count-0 zombie aggregates are skipped, the same policy the JSON
-        encodings apply (``MetricSet.as_dict``): they mean "nothing observed"
-        and would round-trip as spurious rows.
-        """
-        columns: Dict[str, List[Tuple[int, Tuple]]] = {}
-        for index, node in enumerate(shard.all_nodes()):
-            for metric, aggregate in node.exclusive.items():
-                if aggregate.count <= 0:
-                    continue
-                columns.setdefault(metric, []).append((index, aggregate.state()))
-        return columns
+        return atomic_write(path, write)
 
     # -- load ---------------------------------------------------------------------------
 

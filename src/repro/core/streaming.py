@@ -21,6 +21,11 @@ whole profile.  :class:`StreamingProfileWriter` instead checkpoints a live
   **compacts** the file — superseded blocks are dropped by copying only the
   live byte ranges into a fresh single-seal file, no re-encoding.
 
+This module owns the streaming *policy* — which shards to re-encode, when
+to seal, rewind and compact.  Every byte of the file is written by
+:class:`repro.core.storage.SealWriter`, the same writer a one-shot save
+uses, so streamed and one-shot files share one layout definition.
+
 The profiler drives this through ``ProfilerConfig.checkpoint_path`` /
 ``checkpoint_interval_s``; the layout is specified in ``docs/FORMATS.md``.
 """
@@ -35,9 +40,7 @@ from typing import Dict, Optional
 
 from ..obs import TELEMETRY
 from .database import ProfileDatabase
-from .storage import (BINARY_MAGIC, FORMAT_BINARY_V1, _TAIL, BinaryV1Backend,
-                      _encode_column_block, _encode_frames_block,
-                      check_compression, pack_block)
+from .storage import SealWriter, ShardBlocks, atomic_write, check_compression
 
 #: Sidecar suffix marking a streamed run as finished (see
 #: :func:`completion_marker_path`).
@@ -101,30 +104,31 @@ class StreamingProfileWriter:
 
     def __init__(self, database: ProfileDatabase, path: str,
                  compression: Optional[str] = None,
-                 fsync: bool = False,
-                 checksums: bool = True) -> None:
+                 fsync: bool = False) -> None:
         self.database = database
         self.path = path
         self.compression = check_compression(compression)
         self._fsync = fsync
-        self._checksums = checksums
         #: Until the first seal completes the stream lives here, keeping any
         #: existing (recoverable) profile at ``path`` intact; the first
         #: ``checkpoint`` promotes it with ``os.replace``.
         self._pending_path: Optional[str] = f"{path}.stream.tmp"
         self._handle = open(self._pending_path, "wb")
-        self._handle.write(BINARY_MAGIC)
-        self._offset = len(BINARY_MAGIC)
+        try:
+            self._writer = SealWriter(self._handle, self.compression)
+        except BaseException:
+            # A full disk at the very first write: leave nothing behind.
+            self._handle.close()
+            os.unlink(self._pending_path)
+            raise
         #: File offset just past the last completed seal's tail: everything
         #: at or beyond it is unsealed and may be discarded by
         #: :meth:`_rewind` after a failed append.
-        self._sealed_offset = self._offset
+        self._sealed_offset = self._writer.offset
         #: Per-shard (generation, node count) snapshot at the last seal.
         self._shard_states: Dict[int, tuple] = {}
-        #: Live (newest) block descriptors per shard.
-        self._frames_blocks: Dict[int, Dict] = {}
-        self._column_blocks: Dict[int, Dict[str, Dict]] = {}
-        #: TOC of the newest seal (drives compaction).
+        #: TOC of the newest seal: the live block descriptors per shard that
+        #: the next seal may carry forward, and what compaction keeps.
         self._last_toc: Optional[Dict] = None
         #: Checkpoints sealed so far.
         self.checkpoints = 0
@@ -148,13 +152,6 @@ class StreamingProfileWriter:
 
     # -- checkpointing --------------------------------------------------------------
 
-    def _emit(self, block: bytes, compress: bool = False) -> Dict:
-        block, descriptor = pack_block(block, self._offset, self.compression,
-                                       compress, checksum=self._checksums)
-        self._handle.write(block)
-        self._offset += len(block)
-        return descriptor
-
     def checkpoint(self) -> CheckpointStats:
         """Append the dirty shards' blocks and reseal the file.
 
@@ -170,25 +167,19 @@ class StreamingProfileWriter:
         A checkpoint that fails partway — ``ENOSPC``, an I/O error, a torn
         write — leaves the file recoverable at the previous seal and the
         writer retryable: the partial append is rolled back (seek + truncate
-        to the last sealed offset, best-effort on a dead handle) and the
-        writer's descriptor state is restored, so a later ``checkpoint()``
-        after the condition clears seals cleanly with no corrupt gap.
+        to the last sealed offset, best-effort on a dead handle), and the
+        writer's descriptor state only moves once a seal has landed, so a
+        later ``checkpoint()`` after the condition clears seals cleanly with
+        no corrupt gap.
         """
-        if self._closed:
+        if self._closed or self._handle.closed:
             raise RuntimeError(
                 f"StreamingProfileWriter for {self.path!r} is closed")
-        snapshot = (dict(self._frames_blocks),
-                    {tid: dict(columns)
-                     for tid, columns in self._column_blocks.items()},
-                    dict(self._shard_states),
-                    self.superseded_bytes)
         try:
             with TELEMETRY.span("streaming.seal", path=self.path,
                                 seal=self.checkpoints):
                 return self._checkpoint()
         except BaseException:
-            (self._frames_blocks, self._column_blocks, self._shard_states,
-             self.superseded_bytes) = snapshot
             self._rewind()
             raise
 
@@ -201,115 +192,62 @@ class StreamingProfileWriter:
             # The handle itself may be dead (disk gone, simulated crash);
             # recovery-by-backward-scan ignores the partial tail anyway.
             pass
-        self._offset = self._sealed_offset
+        self._writer.offset = self._sealed_offset
 
     def _checkpoint(self) -> CheckpointStats:
         start = time.perf_counter()
-        appended_from = self._offset
-        shards, provenance, tree_kind, program = \
-            BinaryV1Backend._shard_map(self.database.tree)
+        appended_from = self._writer.offset
+        live = {entry["shard_id"]: entry
+                for entry in (self._last_toc or {}).get("shards", ())}
+        states: Dict[int, tuple] = {}
+        # Dirty shards, each mapped to whether its frame table is re-encoded.
+        rewritten: Dict[int, bool] = {}
 
-        old_meta = (self._last_toc or {}).get("meta")
-        meta_block = self._emit(json.dumps({
-            "metadata": self.database.metadata.as_dict(),
-            "dlmonitor_stats": dict(self.database.dlmonitor_stats),
-            "issues": list(self.database.issues),
-        }).encode("utf-8"))
-        if old_meta is not None:
-            self.superseded_bytes += int(old_meta["length"])
-
-        dirty = clean = frames_written = columns_written = 0
-        shard_entries = []
-        for origin, (tid, shard) in zip(provenance, shards.items()):
-            entry: Dict[str, object] = dict(origin)
-            entry["insertions"] = shard.insertions
-            entry["nodes"] = shard.node_count()
-            state = (shard.generation, shard.node_count())
+        def reuse(tid: int, shard) -> ShardBlocks:
+            state = states[tid] = (shard.generation, shard.node_count())
             previous = self._shard_states.get(tid)
-            if previous == state and tid in self._frames_blocks:
-                clean += 1
-            else:
-                dirty += 1
-                if (previous is not None and previous[1] == state[1]
-                        and tid in self._frames_blocks):
-                    pass  # metric-only change: the sealed frame table stands
-                else:
-                    if tid in self._frames_blocks:
-                        self.superseded_bytes += \
-                            int(self._frames_blocks[tid]["length"])
-                    self._frames_blocks[tid] = self._emit(
-                        _encode_frames_block(shard), compress=True)
-                    frames_written += 1
-                for descriptor in self._column_blocks.get(tid, {}).values():
-                    self.superseded_bytes += int(descriptor["length"])
-                columns: Dict[str, Dict] = {}
-                for metric, column in BinaryV1Backend._columns(shard).items():
-                    descriptor = self._emit(_encode_column_block(column),
-                                            compress=True)
-                    descriptor["entries"] = len(column)
-                    columns[metric] = descriptor
-                    columns_written += 1
-                self._column_blocks[tid] = columns
-                self._shard_states[tid] = state
-            entry["frames"] = self._frames_blocks[tid]
-            entry["columns"] = dict(self._column_blocks[tid])
-            shard_entries.append(entry)
+            if previous == state:
+                return live[tid]["frames"], live[tid]["columns"]
+            if previous is not None and previous[1] == state[1]:
+                rewritten[tid] = False  # metric-only: the frame table stands
+                return live[tid]["frames"], None
+            rewritten[tid] = True
+            return None, None
 
-        toc = {
-            "format": FORMAT_BINARY_V1,
-            "version": 1,
-            "tree_kind": tree_kind,
-            "program": program,
-            "seal": self.checkpoints,
-            "meta": meta_block,
-            "shards": shard_entries,
-        }
-        if self._checksums:
-            toc["checksum"] = "crc32"
-        encoded_toc = json.dumps(toc).encode("utf-8")
-        toc_offset = self._offset
-        self._handle.write(encoded_toc)
-        self._offset += len(encoded_toc)
-        self._handle.write(_TAIL.pack(toc_offset, len(encoded_toc),
-                                      BINARY_MAGIC))
-        self._offset += _TAIL.size
+        self._writer.codec = self.compression
+        toc = self._writer.seal(self.database, reuse, seal=self.checkpoints)
         self._handle.flush()
         if self._fsync:
             os.fsync(self._handle.fileno())
-        self._sealed_offset = self._offset
+        self._sealed_offset = self._writer.offset
         if self._pending_path is not None:
             # First complete seal: promote the staged stream over ``path``.
             # The open handle follows the inode, so appends continue
             # seamlessly; a crash before this point left ``path`` untouched.
             os.replace(self._pending_path, self.path)
             self._pending_path = None
-        # The previous seal's TOC + tail are now superseded bytes too.
-        if self._last_toc is not None:
-            self.superseded_bytes += \
-                int(self._last_toc["_toc_length"]) + _TAIL.size
-        toc["_toc_length"] = len(encoded_toc)
-        self._last_toc = toc
+        self._last_toc, self._shard_states = toc, states
+        self.superseded_bytes = self._writer.unreferenced_bytes(toc)
         self.checkpoints += 1
 
-        self.last_stats = CheckpointStats(
+        stats = self.last_stats = CheckpointStats(
             seal=self.checkpoints - 1,
-            dirty_shards=dirty,
-            clean_shards=clean,
-            frames_blocks=frames_written,
-            column_blocks=columns_written,
-            bytes_appended=self._offset - appended_from,
-            file_bytes=self._offset,
+            dirty_shards=len(rewritten),
+            clean_shards=len(states) - len(rewritten),
+            frames_blocks=sum(rewritten.values()),
+            column_blocks=sum(len(entry["columns"]) for entry in toc["shards"]
+                              if entry["shard_id"] in rewritten),
+            bytes_appended=self._writer.offset - appended_from,
+            file_bytes=self._writer.offset,
             wall_seconds=time.perf_counter() - start,
         )
         if TELEMETRY.enabled:
             TELEMETRY.count("streaming.seals")
-            TELEMETRY.count("streaming.dirty_shards", dirty)
-            TELEMETRY.count("streaming.clean_shards", clean)
-            TELEMETRY.count("streaming.bytes_appended",
-                            self.last_stats.bytes_appended)
-            TELEMETRY.observe("streaming.seal_seconds",
-                              self.last_stats.wall_seconds)
-        return self.last_stats
+            TELEMETRY.count("streaming.dirty_shards", stats.dirty_shards)
+            TELEMETRY.count("streaming.clean_shards", stats.clean_shards)
+            TELEMETRY.count("streaming.bytes_appended", stats.bytes_appended)
+            TELEMETRY.observe("streaming.seal_seconds", stats.wall_seconds)
+        return stats
 
     # -- closing seal and compaction --------------------------------------------------
 
@@ -327,11 +265,16 @@ class StreamingProfileWriter:
         lands, telling a fleet watcher the run finished on purpose — the
         deterministic alternative to its has-the-file-gone-quiet heuristic.
         A crashed run never writes one, which is exactly the signal's value.
+
+        Like :meth:`checkpoint`, a failed close is retryable: once the
+        closing seal has landed a retry skips it and only tries compaction
+        and the marker again.
         """
         if self._closed:
             return self.path
-        self.checkpoint()
-        self._handle.close()
+        if not self._handle.closed:
+            self.checkpoint()
+            self._handle.close()
         if compact and self.superseded_bytes > 0:
             with TELEMETRY.span("streaming.compact", path=self.path):
                 self._compact()
@@ -341,65 +284,29 @@ class StreamingProfileWriter:
         return self.path
 
     def _write_completion_marker(self) -> None:
-        marker_path = completion_marker_path(self.path)
         payload = {
             "profile": os.path.basename(self.path),
             "checkpoints": self.checkpoints,
             "completed_at": time.time(),
         }
-        temp_path = f"{marker_path}.{os.getpid()}.tmp"
-        try:
+
+        def write(temp_path: str) -> None:
             with open(temp_path, "w", encoding="utf-8") as handle:
                 json.dump(payload, handle)
-            os.replace(temp_path, marker_path)
-        except BaseException:
-            if os.path.exists(temp_path):
-                os.unlink(temp_path)
-            raise
+
+        atomic_write(completion_marker_path(self.path), write)
 
     def _compact(self) -> None:
         """Drop superseded blocks by copying live byte ranges (no re-encode)."""
-        toc = self._last_toc
-        assert toc is not None
         if TELEMETRY.enabled:
             TELEMETRY.count("streaming.compactions")
             TELEMETRY.count("streaming.bytes_reclaimed",
                             self.superseded_bytes)
-        temp_path = f"{self.path}.compact.tmp"
-        try:
+
+        def write(temp_path: str) -> None:
             with open(self.path, "rb") as source, \
                     open(temp_path, "wb") as target:
-                target.write(BINARY_MAGIC)
-                offset = len(BINARY_MAGIC)
+                SealWriter(target).copy_seal(source, self._last_toc)
 
-                def copy(descriptor: Dict) -> Dict:
-                    nonlocal offset
-                    source.seek(int(descriptor["offset"]))
-                    block = source.read(int(descriptor["length"]))
-                    target.write(block)
-                    moved = dict(descriptor)
-                    moved["offset"] = offset
-                    offset += len(block)
-                    return moved
-
-                compacted = {key: value for key, value in toc.items()
-                             if key != "_toc_length"}
-                compacted["meta"] = copy(toc["meta"])
-                entries = []
-                for entry in toc["shards"]:
-                    moved = dict(entry)
-                    moved["frames"] = copy(entry["frames"])
-                    moved["columns"] = {metric: copy(descriptor)
-                                        for metric, descriptor
-                                        in entry["columns"].items()}
-                    entries.append(moved)
-                compacted["shards"] = entries
-                encoded = json.dumps(compacted).encode("utf-8")
-                target.write(encoded)
-                target.write(_TAIL.pack(offset, len(encoded), BINARY_MAGIC))
-        except BaseException:
-            if os.path.exists(temp_path):
-                os.unlink(temp_path)
-            raise
-        os.replace(temp_path, self.path)
+        atomic_write(self.path, write)
         self.superseded_bytes = 0

@@ -173,8 +173,8 @@ class ModuleInfo:
         """Local name → dotted target, from this module's import statements.
 
         ``import struct`` maps ``struct → struct``; ``from .storage import
-        pack_block`` (in ``repro.core.streaming``) maps ``pack_block →
-        repro.core.storage.pack_block``.  Relative imports resolve against
+        SealWriter`` (in ``repro.core.streaming``) maps ``SealWriter →
+        repro.core.storage.SealWriter``.  Relative imports resolve against
         the module's own package path so repo-internal provenance — "was this
         name imported from the blessed emitter module?" — is exact.
         """

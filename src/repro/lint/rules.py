@@ -15,15 +15,15 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 from .engine import Finding, ModuleInfo, Rule, Severity, register_rule
 
 #: The only modules allowed to assemble or write binary profile blocks.
-BLESSED_EMITTER_MODULES = ("repro.core.storage", "repro.core.streaming")
+BLESSED_EMITTER_MODULES = ("repro.core.storage",)
 
 #: Private storage symbols that constitute the block-emission machinery.
 PRIVATE_EMITTER_SYMBOLS = ("_encode_frames_block", "_encode_column_block",
                            "_TAIL")
 
-#: The public emitter every descriptor-stamped block flows through.
-PUBLIC_EMITTERS = ("pack_block", "_encode_frames_block",
-                   "_encode_column_block")
+#: The raw block encoders; calling one outside the blessed module bypasses
+#: ``SealWriter``, which stamps every descriptor.
+RAW_EMITTERS = ("_encode_frames_block", "_encode_column_block")
 
 #: Raw exception types that must not cross the storage/fleet API boundary.
 RAW_EXCEPTION_NAMES = {"OSError", "IOError", "struct.error",
@@ -89,11 +89,11 @@ def _first_arg(node: ast.Call) -> Optional[ast.AST]:
 
 @register_rule
 class DescriptorEmissionRule(Rule):
-    """Block bytes are emitted only by the blessed storage/streaming writers.
+    """Block bytes are emitted only by the one seal writer in storage.
 
-    ``pack_block`` stamps every block descriptor with its CRC-32 (PR 6) and
-    keeps one-shot saves and streamed checkpoints on a single descriptor
-    protocol.  A raw ``struct.pack`` + ``handle.write`` of block bytes
+    ``repro.core.storage.SealWriter`` writes every block of one-shot saves,
+    streamed checkpoints and compactions, stamping each descriptor with its
+    CRC-32.  A raw ``struct.pack`` + ``handle.write`` of block bytes
     anywhere else produces unchecksummed blocks the lazy reader cannot
     verify — exactly the silent-rot class PR 6 closed.
     """
@@ -102,9 +102,8 @@ class DescriptorEmissionRule(Rule):
     name = "descriptor-emission"
     severity = Severity.ERROR
     contract = ("Binary profile blocks (struct-packed bytes) may only be "
-                "assembled and written inside repro.core.storage / "
-                "repro.core.streaming, flowing through pack_block so every "
-                "descriptor carries its checksum.")
+                "assembled and written inside repro.core.storage, by its "
+                "SealWriter, so every descriptor carries its checksum.")
 
     def applies_to(self, module: ModuleInfo) -> bool:
         return (module.is_production
@@ -138,8 +137,8 @@ class DescriptorEmissionRule(Rule):
                     module, node,
                     "raw write of struct-packed block bytes outside the "
                     "blessed emitters; route block emission through "
-                    "repro.core.storage.pack_block (storage/streaming "
-                    "writers) so the descriptor carries its checksum")
+                    "repro.core.storage.SealWriter so the descriptor carries "
+                    "its checksum")
         for call in pack_calls:
             if id(call) in flagged_inner:
                 continue
@@ -154,7 +153,7 @@ class DescriptorEmissionRule(Rule):
             yield self.finding(
                 module, call,
                 f"call to block emitter {module.text_of(call.func)!r} "
-                f"outside the blessed writer modules")
+                f"outside the blessed writer module")
 
     @staticmethod
     def _struct_instances(module: ModuleInfo) -> Set[str]:
@@ -179,7 +178,7 @@ class DescriptorEmissionRule(Rule):
                     module, node,
                     f"import of private block-emission symbol "
                     f"{alias.name!r} from the storage engine; only the "
-                    f"blessed writer modules may touch the raw encoders")
+                    f"blessed writer module may touch the raw encoders")
 
     def _is_pack_call(self, module: ModuleInfo, node: ast.Call,
                       struct_instances: Set[str]) -> bool:
@@ -203,7 +202,7 @@ class DescriptorEmissionRule(Rule):
         if resolved is None:
             return False
         tail = resolved.rsplit(".", 1)[-1]
-        if tail not in PUBLIC_EMITTERS:
+        if tail not in RAW_EMITTERS:
             return False
         # Only flag names that actually originate in the storage engine (or
         # unqualified local spellings of the same names).

@@ -17,9 +17,13 @@ Three properties are pinned here:
 * **Sniffing**: ``ProfileDatabase.load`` detects the on-disk format instead
   of assuming JSON, and mismatches/unknown files raise errors naming what was
   actually found.
+
+A crash at any write of a one-shot binary save leaves the profile it was
+replacing intact.
 """
 
 import json
+import os
 import struct
 
 import pytest
@@ -36,6 +40,8 @@ from repro.core import (
     registered_formats,
 )
 from repro.core import metrics as M
+from repro.core.faultfs import (FaultInjector, FaultPlan, InjectedCrash,
+                                crash_at_write)
 from repro.core.storage import ALL_KINDS, BINARY_MAGIC, KIND_CODES
 from repro.dlmonitor.callpath import (
     CallPath,
@@ -588,3 +594,34 @@ class TestProfileFormatErrors:
         path = database.save(str(tmp_path / "plain"))
         assert detect_format(path) == "json"
         assert ProfileDatabase.load(path).node_count() == database.node_count()
+
+
+class TestOneShotSaveCrash:
+    def test_crash_at_every_write_keeps_the_replaced_profile(self, tmp_path):
+        path = str(tmp_path / "p.cctb")
+        ProfileDatabase(_build_sharded([(1, "conv", "k0", 1.0)])).save(
+            path, format="cct-binary-v1")
+        with open(path, "rb") as handle:
+            pristine = handle.read()
+        replacement = ProfileDatabase(_build_sharded([
+            (1, "conv", "k0", 2.0), (2, "norm", "k1", 3.0),
+            (3, "linear", "k0", 0.5)]))
+
+        dry_dir = tmp_path / "dry"
+        dry_dir.mkdir()
+        dry = FaultPlan()
+        with FaultInjector(str(dry_dir), dry):
+            replacement.save(str(dry_dir / "p.cctb"), format="cct-binary-v1")
+        total_writes = dry.counts["write"]
+        assert total_writes > 3  # magic, meta, blocks, TOC, tail
+
+        for k in range(1, total_writes + 1):
+            plan = FaultPlan([crash_at_write(k)])
+            with FaultInjector(str(tmp_path), plan):
+                with pytest.raises(InjectedCrash):
+                    replacement.save(path, format="cct-binary-v1")
+            assert plan.tripped, f"write #{k} never happened"
+            with open(path, "rb") as handle:
+                assert handle.read() == pristine, f"crash at write #{k}"
+            assert [name for name in os.listdir(tmp_path)
+                    if name.endswith(".tmp")] == []

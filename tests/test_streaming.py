@@ -20,8 +20,10 @@ Four guarantees are pinned here:
   checkpoints from ``DeepContextProfiler`` / ``experiments.runner``.
 """
 
+import errno
 import json
 import os
+import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -41,6 +43,7 @@ from repro.core.faultfs import (
     FaultInjector,
     FaultPlan,
     InjectedCrash,
+    enospc_at_write,
     short_read,
     torn_write,
 )
@@ -94,6 +97,26 @@ def _recovered_snapshot(database):
     tree = database.tree
     hydrated = tree.hydrate() if isinstance(tree, LazyProfileView) else tree
     return _state_snapshot(hydrated)
+
+
+def _final_seal(path):
+    """``(file bytes, TOC offset, TOC)`` of the seal at the end of ``path``."""
+    with open(path, "rb") as handle:
+        blob = handle.read()
+    toc_offset, toc_length, _magic = struct.unpack("<QQ8s", blob[-24:])
+    toc = json.loads(blob[toc_offset:toc_offset + toc_length])
+    return blob, toc_offset, toc
+
+
+def _assert_one_shot_bytes(streamed, one_shot, seal):
+    """The streamed file holds the one-shot save's bytes up to the TOC —
+    magic, meta block, every frames and column block, at the same offsets —
+    and the same TOC but for the stream's seal number."""
+    stream_blob, stream_toc_offset, stream_toc = _final_seal(streamed)
+    one_blob, one_toc_offset, one_toc = _final_seal(one_shot)
+    assert stream_blob[:stream_toc_offset] == one_blob[:one_toc_offset]
+    assert stream_toc.pop("seal") == seal
+    assert stream_toc == one_toc
 
 
 class TestCheckpointing:
@@ -225,22 +248,38 @@ class TestCheckpointing:
         assert writer.superseded_bytes == 0
         restored = ProfileDatabase.load(writer.path)
         assert _recovered_snapshot(restored) == expected
-        # A compacted file decodes to the same profile a fresh one-shot save
-        # of the live tree produces (the TOCs differ — e.g. the streamed
-        # "seal" key survives compaction — but every block payload is live).
+        # A compacted file keeps exactly the blocks a fresh one-shot save of
+        # the live tree writes, byte for byte: the closing seal (number 6)
+        # differs from that save only by its "seal" key.
         reference = str(tmp_path / "ref.cctb")
         ProfileDatabase(tree).save(reference, format="cct-binary-v1")
-        loaded_reference = ProfileDatabase.load(reference)
-        assert _recovered_snapshot(loaded_reference) == expected
-        compacted_blocks = sum(
-            int(shard.entry["frames"]["length"])
-            + sum(int(d["length"]) for d in shard.entry["columns"].values())
-            for shard in restored.tree._shards.values())
-        reference_blocks = sum(
-            int(shard.entry["frames"]["length"])
-            + sum(int(d["length"]) for d in shard.entry["columns"].values())
-            for shard in loaded_reference.tree._shards.values())
-        assert compacted_blocks == reference_blocks  # no dead bytes kept
+        assert _recovered_snapshot(ProfileDatabase.load(reference)) == expected
+        _assert_one_shot_bytes(writer.path, reference, seal=6)
+
+    @pytest.mark.parametrize("compression", [None, "zlib"])
+    @pytest.mark.parametrize("sharded", [True, False],
+                             ids=["sharded", "single"])
+    def test_single_seal_stream_matches_one_shot_save(self, tmp_path,
+                                                      sharded, compression):
+        if sharded:
+            tree = ShardedCallingContextTree("stream")
+            for observation in [(1, "conv", "k0", 1.0),
+                                (2, "norm", "k1", 2.0),
+                                (1, "linear", "k1", 0.5)]:
+                _observe(tree, *observation)
+        else:
+            tree = CallingContextTree("single")
+            for module, kernel, value in [("conv", "k0", 1.0),
+                                          ("norm", "k1", 2.0)]:
+                node = tree.insert(_path(1, module, kernel))
+                tree.attribute(node, M.METRIC_GPU_TIME, value)
+        database = ProfileDatabase(tree)
+        one_shot = database.save(str(tmp_path / "one.cctb"),
+                                 format="cct-binary-v1",
+                                 compression=compression)
+        streamed = StreamingProfileWriter(database, str(tmp_path / "s.cctb"),
+                                          compression=compression).close()
+        _assert_one_shot_bytes(streamed, one_shot, seal=0)
 
 
 class TestCrashRecovery:
@@ -489,6 +528,71 @@ class TestRefreshRacingWriter:
                 assert view.refresh() is False
         assert plan.counts.get("read", 0) == 3  # one probe per idle poll
         writer.close()
+
+
+class TestWriterFailures:
+    ROUNDS = [(1, "conv", "k0", 1.0), (2, "norm", "k1", 2.0),
+              (1, "linear", "k1", 0.5)]
+
+    def test_failed_first_write_leaves_nothing_behind(self, tmp_path):
+        # A full disk when the profiler starts streaming: the staged file
+        # must not outlive the error.
+        plan = FaultPlan([enospc_at_write(1, keep=3)])
+        with FaultInjector(str(tmp_path), plan):
+            with pytest.raises(OSError) as excinfo:
+                StreamingProfileWriter(
+                    ProfileDatabase(ShardedCallingContextTree("stream")),
+                    str(tmp_path / "s.cctb"))
+        assert excinfo.value.errno == errno.ENOSPC
+        assert plan.tripped
+        assert os.listdir(tmp_path) == []
+
+    def _stream(self, directory):
+        tree = ShardedCallingContextTree("stream")
+        writer = StreamingProfileWriter(ProfileDatabase(tree),
+                                        str(directory / "s.cctb"))
+        for observation in self.ROUNDS:
+            _observe(tree, *observation)
+            writer.checkpoint()
+        return tree, writer
+
+    def test_failed_compaction_leaves_close_retryable(self, tmp_path):
+        # Dry run: how many writes do the checkpoints and the closing seal
+        # take?  The fault then hits compaction's first copied block.
+        dry_dir = tmp_path / "dry"
+        dry_dir.mkdir()
+        dry = FaultPlan()
+        with FaultInjector(str(dry_dir), dry):
+            _tree, writer = self._stream(dry_dir)
+            writer.close(compact=False)
+        sealed_writes = dry.counts["write"]
+
+        workdir = tmp_path / "enospc"
+        workdir.mkdir()
+        plan = FaultPlan([enospc_at_write(sealed_writes + 2)])
+        with FaultInjector(str(workdir), plan):
+            tree, writer = self._stream(workdir)
+            with pytest.raises(OSError) as excinfo:
+                writer.close(compact=True, mark_complete=True)
+        assert excinfo.value.errno == errno.ENOSPC
+        assert plan.tripped and not writer.closed
+        path = writer.path
+        streamed_bytes = os.path.getsize(path)
+        assert sorted(os.listdir(workdir)) == ["s.cctb"]
+        final = ProfileDatabase.load(path)
+        assert final.tree._toc["seal"] == len(self.ROUNDS)  # the closing seal
+        assert _recovered_snapshot(final) == _state_snapshot(tree)
+        final.tree.close()
+        with pytest.raises(RuntimeError, match="closed"):
+            writer.checkpoint()  # the closing seal has landed
+
+        # The retry skips the seal that already landed and compacts.
+        assert writer.close(compact=True, mark_complete=True) == path
+        assert writer.closed and writer.superseded_bytes == 0
+        assert os.path.getsize(path) < streamed_bytes
+        assert is_marked_complete(path)
+        assert _recovered_snapshot(ProfileDatabase.load(path)) == \
+            _state_snapshot(tree)
 
 
 class TestCompletionMarker:
