@@ -8,9 +8,9 @@ node).  Three numbers matter per backend:
 * **load** — open the file (for the mmap-backed ``cct-binary-v1`` format this
   is one ``mmap`` plus a footer-TOC read, nothing decoded);
 * **first query** — open the file *and* answer one query.  Two query shapes
-  are measured: a cross-shard ``top_kernels`` (frame tables + one metric
-  column per shard on the lazy path) and a single-shard bottom-up aggregation
-  (one shard's frame table + one column).
+  are measured: a cross-shard ``top_kernels`` (every shard's frame-table
+  names + one metric column on the lazy path) and a single-shard bottom-up
+  aggregation (one shard's frame-table names + one column).
 
 The shape assertion is the paper-style claim the storage refactor was built
 for: first-query latency on the binary backend must beat a full
@@ -55,6 +55,7 @@ from repro.dlmonitor.callpath import (
     root_frame,
     thread_frame,
 )
+from repro.obs import TELEMETRY
 
 pytestmark = pytest.mark.perf
 
@@ -90,6 +91,13 @@ def build_profile() -> ProfileDatabase:
                     node = shard.insert(path)
                     shard.attribute_many(node, RECORD_METRICS)
     return ProfileDatabase(tree)
+
+
+def _rows_read():
+    """``(shard, metric)`` of every per-name rows read recorded so far."""
+    return [(args["shard"], args["metric"])
+            for name, *_timing, args in TELEMETRY.spans()
+            if name == "storage.decode.name_states"]
 
 
 def timed(func):
@@ -151,7 +159,7 @@ class TestProfileIo:
             rows["cct-binary-v1"]["load_s"] = binary_open_seconds
 
             # Cross-shard first query on a fresh mapping: every shard's frame
-            # table plus the GPU-time column, but no merged tree.
+            # table names plus the GPU-time column, but no tree.
             def cross_shard_first_query():
                 loaded = ProfileDatabase.load(paths["cct-binary-v1"])
                 return loaded, loaded.top_kernels(10)
@@ -161,9 +169,10 @@ class TestProfileIo:
             rows["cct-binary-v1"]["first_query_s"] = binary_first_seconds
             assert binary_top == expected_top
             assert not binary_db.tree.hydrated  # no merged tree was built
+            assert binary_db.tree.decoded_shard_ids() == set()
 
             # Single-shard first query on a fresh mapping: one shard's frame
-            # table plus one metric column.
+            # table names plus one metric column.
             def single_shard_first_query():
                 view = ProfileDatabase.load(paths["cct-binary-v1"]).tree
                 view.shard_aggregate_by_name(1, kind=FrameKind.GPU_KERNEL,
@@ -172,10 +181,30 @@ class TestProfileIo:
 
             shard_seconds, shard_view = best_of(3, single_shard_first_query)
             rows["cct-binary-v1"]["shard_query_s"] = shard_seconds
-            assert shard_view.decoded_shard_ids() == {1}
-            assert shard_view.decoded_columns() == {(1, M.METRIC_GPU_TIME)}
+            assert shard_view.decoded_shard_ids() == set()
+            assert not shard_view.hydrated
         finally:
             gc.enable()
+
+        # Untimed, with telemetry on: which blocks each query shape read.
+        TELEMETRY.reset()
+        TELEMETRY.enable()
+        try:
+            single_shard_first_query()
+            single_reads = _rows_read()
+            cross_shard_first_query()
+            cross_reads = _rows_read()[len(single_reads):]
+            blocks = TELEMETRY.counter_value("storage.blocks_decoded")
+        finally:
+            TELEMETRY.disable()
+            TELEMETRY.reset()
+        assert single_reads == [(1, M.METRIC_GPU_TIME)]
+        assert cross_reads == [(tid, M.METRIC_GPU_TIME)
+                               for tid in range(1, SHARDS + 1)]
+        # Single shard: its frames block + one column.  Cross shard: every
+        # shard's frames block + GPU-time column, and the column again for
+        # the total the fractions divide by.
+        assert blocks == 2 + 3 * SHARDS
 
         report = {
             "nodes": stored_nodes,

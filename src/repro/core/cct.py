@@ -34,12 +34,24 @@ available through :meth:`CallingContextTree.to_columnar`.
 For multi-thread collection the module provides
 :class:`ShardedCallingContextTree`: each simulated CPU thread owns a private
 ``CallingContextTree`` shard, collectors attribute into the shard of the
-launching/observing thread with no cross-thread coordination, and queries run
-against a merged tree that is materialized lazily — keyed by the shards'
-generation counters — by structurally unioning the shards on
+launching/observing thread with no cross-thread coordination, and structural
+queries run against a merged tree that is materialized lazily — keyed by the
+shards' generation counters — by structurally unioning the shards on
 ``Frame.identity()`` (:meth:`CallingContextTree.merge_from`) and combining
 metrics with ``MetricSet.merge``.  A sharded tree with a single shard is
 byte-for-byte equivalent to the plain single-tree model.
+
+Per-name rollups (the bottom-up view, ``top_kernels``, the fleet's summary
+rows) have one primitive: *name rows*, ``{(kind code, name): (count, sum,
+min, max, mean, m2)}`` plus an :data:`ALL_KINDS` row per name.  A tree
+produces them in one registry-order walk (:meth:`CallingContextTree.name_rows`);
+the binary profile reader produces the same rows from its blocks; a wider
+source (a sharded tree, a lazy view, a fleet of runs) folds its parts' rows
+in order with :func:`accumulate_name_state`.  Each query shape is one
+projection of the in-order fold of one or more row sets:
+:func:`sums_by_name` (every ``aggregate_by_name``), :func:`states_by_name`
+(the fleet's ``name_states``) and :func:`rank_kernels` (every
+``top_kernels``).
 """
 
 from __future__ import annotations
@@ -55,6 +67,116 @@ from .metrics import MetricAggregate, MetricSet
 _node_ids = itertools.count(1)
 
 COLUMNAR_TREE_FORMAT = "cct-columnar-v1"
+
+#: Stable codes for frame kinds: the on-disk kind byte of ``cct-binary-v1``
+#: frame tables and the first half of every name-row key (append-only
+#: across versions).
+KIND_CODES: Dict[FrameKind, int] = {
+    FrameKind.ROOT: 0, FrameKind.THREAD: 1, FrameKind.PYTHON: 2,
+    FrameKind.FRAMEWORK: 3, FrameKind.NATIVE: 4, FrameKind.GPU_API: 5,
+    FrameKind.GPU_KERNEL: 6, FrameKind.GPU_INSTRUCTION: 7,
+}
+
+#: ``kind_code`` key of the all-kinds name rows.  An unfiltered
+#: ``aggregate_by_name`` interleaves every kind's nodes in node order, so
+#: its sums cannot be reconstructed from per-kind subtotals (float addition
+#: is not associative) — the all-kinds rollup is accumulated as its own
+#: first-class row instead of derived.
+ALL_KINDS = -1
+
+#: ``{(kind_code, name): (count, sum, min, max, mean, m2)}`` — the one
+#: per-name result every layer computes (see the module docstring).
+NameRows = Dict[Tuple[int, str], Tuple]
+
+
+def accumulate_name_state(totals: Dict, key,
+                          count: int, total: float, minimum: float,
+                          maximum: float, mean: float, m2: float) -> None:
+    """Fold one Welford state tuple into ``totals[key]``.
+
+    The one per-name fold: node states into a tree's rows, column entries
+    into a shard's rows, and row sets into wider ones (shards into a
+    profile, runs into a fleet).  The statistical fields merge with the
+    exact operation sequence of ``MetricAggregate.merge`` (parallel/Chan
+    Welford), but the ``sum`` field follows the running-sum recurrence
+    ``totals.get(name, 0.0) + value``, so a row's sum does not depend on
+    which layer folded it, even for the ``0.0 + (-0.0)`` corner a
+    copy-on-first-merge would get wrong.  Callers only feed states with
+    ``count > 0``, so the zero-count branches of the aggregate merge never
+    arise here.
+    """
+    previous = totals.get(key)
+    if previous is None:
+        totals[key] = (count, 0.0 + total, minimum, maximum, mean, m2)
+        return
+    p_count, p_sum, p_min, p_max, p_mean, p_m2 = previous
+    combined = p_count + count
+    delta = mean - p_mean
+    merged_m2 = p_m2 + m2 + delta * delta * p_count * count / combined
+    merged_mean = (p_mean * p_count + mean * count) / combined
+    totals[key] = (combined, p_sum + total,
+                   minimum if minimum < p_min else p_min,
+                   maximum if maximum > p_max else p_max,
+                   merged_mean, merged_m2)
+
+
+def fold_name_rows(row_sets: Iterable[NameRows]) -> NameRows:
+    """Fold row sets, in order, into one (shards into a profile, runs into
+    a fleet)."""
+    rows: NameRows = {}
+    for row_set in row_sets:
+        for key, state in row_set.items():
+            accumulate_name_state(rows, key, *state)
+    return rows
+
+
+def _kind_code(kind: Optional[FrameKind]) -> int:
+    return KIND_CODES[kind] if kind is not None else ALL_KINDS
+
+
+def sums_by_name(*row_sets: NameRows,
+                 kind: Optional[FrameKind] = None) -> Dict[str, float]:
+    """``name → sum`` of one kind's rows (:data:`ALL_KINDS` for None) — the
+    bottom-up view's ``aggregate_by_name``.
+
+    Given several row sets, this is the ``sum`` field of their in-order
+    fold (:func:`fold_name_rows`) bit for bit: that field is the running
+    sum this adds, so a fleet's sums skip the Welford merges.
+    """
+    wanted = _kind_code(kind)
+    sums: Dict[str, float] = {}
+    for rows in row_sets:
+        for (code, name), state in rows.items():
+            if code == wanted:
+                sums[name] = sums.get(name, 0.0) + state[1]
+    return sums
+
+
+def states_by_name(*row_sets: NameRows,
+                   kind: Optional[FrameKind] = None) -> Dict[str, Tuple]:
+    """``name → (count, sum, min, max, mean, m2)`` of one kind's rows,
+    folded in order across ``row_sets``."""
+    wanted = _kind_code(kind)
+    states: Dict[str, Tuple] = {}
+    for rows in row_sets:
+        for (code, name), state in rows.items():
+            if code == wanted:
+                accumulate_name_state(states, name, *state)
+    return states
+
+
+def rank_kernels(source, k: int, metric: str) -> List[Dict[str, object]]:
+    """The ``k`` most expensive GPU kernels of any per-name source.
+
+    ``source`` serves ``aggregate_by_name`` and ``total_metric`` (a tree,
+    a lazy view, a fleet aggregator).  Rows are ``{"kernel", metric,
+    "fraction"}`` with the fraction of ``source``'s total.
+    """
+    totals = source.aggregate_by_name(kind=FrameKind.GPU_KERNEL, metric=metric)
+    ranked = sorted(totals.items(), key=lambda item: -item[1])[:k]
+    whole = source.total_metric(metric) or 1.0
+    return [{"kernel": name, metric: value, "fraction": value / whole}
+            for name, value in ranked]
 
 
 class CCTNode:
@@ -167,9 +289,8 @@ class CallingContextTree:
         #: Nodes whose exclusive metrics changed since the last inclusive
         #: materialization (id → node); consumed by the incremental refresh.
         self._dirty: Dict[int, CCTNode] = {}
-        #: Memoized ``aggregate_by_name`` results keyed by (kind, metric),
-        #: each entry stamped with the generation it was computed at.
-        self._aggregate_cache: Dict[Tuple, Tuple[int, Dict[str, float]]] = {}
+        #: Memoized ``name_rows`` per metric (generation-stamped).
+        self._rows_cache: Dict[str, Tuple[int, NameRows]] = {}
         #: Memoized ``total_metric`` sums (generation-stamped).
         self._total_cache: Dict[str, Tuple[int, float]] = {}
         self.root = CCTNode(root_frame(program_name), tree=self)
@@ -395,36 +516,41 @@ class CallingContextTree:
 
     # -- aggregation views ----------------------------------------------------------------
 
-    def aggregate_by_name(self, kind: Optional[FrameKind] = None,
-                          metric: str = "gpu_time") -> Dict[str, float]:
-        """Sum an exclusive metric across all nodes sharing the same frame name.
+    def name_rows(self, metric: str) -> NameRows:
+        """Per-name Welford rows of an exclusive metric (see :data:`NameRows`).
 
-        This is the bottom-up view's aggregation: the same kernel called from
-        many contexts is folded into a single row.  With a ``kind`` the scan is
-        restricted to that kind's index instead of the whole tree.
+        One registry-order walk folds every node's state into its
+        ``(kind code, name)`` row and its name's :data:`ALL_KINDS` row, so
+        the same kernel called from many contexts becomes one row.  Rows are
+        gated on the observation *count*, not the metric sum: a kernel whose
+        durations all round to 0.0 was still observed and must appear in
+        bottom-up views instead of silently vanishing.
 
-        Rows are gated on the observation *count*, not the metric sum: a
-        kernel whose durations all round to 0.0 was still observed and must
-        appear in bottom-up views instead of silently vanishing.
-
-        Results are memoized behind the generation counter (the same
-        invalidation scheme ``approximate_size_bytes`` uses), so the repeated
-        bottom-up queries the GUI and analyzers issue between mutations cost
-        one dict copy instead of a registry scan.
+        Memoized per metric behind the generation counter: between mutations
+        every per-name query on the metric reuses one walk.  The returned
+        dict is shared; the projections (:func:`sums_by_name` and friends)
+        build fresh results from it.
         """
-        key = (kind, metric)
-        cached = self._aggregate_cache.get(key)
+        cached = self._rows_cache.get(metric)
         if cached is not None and cached[0] == self._generation:
-            return dict(cached[1])
-        nodes: Iterable[CCTNode]
-        nodes = self._by_kind.get(kind, ()) if kind is not None else self._registry
-        totals: Dict[str, float] = {}
-        for node in nodes:
+            return cached[1]
+        rows: NameRows = {}
+        for node in self._registry:
             aggregate = node.exclusive.get(metric)
             if aggregate is not None and aggregate.count > 0:
-                totals[node.name] = totals.get(node.name, 0.0) + aggregate.total
-        self._aggregate_cache[key] = (self._generation, totals)
-        return dict(totals)
+                frame = node.frame
+                state = aggregate.state()
+                accumulate_name_state(rows, (KIND_CODES[frame.kind], frame.name),
+                                      *state)
+                accumulate_name_state(rows, (ALL_KINDS, frame.name), *state)
+        self._rows_cache[metric] = (self._generation, rows)
+        return rows
+
+    def aggregate_by_name(self, kind: Optional[FrameKind] = None,
+                          metric: str = "gpu_time") -> Dict[str, float]:
+        """Sum an exclusive metric across all nodes sharing the same frame
+        name (the bottom-up view), restricted to ``kind`` when given."""
+        return sums_by_name(self.name_rows(metric), kind=kind)
 
     def total_metric(self, metric: str) -> float:
         """Whole-profile total of ``metric`` (≡ the root's inclusive sum).
@@ -546,7 +672,7 @@ class CallingContextTree:
         self._max_depth = 0
         self._size_cache = ((-1, -1), 0)
         self._dirty.clear()
-        self._aggregate_cache.clear()
+        self._rows_cache.clear()
         self._total_cache.clear()
 
     # -- columnar serialization ---------------------------------------------------------------
@@ -716,13 +842,17 @@ class ProfileTree:
 
     :class:`ShardedCallingContextTree` (the union of its shards) and
     ``LazyProfileView`` (the tree its blocks decode into) serve every
-    structural query from :meth:`merged`; this base implements those
-    accessors once.  :class:`CallingContextTree` is not a subclass: it is
-    the merged tree itself, and its ``root`` is the instance attribute
-    ``insert`` reads on every call.
+    structural query from :meth:`merged` and every per-name query from
+    :meth:`name_rows`; this base implements those accessors once.
+    :class:`CallingContextTree` is not a subclass: it is the merged tree
+    itself, and its ``root`` is the instance attribute ``insert`` reads on
+    every call.
     """
 
     def merged(self) -> CallingContextTree:
+        raise NotImplementedError
+
+    def name_rows(self, metric: str) -> NameRows:
         raise NotImplementedError
 
     @property
@@ -770,7 +900,7 @@ class ProfileTree:
 
     def aggregate_by_name(self, kind: Optional[FrameKind] = None,
                           metric: str = "gpu_time") -> Dict[str, float]:
-        return self.merged().aggregate_by_name(kind=kind, metric=metric)
+        return sums_by_name(self.name_rows(metric), kind=kind)
 
 
 # ---------------------------------------------------------------------------
@@ -794,16 +924,18 @@ class ShardedCallingContextTree(ProfileTree):
     itself (``thread.cct_shard``) so the per-event lookup is one attribute
     read.
 
-    Query side: the full single-tree read API (``root``, traversals, kind
-    indexes, ``aggregate_by_name``, serialization) is served by a merged tree
-    materialized on demand by unioning every shard with
-    :meth:`CallingContextTree.merge_from`.  The merged view is cached behind
-    the tuple of shard generation counters — the same invalidation scheme
-    ``approximate_size_bytes`` uses — so repeated queries between mutations
-    reuse one materialization, and node identities stay stable while no shard
-    changes.  Nodes returned by queries belong to the merged tree; re-fetch
-    them after mutations instead of caching across them (the same contract
-    ``CCTNode.inclusive`` documents for metric sets).
+    Query side: the structural read API (``root``, traversals, kind
+    indexes, serialization) is served by a merged tree materialized on
+    demand by unioning every shard with
+    :meth:`CallingContextTree.merge_from`; per-name queries fold the
+    shards' :meth:`name_rows` instead and never build it.  The merged view
+    is cached behind the tuple of shard generation counters — the same
+    invalidation scheme ``approximate_size_bytes`` uses — so repeated
+    queries between mutations reuse one materialization, and node
+    identities stay stable while no shard changes.  Nodes returned by
+    queries belong to the merged tree; re-fetch them after mutations
+    instead of caching across them (the same contract ``CCTNode.inclusive``
+    documents for metric sets).
 
     The single-tree mutator API (``insert``/``attribute``/...) remains
     available and routes to a default shard, making the unsharded profiler
@@ -1046,6 +1178,13 @@ class ShardedCallingContextTree(ProfileTree):
         round-trips (shard order is preserved by every format).
         """
         return sum(shard.total_metric(metric) for shard in self._shards.values())
+
+    def name_rows(self, metric: str) -> NameRows:
+        """Every shard's :meth:`CallingContextTree.name_rows`, folded in
+        shard order — the same fold a binary profile of this tree applies
+        to its per-shard rows, so live and reloaded rows agree bit for bit."""
+        return fold_name_rows(shard.name_rows(metric)
+                              for shard in self._shards.values())
 
     def approximate_size_bytes(self) -> int:
         """Footprint of every shard plus the merged view if materialized.

@@ -18,10 +18,10 @@ eager trees, decoding shards and metric columns only as queries touch them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Union
 
 from .cct import (SHARDED_TREE_FORMAT, CallingContextTree, ProfileTree,
-                  ShardedCallingContextTree)
+                  ShardedCallingContextTree, rank_kernels)
 from . import metrics as M
 
 #: Anything that serves the profile-tree read API: a plain tree, or a
@@ -84,7 +84,6 @@ class ProfileDatabase:
         self.metadata = metadata if metadata is not None else ProfileMetadata()
         self.dlmonitor_stats = dict(dlmonitor_stats or {})
         self.issues: List[Dict[str, object]] = []
-        self._top_kernels_cache: Optional[Tuple[Tuple, List[Dict[str, object]]]] = None
 
     # -- summaries ------------------------------------------------------------------
 
@@ -113,27 +112,11 @@ class ProfileDatabase:
     def top_kernels(self, k: int = 10) -> List[Dict[str, object]]:
         """The ``k`` most expensive kernels aggregated across all contexts.
 
-        Memoized behind the tree's generation counter (the same invalidation
-        scheme ``approximate_size_bytes`` uses): dashboards and reports call
-        this repeatedly between mutations.  On a lazy mmap-backed view this
-        decodes only the frame tables plus the GPU-time column — no merged
-        tree is materialized.
+        Ranked from the tree's per-name rows (``name_rows``), which every
+        tree memoizes for itself: on a lazy mmap-backed view that reads the
+        name indexes plus the GPU-time column, with no tree decoded.
         """
-        from ..dlmonitor.callpath import FrameKind
-
-        key = (getattr(self.tree, "generation", 0), k)
-        cached = self._top_kernels_cache
-        if cached is not None and cached[0] == key:
-            return [dict(row) for row in cached[1]]
-        totals = self.tree.aggregate_by_name(kind=FrameKind.GPU_KERNEL, metric=M.METRIC_GPU_TIME)
-        ranked = sorted(totals.items(), key=lambda item: -item[1])[:k]
-        total_gpu = self.total_gpu_time() or 1.0
-        rows = [
-            {"kernel": name, "gpu_time": value, "fraction": value / total_gpu}
-            for name, value in ranked
-        ]
-        self._top_kernels_cache = (key, rows)
-        return [dict(row) for row in rows]
+        return rank_kernels(self.tree, k, M.METRIC_GPU_TIME)
 
     def size_bytes(self) -> int:
         """Approximate in-memory footprint of the profile (for Figure 6c/d)."""

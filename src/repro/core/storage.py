@@ -9,9 +9,9 @@ instead of format branching inside ``ProfileDatabase``:
 * ``cct-binary-v1`` — an mmap-backed binary columnar format: each shard's
   frame table and each of its per-metric columns is an independent
   struct-packed block, addressed by a footer table of contents, so opening a
-  profile is one ``mmap`` plus a TOC read and queries decode only the
-  shards/columns they touch (see :class:`LazyProfileView` and
-  ``docs/FORMATS.md`` for the block layout).
+  profile is one ``mmap`` plus a TOC read and queries read only the blocks
+  they touch (see :class:`LazyProfileView` and ``docs/FORMATS.md`` for the
+  block layout).
 
 ``ProfileDatabase.save``/``load`` dispatch here; ``load`` sniffs the on-disk
 format (magic bytes, then a JSON probe) rather than assuming one, and new
@@ -46,8 +46,9 @@ from typing import (Callable, Dict, Iterable, List, Mapping, Optional, Tuple,
 
 from ..dlmonitor.callpath import Frame, FrameKind
 from ..obs import TELEMETRY
-from .cct import (DEFAULT_SHARD_ID, CallingContextTree, CCTNode, ProfileTree,
-                  ShardedCallingContextTree)
+from .cct import (ALL_KINDS, DEFAULT_SHARD_ID, KIND_CODES, CallingContextTree,
+                  CCTNode, NameRows, ProfileTree, ShardedCallingContextTree,
+                  accumulate_name_state, fold_name_rows, sums_by_name)
 from .database import ProfileDatabase, ProfileMetadata
 
 # Canonical backend names (``FORMAT_*`` on ProfileDatabase alias these).
@@ -101,12 +102,7 @@ def check_compression(compression: Optional[str]) -> Optional[str]:
     return compression
 
 
-#: Stable on-disk codes for frame kinds (append-only across versions).
-KIND_CODES: Dict[FrameKind, int] = {
-    FrameKind.ROOT: 0, FrameKind.THREAD: 1, FrameKind.PYTHON: 2,
-    FrameKind.FRAMEWORK: 3, FrameKind.NATIVE: 4, FrameKind.GPU_API: 5,
-    FrameKind.GPU_KERNEL: 6, FrameKind.GPU_INSTRUCTION: 7,
-}
+#: Frame kinds by their on-disk code (:data:`~repro.core.cct.KIND_CODES`).
 KINDS_BY_CODE: Dict[int, FrameKind] = {code: kind for kind, code in KIND_CODES.items()}
 
 _LITTLE_ENDIAN = sys.byteorder == "little"
@@ -534,53 +530,22 @@ def _decode_column_block(buffer) -> Tuple[array.array, ...]:
 
 
 def _column_sums(buffer) -> float:
-    """Total of one column's ``sum`` array without decoding the rest."""
+    """Total of one column's ``sum`` array without decoding the rest.
+
+    Added left to right in node order — the recurrence of
+    ``CallingContextTree.total_metric`` — not with the builtin ``sum``,
+    which compensates float rounding since Python 3.12 and would make a
+    reloaded total differ from the live one in the last bits.
+    """
     (entry_count,) = _COLUMN_HEADER.unpack_from(bytes(buffer[:_COLUMN_HEADER.size]), 0)
     offset = _COLUMN_HEADER.size
     offset += 4 * entry_count   # node indexes (u32)
     offset += 8 * entry_count   # counts (u64)
     sums, _end = _read_array("d", buffer, offset, entry_count)
-    return float(sum(sums))
-
-
-#: ``kind_code`` key of the all-kinds rows in per-name state aggregations.
-#: An unfiltered ``aggregate_by_name`` interleaves every kind's nodes in
-#: node order, so its sums cannot be reconstructed from per-kind subtotals
-#: (float addition is not associative) — the all-kinds rollup is accumulated
-#: as its own first-class row instead of derived.
-ALL_KINDS = -1
-
-
-def accumulate_name_state(totals: Dict, key,
-                          count: int, total: float, minimum: float,
-                          maximum: float, mean: float, m2: float) -> None:
-    """Fold one Welford state tuple into ``totals[key]``.
-
-    The one fold behind every per-name summary row: per shard, across
-    shards (:meth:`LazyProfileView.column_name_states`) and across runs
-    (``FleetAggregator.name_states``).  The statistical fields merge with
-    the exact operation sequence of ``MetricAggregate.merge``
-    (parallel/Chan Welford), but the ``sum`` field follows the tree path's
-    ``aggregate_by_name`` recurrence — ``totals.get(name, 0.0) + value`` —
-    so a row's sum is bit for bit that rollup's value, even for the
-    ``0.0 + (-0.0)`` corner a copy-on-first-merge would get wrong.
-    Callers only feed states with ``count > 0`` (stored column entries are
-    filtered at write time), so the zero-count branches of the aggregate
-    merge never arise here.
-    """
-    previous = totals.get(key)
-    if previous is None:
-        totals[key] = (count, 0.0 + total, minimum, maximum, mean, m2)
-        return
-    p_count, p_sum, p_min, p_max, p_mean, p_m2 = previous
-    combined = p_count + count
-    delta = mean - p_mean
-    merged_m2 = p_m2 + m2 + delta * delta * p_count * count / combined
-    merged_mean = (p_mean * p_count + mean * count) / combined
-    totals[key] = (combined, p_sum + total,
-                   minimum if minimum < p_min else p_min,
-                   maximum if maximum > p_max else p_max,
-                   merged_mean, merged_m2)
+    total = 0.0
+    for value in sums:
+        total += value
+    return total
 
 
 class _LazyShard:
@@ -645,48 +610,38 @@ class _LazyShard:
                 self._tree.insertions = int(self.entry.get("insertions", 0))
         return self._tree
 
-    def ensure_column(self, metric: str) -> None:
-        """Decode one metric column into the shard's nodes, once."""
-        descriptor = self.entry["columns"].get(metric)
-        if descriptor is None or metric in self.loaded_columns:
-            return
-        with TELEMETRY.span("storage.decode.column", shard=self.shard_id,
-                            metric=metric):
-            tree = self.tree()
-            columns = _decode_column_block(
-                self._block(descriptor, self._column_label(metric)))
-            tree.install_exclusive_column(self._nodes, metric, *columns)
-            self.loaded_columns.add(metric)
-
     def full_tree(self) -> CallingContextTree:
-        for metric in self.entry["columns"]:
-            self.ensure_column(metric)
+        """The shard's tree with every metric column decoded into it, once
+        per column (hydration is the only reader that builds trees)."""
+        for metric, descriptor in self.entry["columns"].items():
+            if metric in self.loaded_columns:
+                continue
+            with TELEMETRY.span("storage.decode.column", shard=self.shard_id,
+                                metric=metric):
+                tree = self.tree()
+                columns = _decode_column_block(
+                    self._block(descriptor, self._column_label(metric)))
+                tree.install_exclusive_column(self._nodes, metric, *columns)
+                self.loaded_columns.add(metric)
         return self.tree()
 
     def column_sum_total(self, metric: str) -> float:
         descriptor = self.entry["columns"].get(metric)
         if descriptor is None:
             return 0.0
-        if metric in self.loaded_columns:
-            return self.tree().total_metric(metric)
         return _column_sums(self._block(descriptor, self._column_label(metric)))
 
-    def aggregate_by_name(self, kind: Optional[FrameKind],
-                          metric: str) -> Dict[str, float]:
-        self.ensure_column(metric)
-        return self.tree().aggregate_by_name(kind=kind, metric=metric)
-
-    def name_states_columns(self, metric: str) -> Dict[Tuple[int, str], Tuple]:
+    def name_states_columns(self, metric: str) -> NameRows:
         """Per-name Welford states straight from the raw blocks.
 
         Returns ``{(kind_code, name): (count, sum, min, max, mean, m2)}``
         with one row per ``(kind, name)`` pair observed in this shard *plus*
         an :data:`ALL_KINDS` row per name (the unfiltered rollup, which is
         not derivable from the per-kind rows — see :data:`ALL_KINDS`).  One
-        walk of the column in node-index order — the registration order the
-        tree path's ``aggregate_by_name`` sums in — feeds both key families,
-        so every row's ``sum`` matches that path's filtered rollup bit for
-        bit.  Only names and kind codes are decoded from the frames block
+        walk of the column in node-index order — the registration order
+        ``CallingContextTree.name_rows`` walks — feeds both key families,
+        so the rows are bit for bit the decoded shard tree's rows.  Only
+        names and kind codes are decoded from the frames block
         (no ``Frame`` or node objects), and it always reads the sealed
         blocks (never a warm decoded tree), so every summary sees the same
         bytes the durability checks verified.
@@ -705,7 +660,7 @@ class _LazyShard:
              m2s) = _decode_column_block(
                 self._block(descriptor, self._column_label(metric)))
             name_of: Dict[int, str] = {}
-            totals: Dict[Tuple[int, str], Tuple] = {}
+            totals: NameRows = {}
             for position, node_index in enumerate(node_indexes):
                 frame = frame_indexes[node_index]
                 name = name_of.get(frame)
@@ -733,22 +688,26 @@ class LazyProfileView(ProfileTree):
     """Query-facing view of an mmap-backed ``cct-binary-v1`` profile.
 
     Opening a profile maps the file and reads the footer TOC; nothing else is
-    decoded.  Queries then materialize the minimum they need:
+    decoded.  Queries then read the minimum they need:
 
     * ``total_metric`` sums a metric's column blocks directly — no frame
       tables are decoded at all;
-    * ``aggregate_by_name`` (and the per-shard ``shard_aggregate_by_name``)
-      decode only the touched shards' frame tables plus the one requested
-      metric column per shard — per-shard results combine by name, so no
-      merged tree is built;
+    * per-name queries (``aggregate_by_name``, ``top_kernels``) read
+      :meth:`name_rows`: each shard's name index (the names and kind codes
+      of its frame table) plus the one requested metric column, folded in
+      shard order — no ``Frame``, node or tree is built.
+      ``shard_aggregate_by_name`` reads one shard's rows;
     * everything structural (``root``, traversals, kind indexes, ``find``)
       hydrates the full tree on first use — :meth:`hydrate` — after which the
-      view behaves exactly like the eager tree it decodes into.
+      view behaves exactly like the eager tree it decodes into, and per-name
+      queries read the hydrated tree's rows (bit for bit the same).
 
-    The structural accessors come from :class:`~repro.core.cct.ProfileTree`,
-    served by the hydrated tree, so the query layer, the GUI exporters and
-    the experiment harness work unchanged against any tree.  Lazy views are
-    read-only: mutate the tree returned by :meth:`hydrate` instead.
+    The structural and per-name accessors come from
+    :class:`~repro.core.cct.ProfileTree`, so the query layer, the GUI
+    exporters and the experiment harness work unchanged against any tree.
+    Lazy views are read-only: their memos change only when :meth:`refresh`
+    moves to a new seal.  Mutate the tree returned by :meth:`hydrate`
+    instead.
     """
 
     is_merged_view = False
@@ -789,8 +748,9 @@ class LazyProfileView(ProfileTree):
             self._shards[shard.shard_id] = shard
         self._hydrated: Optional[Union[CallingContextTree,
                                        ShardedCallingContextTree]] = None
-        self._aggregate_cache: Dict[Tuple, Tuple[Tuple, Dict[str, float]]] = {}
-        self._total_cache: Dict[str, Tuple[Tuple, float]] = {}
+        #: Per-metric ``total_metric`` / ``name_rows`` of the blocks.
+        self._total_cache: Dict[str, float] = {}
+        self._rows_cache: Dict[str, NameRows] = {}
         #: Offsets whose blocks already passed CRC verification.  Reset on
         #: every (re)adoption: a refresh/compaction maps a new byte range, so
         #: previously verified offsets say nothing about the new file.
@@ -970,12 +930,14 @@ class LazyProfileView(ProfileTree):
         return self._hydrated is not None
 
     def decoded_shard_ids(self) -> set:
-        """Shards whose frame tables have been decoded."""
+        """Shards whose frame tables have been decoded into trees (only
+        hydration does; totals and per-name reads build none)."""
         return {tid for tid, shard in self._shards.items()
                 if shard.structure_decoded}
 
     def decoded_columns(self) -> set:
-        """``(shard id, metric)`` pairs whose columns have been decoded."""
+        """``(shard id, metric)`` pairs whose columns have been decoded
+        into trees (again only by hydration)."""
         return {(tid, metric) for tid, shard in self._shards.items()
                 for metric in shard.loaded_columns}
 
@@ -1018,89 +980,56 @@ class LazyProfileView(ProfileTree):
     # -- lazy query fast paths -----------------------------------------------------------
 
     def total_metric(self, metric: str) -> float:
-        """Whole-profile metric total from the column blocks alone.
-
-        Memoized behind the decoded shards' generation signature (the same
-        key ``aggregate_by_name`` uses), so mutations made through a
-        ``shard_tree()`` handle invalidate totals and aggregations alike.
-        """
+        """Whole-profile metric total from the column blocks alone
+        (memoized per metric; the hydrated tree's once hydrated)."""
         if self._hydrated is not None:
             return self._hydrated.total_metric(metric)
-        signature = self._generation_signature()
-        cached = self._total_cache.get(metric)
-        if cached is not None and cached[0] == signature:
-            return cached[1]
-        total = sum(shard.column_sum_total(metric)
-                    for shard in self._shards.values())
-        self._total_cache[metric] = (signature, total)
+        total = self._total_cache.get(metric)
+        if total is None:
+            total = self._total_cache[metric] = sum(
+                shard.column_sum_total(metric)
+                for shard in self._shards.values())
         return total
 
-    def _generation_signature(self) -> Tuple:
-        return tuple(shard._tree._generation if shard._tree is not None else -1
-                     for shard in self._shards.values())
+    def name_rows(self, metric: str) -> NameRows:
+        """Per-name rows (see :data:`~repro.core.cct.NameRows`).
 
-    def aggregate_by_name(self, kind: Optional[FrameKind] = None,
-                          metric: str = "gpu_time") -> Dict[str, float]:
-        """Cross-shard bottom-up aggregation without building a merged tree.
-
-        Per-shard aggregations (frame table + one metric column each) sum by
-        name into the same rows a merged tree would produce: a merged node's
-        aggregate is the Welford merge of its per-shard contributions, and
-        sums are additive.
+        Before hydration these are :meth:`column_name_states`, memoized per
+        metric; afterwards the hydrated tree's rows, which fold the same
+        states in the same order.
         """
         if self._hydrated is not None:
-            return self._hydrated.aggregate_by_name(kind=kind, metric=metric)
-        key = (kind, metric)
-        cached = self._aggregate_cache.get(key)
-        signature = self._generation_signature()
-        if cached is not None and cached[0] == signature:
-            return dict(cached[1])
-        totals: Dict[str, float] = {}
-        for shard in self._shards.values():
-            for name, value in shard.aggregate_by_name(kind, metric).items():
-                totals[name] = totals.get(name, 0.0) + value
-        self._aggregate_cache[key] = (self._generation_signature(), totals)
-        return dict(totals)
+            return self._hydrated.name_rows(metric)
+        rows = self._rows_cache.get(metric)
+        if rows is None:
+            rows = self._rows_cache[metric] = self.column_name_states(metric)
+        return rows
 
-    def column_name_states(self, metric: str) -> Dict[Tuple[int, str], Tuple]:
+    def column_name_states(self, metric: str) -> NameRows:
         """Whole-profile per-name Welford states from the raw blocks.
 
         Returns ``{(kind_code, name): (count, sum, min, max, mean, m2)}``:
         per-shard :meth:`_LazyShard.name_states_columns` results folded in
-        shard order with :func:`accumulate_name_state`, the cross-shard
-        recurrence :meth:`aggregate_by_name` uses — for any kind code
-        (including :data:`ALL_KINDS`), projecting the ``sum`` fields gives
-        that method's rows bit for bit, without decoding any structure.
-        These are the rows a fleet summary stores per run
-        (``RunSummary.from_view``).  Not memoized (summaries are built once
-        and cached at their own layer) and deliberately independent of
-        decode caches: it reads the sealed bytes even when a hydrated tree
-        is warm.
+        shard order with :func:`~repro.core.cct.fold_name_rows`, the fold a
+        sharded tree applies to its shards' rows.  These are the rows a
+        fleet summary stores per run (``RunSummary.from_view``).  Not
+        memoized (summaries are built once and cached at their own layer)
+        and deliberately independent of the hydrated tree: it reads the
+        sealed bytes even when one is warm.
         """
-        totals: Dict[Tuple[int, str], Tuple] = {}
-        for shard in self._shards.values():
-            for key, state in shard.name_states_columns(metric).items():
-                accumulate_name_state(totals, key, *state)
-        return totals
+        return fold_name_rows(shard.name_states_columns(metric)
+                              for shard in self._shards.values())
 
     def shard_aggregate_by_name(self, shard_id: int,
                                 kind: Optional[FrameKind] = None,
                                 metric: str = "gpu_time") -> Dict[str, float]:
-        """Single-shard aggregation: decodes only that shard's frame table
-        and the one requested metric column."""
+        """Single-shard aggregation from that shard's rows alone (its name
+        index plus the one requested metric column)."""
         shard = self._shards.get(shard_id)
         if shard is None:
             raise KeyError(f"profile has no shard {shard_id!r}; "
                            f"available: {sorted(self._shards)}")
-        return shard.aggregate_by_name(kind, metric)
-
-    def shard_tree(self, shard_id: int) -> CallingContextTree:
-        """One shard fully decoded (structure plus every metric column)."""
-        shard = self._shards.get(shard_id)
-        if shard is None:
-            raise KeyError(f"profile has no shard {shard_id!r}; "
-                           f"available: {sorted(self._shards)}")
-        return shard.full_tree()
+        return sums_by_name(shard.name_states_columns(metric), kind=kind)
 
     # -- full materialization ---------------------------------------------------------
 

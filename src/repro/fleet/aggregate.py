@@ -3,10 +3,12 @@
 A :class:`FleetAggregator` answers "across these N runs, where does the time
 go?" in two gears:
 
-* **summary rows** — ``total_metric``, ``aggregate_by_name``,
-  ``top_kernels``, ``per_run_totals`` and ``name_states`` are pure dict
-  arithmetic over each run's :class:`~repro.fleet.index.RunSummary`
-  (per-metric totals plus per-name Welford states).  A run carrying a valid
+* **summary rows** — ``total_metric`` and ``per_run_totals`` add each
+  run's :class:`~repro.fleet.index.RunSummary` totals; every per-name query
+  is one projection of the runs' per-name Welford rows folded in run
+  order — ``aggregate_by_name`` their sums, ``name_states`` their states,
+  ``top_kernels`` the ranking ``ProfileDatabase.top_kernels`` applies to
+  one profile (see ``repro.core.cct``).  A run carrying a valid
   fleet-index summary (see ``repro.fleet.index``) is served from it and *no
   profile is opened at all*.  Every other run — no valid stored summary,
   ``use_index=False``, or a view handed to the constructor — builds the
@@ -37,9 +39,9 @@ from functools import partial
 from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Tuple
 
 from ..core import metrics as M
-from ..core.cct import CallingContextTree, ShardedCallingContextTree
-from ..core.storage import (ALL_KINDS, KIND_CODES, LazyProfileView,
-                            ProfileFormatError, accumulate_name_state)
+from ..core.cct import (CallingContextTree, ShardedCallingContextTree,
+                        rank_kernels, states_by_name, sums_by_name)
+from ..core.storage import LazyProfileView, ProfileFormatError
 from ..dlmonitor.callpath import FrameKind
 from ..obs import TELEMETRY
 from .index import RunSummary
@@ -454,7 +456,7 @@ class FleetAggregator:
 
     def _current_fingerprint(self) -> tuple:
         return tuple(
-            (run_id, source.view.seal_end, source.view._generation_signature())
+            (run_id, source.view.seal_end, source.view.generation)
             if source.view is not None
             else (run_id, "index", source.summary.digest)
             for run_id, source in self._sources.items())
@@ -465,11 +467,12 @@ class FleetAggregator:
         Store-backed views are immutable files, so this never fires for
         them; but an aggregator may also hold live-attached views
         (``LazyProfileView.attach`` + ``refresh``) or views whose hydrated
-        trees were mutated — their seal position / generation signatures are
-        the same invalidation keys the views use for their own caches.
+        trees were mutated — a view's seal position and ``generation`` (0
+        until hydrated, then the hydrated tree's counter) say when.
         Queries re-stamp the fingerprint *after* computing (``_stamp``), so
-        the decoding a query itself performs — which bumps shard
-        generations without changing any result — does not self-invalidate.
+        the hydration ``merged_tree`` itself performs — which moves a
+        view's generation without changing any result — does not
+        self-invalidate.
         """
         if self._current_fingerprint() != self._fingerprint:
             self._per_run_cache.clear()
@@ -513,22 +516,13 @@ class FleetAggregator:
 
     def aggregate_by_name(self, kind: Optional[FrameKind] = None,
                           metric: str = M.METRIC_GPU_TIME) -> Dict[str, float]:
-        """Fleet-wide bottom-up rollup: per-run rows summed by name.
-
-        Each run contributes the ``sum`` fields of its summary rows for the
-        kind (:data:`ALL_KINDS` rows when ``kind`` is None), added name-wise
-        in run order.  For one run that is bit for bit the tree path's
-        ``aggregate_by_name`` (see :func:`accumulate_name_state`).
-        """
+        """Fleet-wide bottom-up rollup: the sums of the runs' rows for the
+        kind (:data:`~repro.core.cct.ALL_KINDS` rows when None), folded in
+        run order.  For one run that is bit for bit the profile's own
+        ``aggregate_by_name``."""
         with TELEMETRY.span("fleet.query.aggregate_by_name", metric=metric,
                             kind=kind.name if kind is not None else ""):
-            wanted = KIND_CODES[kind] if kind is not None else ALL_KINDS
-            totals: Dict[str, float] = {}
-            for states in self._rows(metric):
-                for (kind_code, name), state in states.items():
-                    if kind_code == wanted:
-                        totals[name] = totals.get(name, 0.0) + state[1]
-            return totals
+            return sums_by_name(*self._rows(metric), kind=kind)
 
     def name_states(self, kind: Optional[FrameKind] = None,
                     metric: str = M.METRIC_GPU_TIME) -> Dict[str, Tuple]:
@@ -541,30 +535,18 @@ class FleetAggregator:
         """
         with TELEMETRY.span("fleet.query.name_states", metric=metric,
                             kind=kind.name if kind is not None else ""):
-            wanted = KIND_CODES[kind] if kind is not None else ALL_KINDS
-            totals: Dict[str, Tuple] = {}
-            for states in self._rows(metric):
-                for (kind_code, name), state in states.items():
-                    if kind_code == wanted:
-                        accumulate_name_state(totals, name, *state)
-            return totals
+            return states_by_name(*self._rows(metric), kind=kind)
 
     def top_kernels(self, k: int = 10,
                     metric: str = M.METRIC_GPU_TIME) -> List[Dict[str, object]]:
         """The fleet's ``k`` most expensive kernels (no tree is ever built).
 
-        Mirrors ``ProfileDatabase.top_kernels`` — name, total, fraction of
-        the fleet-wide total — but aggregated across every run; over a fully
+        Ranked like ``ProfileDatabase.top_kernels`` — name, total, fraction
+        of the fleet-wide total — from the fleet's rows; over a fully
         indexed store this reads index rows only.
         """
         with TELEMETRY.span("fleet.query.top_kernels", k=k, metric=metric):
-            totals = self.aggregate_by_name(kind=FrameKind.GPU_KERNEL,
-                                            metric=metric)
-            ranked = sorted(totals.items(), key=lambda item: -item[1])[:k]
-            fleet_total = self.total_metric(metric) or 1.0
-            return [{"kernel": name, metric: value,
-                     "fraction": value / fleet_total}
-                    for name, value in ranked]
+            return rank_kernels(self, k, metric)
 
     # -- the fleet CCT ------------------------------------------------------------------
 

@@ -40,7 +40,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: show more evidence than "always was X, now always is Y".
 Z_CAP = 1e6
 
-#: Cap on the significance multiplier inside :attr:`ContextDelta.score`.
+#: Cap on the significance multiplier inside :attr:`NameDelta.score`.
 #: Evidence scales a delta's rank by at most one order of magnitude
 #: (multiplier in [1, 10]), so a statistically unambiguous but negligible
 #: change can never outrank a regression 10x its size.
@@ -50,31 +50,6 @@ STATUS_UNCHANGED = "unchanged"
 STATUS_CHANGED = "changed"
 STATUS_NEW = "new"
 STATUS_VANISHED = "vanished"
-
-
-def _welch_z(status: str, delta_mean: float,
-             baseline_count: int, baseline_variance: float,
-             candidate_count: int, candidate_variance: float) -> float:
-    """Signed Welch z-statistic shared by context- and name-level deltas.
-
-    Zero when nothing moved; ±:data:`Z_CAP` for deterministic changes —
-    both sides variance-free but different, or a context/name that exists
-    on one side only.
-    """
-    if status == STATUS_NEW:
-        return Z_CAP
-    if status == STATUS_VANISHED:
-        return -Z_CAP
-    if delta_mean == 0.0:
-        return 0.0
-    pooled = 0.0
-    if baseline_count:
-        pooled += baseline_variance / baseline_count
-    if candidate_count:
-        pooled += candidate_variance / candidate_count
-    if pooled <= 0.0:
-        return Z_CAP if delta_mean > 0 else -Z_CAP
-    return max(-Z_CAP, min(Z_CAP, delta_mean / math.sqrt(pooled)))
 
 
 def resolve_tree(source) -> CallingContextTree:
@@ -125,13 +100,16 @@ def _index_by_path(tree: CallingContextTree) -> Dict[Tuple, CCTNode]:
 
 
 @dataclass
-class ContextDelta:
-    """How one calling context's metric moved between baseline and candidate."""
+class NameDelta:
+    """How one frame name's metric moved between baseline and candidate.
 
-    #: Human-readable frame labels from just below the root to this context.
-    path: Tuple[str, ...]
+    Full Welford state on both sides, so a delta carries a Welch z-score of
+    the per-observation means, not just a difference of sums.
+    :func:`name_drift` builds these from fleet rows (per-name rollups, no
+    trees); :class:`ContextDelta` adds the calling context.
+    """
+
     name: str
-    kind: str
     metric: str
     status: str
     baseline_count: int = 0
@@ -142,9 +120,6 @@ class ContextDelta:
     candidate_sum: float = 0.0
     candidate_mean: float = 0.0
     candidate_variance: float = 0.0
-    #: The candidate tree's node (None for vanished contexts) — what the
-    #: regression analysis attaches its Issues to.
-    node: Optional[CCTNode] = None
 
     @property
     def delta_sum(self) -> float:
@@ -159,12 +134,24 @@ class ContextDelta:
         """Welch z-statistic of the per-observation means (signed).
 
         Zero when nothing moved; ±:data:`Z_CAP` for deterministic changes —
-        both sides variance-free but different, or a context that exists on
-        one side only.
+        both sides variance-free but different, or a context/name that
+        exists on one side only.
         """
-        return _welch_z(self.status, self.delta_mean,
-                        self.baseline_count, self.baseline_variance,
-                        self.candidate_count, self.candidate_variance)
+        if self.status == STATUS_NEW:
+            return Z_CAP
+        if self.status == STATUS_VANISHED:
+            return -Z_CAP
+        delta_mean = self.delta_mean
+        if delta_mean == 0.0:
+            return 0.0
+        pooled = 0.0
+        if self.baseline_count:
+            pooled += self.baseline_variance / self.baseline_count
+        if self.candidate_count:
+            pooled += self.candidate_variance / self.candidate_count
+        if pooled <= 0.0:
+            return Z_CAP if delta_mean > 0 else -Z_CAP
+        return max(-Z_CAP, min(Z_CAP, delta_mean / math.sqrt(pooled)))
 
     @property
     def significance(self) -> float:
@@ -186,14 +173,13 @@ class ContextDelta:
 
     def as_dict(self) -> Dict[str, object]:
         return {
-            "path": list(self.path),
             "name": self.name,
-            "kind": self.kind,
             "metric": self.metric,
             "status": self.status,
-            "baseline": {"count": self.baseline_count, "sum": self.baseline_sum,
-                         "mean": self.baseline_mean},
-            "candidate": {"count": self.candidate_count, "sum": self.candidate_sum,
+            "baseline": {"count": self.baseline_count,
+                         "sum": self.baseline_sum, "mean": self.baseline_mean},
+            "candidate": {"count": self.candidate_count,
+                          "sum": self.candidate_sum,
                           "mean": self.candidate_mean},
             "delta_sum": self.delta_sum,
             "delta_mean": self.delta_mean,
@@ -203,6 +189,25 @@ class ContextDelta:
     def __str__(self) -> str:
         return (f"[{self.status}] {self.name}: {self.baseline_sum:.6g} → "
                 f"{self.candidate_sum:.6g} ({self.delta_sum:+.6g} {self.metric})")
+
+
+@dataclass
+class ContextDelta(NameDelta):
+    """How one calling context's metric moved: a :class:`NameDelta` plus
+    where in the tree it happened."""
+
+    #: Human-readable frame labels from just below the root to this context.
+    path: Tuple[str, ...] = ()
+    #: The context's frame kind (``FrameKind`` value).
+    kind: str = ""
+    #: The candidate tree's node (None for vanished contexts) — what the
+    #: regression analysis attaches its Issues to.
+    node: Optional[CCTNode] = None
+
+    def as_dict(self) -> Dict[str, object]:
+        data = super().as_dict()
+        return {"path": list(self.path), "name": data.pop("name"),
+                "kind": self.kind, **data}
 
 
 class DifferentialProfile:
@@ -334,14 +339,10 @@ class DifferentialProfile:
 
     # -- name-level (bottom-up) views ---------------------------------------------------------
 
-    def _name_totals(self, tree: CallingContextTree,
-                     kind: Optional[FrameKind]) -> Dict[str, float]:
-        return tree.aggregate_by_name(kind=kind, metric=self.metric)
-
     def kernel_deltas(self, kind: Optional[FrameKind] = FrameKind.GPU_KERNEL) -> List[Dict[str, object]]:
         """Name-level rollup: per kernel (or any kind), summed over contexts."""
-        base = self._name_totals(self.baseline_tree, kind)
-        cand = self._name_totals(self.candidate_tree, kind)
+        base = self.baseline_tree.aggregate_by_name(kind=kind, metric=self.metric)
+        cand = self.candidate_tree.aggregate_by_name(kind=kind, metric=self.metric)
         rows: List[Dict[str, object]] = []
         for name in dict.fromkeys((*base, *cand)):
             before, after = base.get(name), cand.get(name)
@@ -357,14 +358,18 @@ class DifferentialProfile:
 
     @property
     def new_kernels(self) -> List[str]:
-        base = self._name_totals(self.baseline_tree, FrameKind.GPU_KERNEL)
-        cand = self._name_totals(self.candidate_tree, FrameKind.GPU_KERNEL)
+        base = self.baseline_tree.aggregate_by_name(metric=self.metric,
+                                                    kind=FrameKind.GPU_KERNEL)
+        cand = self.candidate_tree.aggregate_by_name(metric=self.metric,
+                                                     kind=FrameKind.GPU_KERNEL)
         return [name for name in cand if name not in base]
 
     @property
     def vanished_kernels(self) -> List[str]:
-        base = self._name_totals(self.baseline_tree, FrameKind.GPU_KERNEL)
-        cand = self._name_totals(self.candidate_tree, FrameKind.GPU_KERNEL)
+        base = self.baseline_tree.aggregate_by_name(metric=self.metric,
+                                                    kind=FrameKind.GPU_KERNEL)
+        cand = self.candidate_tree.aggregate_by_name(metric=self.metric,
+                                                     kind=FrameKind.GPU_KERNEL)
         return [name for name in base if name not in cand]
 
     # -- whole-profile summaries ------------------------------------------------------------
@@ -424,72 +429,6 @@ class DifferentialProfile:
 
 
 # -- name-level population drift (index-served) --------------------------------------
-
-
-@dataclass
-class NameDelta:
-    """How one frame name's metric moved between two run populations.
-
-    The name-level analogue of :class:`ContextDelta`: full Welford state on
-    both sides, so the delta carries a Welch z-score — but computed from
-    per-name rollups rather than aligned contexts, which is what lets
-    :func:`name_drift` answer from fleet-index rows without building trees.
-    """
-
-    name: str
-    metric: str
-    status: str
-    baseline_count: int = 0
-    baseline_sum: float = 0.0
-    baseline_mean: float = 0.0
-    baseline_variance: float = 0.0
-    candidate_count: int = 0
-    candidate_sum: float = 0.0
-    candidate_mean: float = 0.0
-    candidate_variance: float = 0.0
-
-    @property
-    def delta_sum(self) -> float:
-        return self.candidate_sum - self.baseline_sum
-
-    @property
-    def delta_mean(self) -> float:
-        return self.candidate_mean - self.baseline_mean
-
-    @property
-    def z_score(self) -> float:
-        return _welch_z(self.status, self.delta_mean,
-                        self.baseline_count, self.baseline_variance,
-                        self.candidate_count, self.candidate_variance)
-
-    @property
-    def significance(self) -> float:
-        return abs(self.z_score)
-
-    @property
-    def score(self) -> float:
-        """Same ranking rule as :attr:`ContextDelta.score` (signed)."""
-        return self.delta_sum * (
-            1.0 + min(self.significance, SCORE_SIGNIFICANCE_CAP))
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "name": self.name,
-            "metric": self.metric,
-            "status": self.status,
-            "baseline": {"count": self.baseline_count,
-                         "sum": self.baseline_sum, "mean": self.baseline_mean},
-            "candidate": {"count": self.candidate_count,
-                          "sum": self.candidate_sum,
-                          "mean": self.candidate_mean},
-            "delta_sum": self.delta_sum,
-            "delta_mean": self.delta_mean,
-            "z_score": self.z_score,
-        }
-
-    def __str__(self) -> str:
-        return (f"[{self.status}] {self.name}: {self.baseline_sum:.6g} → "
-                f"{self.candidate_sum:.6g} ({self.delta_sum:+.6g} {self.metric})")
 
 
 def name_drift(baseline: "FleetAggregator", candidate: "FleetAggregator",

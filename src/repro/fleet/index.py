@@ -10,16 +10,18 @@ summary once, at ingest, and persists it:
   display name the store has seen, so per-run summaries store integer ids
   instead of repeating strings;
 * a **per-run columnar summary** (``index/runs/<run_id>.json``): for each
-  metric, rows of ``(name_id, kind_code, count, sum, min, max, mean, m2)``
-  — the per-name Welford states ``LazyProfileView.column_name_states``
-  computes from the sealed blocks, including the :data:`ALL_KINDS` rollup
-  rows an unfiltered ``aggregate_by_name`` needs.
+  metric, the run's name rows (``repro.core.cct.NameRows``) as
+  ``(name_id, kind_code, count, sum, min, max, mean, m2)`` — what
+  ``LazyProfileView.column_name_states`` reads from the sealed blocks,
+  including the ``ALL_KINDS`` rows an unfiltered ``aggregate_by_name``
+  needs.
 
-``FleetAggregator`` answers indexed runs from these rows alone, in pure dict
-arithmetic, without opening a single profile.  A run without a valid stored
-summary builds the identical one from its bytes (:meth:`RunSummary.from_view`,
-the one function ingest, ``reindex`` and the aggregator all build through),
-so indexed and rebuilt answers are bit-for-bit equal.
+``FleetAggregator`` projects every per-name answer from these rows,
+folded in run order, without opening a single profile.  A run
+without a valid stored summary builds the identical one from its bytes
+(:meth:`RunSummary.from_view`, the one function ingest, ``reindex`` and the
+aggregator all build through), so indexed and rebuilt answers are
+bit-for-bit equal.
 
 Lifecycle contract:
 
@@ -77,7 +79,7 @@ class RunSummary:
     #: carries — ``LazyProfileView.total_metric`` at ingest).
     totals: Dict[str, float] = field(default_factory=dict)
     #: ``metric → {(kind_code, name): (count, sum, min, max, mean, m2)}``
-    #: including the ``ALL_KINDS`` rows (see ``repro.core.storage``).
+    #: including the ``ALL_KINDS`` rows (see ``repro.core.cct``).
     states: Dict[str, Dict[Tuple[int, str], Tuple]] = field(default_factory=dict)
 
     @classmethod

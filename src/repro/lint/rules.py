@@ -298,7 +298,7 @@ class DurableWriteRule(Rule):
 class GenerationCounterRule(Rule):
     """Mutators of generation-cached state bump the counter they key.
 
-    ``aggregate_by_name``/``total_metric``/``approximate_size_bytes`` (and
+    ``name_rows``/``total_metric``/``approximate_size_bytes`` (and
     every cache layered above them) validate against ``self._generation``;
     a mutation path that touches exclusive metrics, the dirty set or the
     node registry without bumping serves stale query results silently.

@@ -12,7 +12,7 @@ those seams report through: a process-wide :class:`Telemetry` registry of
 * **histograms** — fixed log2-scale buckets anchored at
   :data:`BUCKET_BASE` seconds plus a Welford ``(count, sum, min, max,
   mean, m2)`` state folded with the exact operation sequence of
-  ``repro.core.storage.accumulate_name_state`` (singleton merges), so
+  ``repro.core.cct.accumulate_name_state`` (singleton merges), so
   snapshot statistics compose the same way profile metrics do;
 * **spans** — ``with telemetry.span("fleet.query.top_kernels", ...)``
   records a ``(name, tid, start, duration, span_id, parent_id, args)``
@@ -82,10 +82,10 @@ class Histogram:
 
     ``observe`` folds each value as a singleton ``(1, v, v, v, v, 0.0)``
     state using the same operation sequence as
-    ``repro.core.storage.accumulate_name_state`` (implemented inline —
-    this module must not import the storage layer it instruments), so
-    ``mean``/``m2`` here and profile metric states agree bit for bit
-    when fed the same stream.
+    ``repro.core.cct.accumulate_name_state``, the fold behind every
+    per-name rollup (implemented inline — this module must not import the
+    core layers it instruments), so ``mean``/``m2`` here and profile
+    metric states agree bit for bit when fed the same stream.
     """
 
     __slots__ = ("count", "total", "minimum", "maximum", "mean", "m2",

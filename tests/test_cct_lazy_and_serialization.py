@@ -229,17 +229,23 @@ class TestIncrementalMaterialization:
 class TestQueryLayerCaching:
     def test_aggregate_by_name_memoized_behind_generation(self):
         tree = _random_tree(contexts=8, observations=100)
+        rows = tree.name_rows(M.METRIC_GPU_TIME)
         first = tree.aggregate_by_name(kind=FrameKind.GPU_KERNEL,
                                        metric=M.METRIC_GPU_TIME)
-        cached = tree._aggregate_cache[(FrameKind.GPU_KERNEL, M.METRIC_GPU_TIME)]
-        assert cached[0] == tree.generation
+        tree.aggregate_by_name(metric=M.METRIC_GPU_TIME)
+        # One rows walk per metric serves every kind between mutations.
+        assert tree.name_rows(M.METRIC_GPU_TIME) is rows
         again = tree.aggregate_by_name(kind=FrameKind.GPU_KERNEL,
                                        metric=M.METRIC_GPU_TIME)
-        assert again == first
-        # Callers get copies: mutating a result must not poison the cache.
+        assert again == first and again is not first
+        # Callers get fresh dicts: mutating a result must not poison the memo.
         again["poison"] = 1.0
         assert "poison" not in tree.aggregate_by_name(kind=FrameKind.GPU_KERNEL,
                                                       metric=M.METRIC_GPU_TIME)
+        assert tree.name_rows(M.METRIC_GPU_TIME) is rows
+        # A mutation bumps the generation: the next query walks again.
+        tree.attribute(tree.kernels[0], M.METRIC_GPU_TIME, 1.0)
+        assert tree.name_rows(M.METRIC_GPU_TIME) is not rows
 
     def test_aggregate_cache_invalidated_by_attribution(self):
         tree = _random_tree(contexts=4, observations=30)
@@ -256,7 +262,6 @@ class TestQueryLayerCaching:
         database = ProfileDatabase(tree)
         first = database.top_kernels(3)
         assert database.top_kernels(3) == first
-        assert database._top_kernels_cache is not None
         # Different k → recompute; same k after mutation → recompute.
         assert len(database.top_kernels(1)) == 1
         kernel = tree.kernels[0]

@@ -3,13 +3,24 @@
 These complement the per-module tests: whatever call paths and metric values a
 profile contains, the CCT, the flame-graph views and the exports must agree on
 totals, and aggregation must stay consistent under collapsing.
+
+:class:`TestPerNameReference` checks every per-name rollup path — live
+sharded tree, each storage backend, single-shard reads and fleet queries —
+against a naive per-kernel reference computed from the raw observation list.
 """
+
+import math
+import os
+import tempfile
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import CallingContextTree
+from repro.core import (CallingContextTree, ProfileDatabase,
+                        ShardedCallingContextTree)
 from repro.core import metrics as M
+from repro.core.cct import states_by_name
+from repro.fleet import ProfileStore
 from repro.dlmonitor.callpath import (
     CallPath,
     FrameKind,
@@ -110,3 +121,150 @@ class TestProfileInvariants:
         assert forward.node_count() == backward.node_count()
         assert forward.root.inclusive.sum(M.METRIC_GPU_TIME) == pytest.approx(
             backward.root.inclusive.sum(M.METRIC_GPU_TIME))
+
+
+# Strategy: (thread, operator, kernel, gpu_time) observations.  Kernel names
+# are shared across operators and threads, so one kernel's rows fold many
+# contexts and several shards; a zero duration is still an observation.
+observations = st.lists(
+    st.tuples(
+        st.sampled_from([1, 2, 3]),
+        st.sampled_from(["conv", "linear", "norm"]),
+        st.sampled_from(["gemm", "relu", "reduce"]),
+        st.one_of(st.just(0.0),
+                  st.floats(min_value=0.0, max_value=1.0, allow_nan=False)),
+    ),
+    min_size=1, max_size=40,
+)
+
+#: How far a path's float statistics may sit from the ``math.fsum``
+#: reference: the paths add at most a few dozen values in [0, 1] in node
+#: and shard order, and merge variances with Chan's formula.
+SUM_TOLERANCE = {"rel": 1e-9, "abs": 1e-12}
+VARIANCE_TOLERANCE = {"rel": 1e-6, "abs": 1e-12}
+
+
+def build_sharded(observed, program="reference"):
+    tree = ShardedCallingContextTree(program)
+    for tid, operator, kernel, gpu_time in observed:
+        shard = tree.shard_for_tid(tid, thread_name=f"thread-{tid}")
+        node = shard.insert(CallPath.of([
+            root_frame(program), thread_frame(f"thread-{tid}", tid),
+            python_frame("train.py", 10 + tid, "train_step"),
+            framework_frame(f"aten::{operator}"),
+            gpu_kernel_frame(kernel),
+        ]))
+        shard.attribute_many(node, {M.METRIC_GPU_TIME: gpu_time,
+                                    M.METRIC_KERNEL_COUNT: 1.0})
+    return tree
+
+
+def reference(observed):
+    """``kernel → (count, sum, min, max, mean, variance)`` from the raw
+    observations alone (no CCT code involved)."""
+    by_kernel = {}
+    for _tid, _operator, kernel, gpu_time in observed:
+        by_kernel.setdefault(kernel, []).append(gpu_time)
+    expected = {}
+    for kernel, values in by_kernel.items():
+        total = math.fsum(values)
+        mean = total / len(values)
+        variance = math.fsum((value - mean) ** 2 for value in values) / len(values)
+        expected[kernel] = (len(values), total, min(values), max(values),
+                            mean, variance)
+    return expected
+
+
+def assert_states_match(states, expected, label):
+    """Per-kernel ``(count, sum, min, max, mean, m2)`` against the reference."""
+    assert set(states) == set(expected), label
+    for kernel, (count, total, minimum, maximum, mean, variance) in expected.items():
+        got_count, got_sum, got_min, got_max, got_mean, got_m2 = states[kernel]
+        assert (got_count, got_min, got_max) == (count, minimum, maximum), (label, kernel)
+        assert got_sum == pytest.approx(total, **SUM_TOLERANCE), (label, kernel)
+        assert got_mean == pytest.approx(mean, **SUM_TOLERANCE), (label, kernel)
+        assert got_m2 / got_count == pytest.approx(variance, **VARIANCE_TOLERANCE), \
+            (label, kernel)
+
+
+def assert_sums_match(sums, expected, label):
+    assert set(sums) == set(expected), label
+    for kernel, state in expected.items():
+        assert sums[kernel] == pytest.approx(state[1], **SUM_TOLERANCE), (label, kernel)
+
+
+def bits(rows, total):
+    """Rows and total with every float as its exact hex spelling, in order."""
+    return ([(key, tuple(value.hex() if isinstance(value, float) else value
+                         for value in state)) for key, state in rows.items()],
+            total.hex())
+
+
+class TestPerNameReference:
+    @settings(max_examples=100, deadline=None)
+    @given(observations)
+    def test_every_per_name_path_matches_the_naive_reference(self, observed):
+        live = build_sharded(observed)
+        expected = reference(observed)
+        gpu = M.METRIC_GPU_TIME
+        exact = {"live": bits(live.name_rows(gpu), live.total_metric(gpu))}
+        with tempfile.TemporaryDirectory() as directory:
+            database = ProfileDatabase(live)
+            trees = {}
+            for name in ("json", "columnar-json", "cct-binary-v1"):
+                path = database.save(os.path.join(directory, name), format=name)
+                trees[name] = ProfileDatabase.load(path).tree
+            hydrated = ProfileDatabase.load(os.path.join(directory, "cct-binary-v1")).tree
+            hydrated.hydrate()
+            trees["hydrated"] = hydrated
+            # Nested JSON stores a standard deviation, not m2: reference
+            # only.  The flat encodings must reproduce the live rows exactly.
+            for name, tree in (("live", live), *trees.items()):
+                assert_states_match(
+                    states_by_name(tree.name_rows(gpu), kind=FrameKind.GPU_KERNEL),
+                    expected, name)
+                assert tree.aggregate_by_name(
+                    kind=FrameKind.GPU_KERNEL, metric=M.METRIC_KERNEL_COUNT) == \
+                    {kernel: float(state[0]) for kernel, state in expected.items()}
+                if name != "json":
+                    exact[name] = bits(tree.name_rows(gpu), tree.total_metric(gpu))
+            lazy = trees["cct-binary-v1"]
+            assert not lazy.hydrated
+            for tid in lazy.shard_ids():
+                assert_sums_match(
+                    lazy.shard_aggregate_by_name(tid, kind=FrameKind.GPU_KERNEL,
+                                                 metric=gpu),
+                    reference([entry for entry in observed if entry[0] == tid]),
+                    f"shard {tid}")
+
+            # A two-run store: this profile plus a second one built from the
+            # first half of the observations, reversed.
+            second = list(reversed(observed[:(len(observed) + 1) // 2]))
+            store = ProfileStore(os.path.join(directory, "store"))
+            first_run = store.ingest(database, workload="first").run_id
+            store.ingest(ProfileDatabase(build_sharded(second)), workload="second")
+            indexed, _problem = store.fleet_index.summary_for(store.get(first_run))
+            with store.aggregator(run_ids=[first_run]) as served:
+                assert served.indexed_run_ids == [first_run]
+                exact["index"] = bits(indexed.states[gpu], served.total_metric(gpu))
+            both = reference(observed + second)
+            top = []
+            for use_index in (True, False):
+                with store.aggregator(use_index=use_index) as fleet:
+                    label = f"fleet use_index={use_index}"
+                    assert_sums_match(fleet.aggregate_by_name(
+                        kind=FrameKind.GPU_KERNEL, metric=gpu), both, label)
+                    assert_states_match(fleet.name_states(
+                        kind=FrameKind.GPU_KERNEL, metric=gpu), both, label)
+                    ranked = fleet.top_kernels(k=len(both), metric=gpu)
+                    assert_sums_match({row["kernel"]: row[gpu] for row in ranked},
+                                      both, label)
+                    values = [row[gpu] for row in ranked]
+                    assert values == sorted(values, reverse=True)
+                    top.append(ranked)
+            assert top[0] == top[1]
+            lazy.close()
+            hydrated.close()
+        reference_bits = exact.pop("live")
+        for name, found in exact.items():
+            assert found == reference_bits, name

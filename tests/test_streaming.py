@@ -56,6 +56,7 @@ from repro.dlmonitor.callpath import (
     root_frame,
     thread_frame,
 )
+from repro.obs import TELEMETRY
 
 THREAD_NAMES = {1: "main", 2: "backward-0", 3: "worker-0"}
 
@@ -431,14 +432,51 @@ class TestLiveAttach:
                                         str(tmp_path / "s.cctb"))
         writer.checkpoint()
         view = LazyProfileView.attach(writer.path)
-        view.shard_aggregate_by_name(1, metric=M.METRIC_GPU_TIME)
-        assert view.decoded_shard_ids() == {1}
-        _observe(tree, 2, "conv", "k0", 4.0)  # shard 1 untouched
-        writer.checkpoint()
-        assert view.refresh() is True
-        # Shard 1's blocks were carried forward: its decode is still warm.
-        assert view.decoded_shard_ids() == {1}
+        TELEMETRY.reset()
+        TELEMETRY.enable()
+        try:
+            def blocks_read(shard_id):
+                before = TELEMETRY.counter_value("storage.blocks_decoded")
+                view.shard_aggregate_by_name(shard_id, metric=M.METRIC_GPU_TIME)
+                return TELEMETRY.counter_value("storage.blocks_decoded") - before
+
+            assert blocks_read(1) == 2  # frames block (name index) + column
+            _observe(tree, 2, "conv", "k0", 4.0)  # shard 1 untouched
+            writer.checkpoint()
+            assert view.refresh() is True
+            # Shard 1's blocks were carried forward: its name index is still
+            # warm, so only its column is read again; shard 2 changed and
+            # reads both blocks.
+            assert blocks_read(1) == 1
+            assert blocks_read(2) == 2
+        finally:
+            TELEMETRY.disable()
+            TELEMETRY.reset()
+        assert view.decoded_shard_ids() == set()
+        assert not view.hydrated
         assert view.total_metric(M.METRIC_GPU_TIME) == pytest.approx(7.0)
+
+    def test_top_kernels_follows_refresh(self, tmp_path):
+        tree = ShardedCallingContextTree("stream")
+        _observe(tree, 1, "conv", "k0", 1.0)
+        writer = StreamingProfileWriter(ProfileDatabase(tree),
+                                        str(tmp_path / "s.cctb"))
+        writer.checkpoint()
+        database = ProfileDatabase(LazyProfileView.attach(writer.path))
+        assert [(row["kernel"], row["gpu_time"])
+                for row in database.top_kernels(5)] == [("k0", 1.0)]
+        _observe(tree, 1, "linear", "k_new", 5.0)
+        writer.checkpoint()
+        assert database.tree.refresh() is True
+        # The same database answers from the new seal, like a fresh attach.
+        fresh = ProfileDatabase(LazyProfileView.attach(writer.path))
+        assert database.top_kernels(5) == fresh.top_kernels(5)
+        assert [(row["kernel"], row["gpu_time"])
+                for row in database.top_kernels(5)] == [("k_new", 5.0),
+                                                        ("k0", 1.0)]
+        fresh.tree.close()
+        database.tree.close()
+        writer.close()
 
 
 class TestRefreshRacingWriter:
