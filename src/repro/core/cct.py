@@ -11,17 +11,15 @@ metric sets:
   underneath me".
 
 Attribution is O(1) per observation: ``attribute``/``attribute_many`` only
-touch the target node's exclusive aggregates, record the node in a dirty set
-and bump the tree's generation counter.  The inclusive view is (re)built on
-first access: the first materialization is a single bottom-up pass over the
-tree (a parallel Welford merge per edge); subsequent refreshes are
-*incremental* — only the dirty nodes and their ancestor chains are recombined
-(each from its children's still-valid cached inclusives), so a handful of
-attributions between queries costs O(depth) instead of O(tree).  The view
-stays valid until the next insert or attribution.  This keeps the cost of online
-aggregation bounded by the number of *distinct calling contexts* — the
-property the paper's overhead claims (Figure 6a–d) rest on — instead of
-paying an O(depth) ancestor walk on every observation.
+touch the target node's exclusive aggregates and bump the tree's generation
+counter.  Every derived view follows one rule: it remembers the generation it
+was built at, and once that generation has moved it is rebuilt in one pass,
+never patched in place.  The inclusive view is one bottom-up pass over the
+tree (a parallel Welford merge per edge), run on the first access after an
+insert or attribution.  This keeps the cost of online aggregation bounded by
+the number of *distinct calling contexts* — the property the paper's overhead
+claims (Figure 6a–d) rest on — instead of paying an O(depth) ancestor walk on
+every observation.
 
 The tree additionally maintains kind-indexed node registries (kernels,
 operators, scopes, per-``FrameKind`` lists) updated at insertion time, so the
@@ -35,11 +33,13 @@ For multi-thread collection the module provides
 :class:`ShardedCallingContextTree`: each simulated CPU thread owns a private
 ``CallingContextTree`` shard, collectors attribute into the shard of the
 launching/observing thread with no cross-thread coordination, and structural
-queries run against a merged tree that is materialized lazily — keyed by the
-shards' generation counters — by structurally unioning the shards on
-``Frame.identity()`` (:meth:`CallingContextTree.merge_from`) and combining
-metrics with ``MetricSet.merge``.  A sharded tree with a single shard is
-byte-for-byte equivalent to the plain single-tree model.
+queries run against the shards' union.  Under the same rule, the union is
+built lazily, keyed by the shards' generation counters, and rebuilt in one
+pass whenever any of them moves: the shards are structurally unioned on
+``Frame.identity()`` (:meth:`CallingContextTree.merge_from`) and their
+metrics combined with ``MetricSet.merge``.  A one-shard tree is its own
+union: its structural queries are served by that shard, with no copy, so it
+behaves exactly like the plain single-tree model.
 
 Per-name rollups (the bottom-up view, ``top_kernels``, the fleet's summary
 rows) have one primitive: *name rows*, ``{(kind code, name): (count, sum,
@@ -210,8 +210,8 @@ class CCTNode:
     def inclusive(self) -> MetricSet:
         """Rolled-up metrics of this node's subtree (materialized on demand).
 
-        Accessing this property refreshes the lazy view if the tree changed.
-        A held ``MetricSet`` reference keeps its identity across refreshes,
+        Accessing this property rebuilds the lazy view if the tree changed.
+        A held ``MetricSet`` reference keeps its identity across rebuilds,
         but is only guaranteed current as of the last ``inclusive`` access on
         *some* node — hold the node and re-read ``node.inclusive`` after
         mutations instead of caching the set across them.
@@ -269,8 +269,9 @@ class CCTNode:
 class CallingContextTree:
     """The profile's calling context tree with online metric aggregation."""
 
-    #: True on trees built by ``ShardedCallingContextTree.merged()`` — such
-    #: trees are discardable query caches and must never be attributed into.
+    #: True on the union trees ``ShardedCallingContextTree.merged()`` builds
+    #: for several shards — such trees are discardable query caches and must
+    #: never be attributed into.
     is_merged_view = False
 
     def __init__(self, program_name: str = "program") -> None:
@@ -286,9 +287,6 @@ class CallingContextTree:
         self._scope_index: List[CCTNode] = []
         self._max_depth = 0
         self._size_cache: Tuple[Tuple[int, int], int] = ((-1, -1), 0)
-        #: Nodes whose exclusive metrics changed since the last inclusive
-        #: materialization (id → node); consumed by the incremental refresh.
-        self._dirty: Dict[int, CCTNode] = {}
         #: Memoized ``name_rows`` per metric (generation-stamped).
         self._rows_cache: Dict[str, Tuple[int, NameRows]] = {}
         #: Memoized ``total_metric`` sums (generation-stamped).
@@ -336,13 +334,11 @@ class CallingContextTree:
     def attribute(self, node: CCTNode, metric: str, value: float) -> None:
         """Fold one observation into ``node``'s exclusive aggregates (O(1))."""
         node.exclusive.add(metric, value)
-        self._dirty[id(node)] = node
         self._generation += 1
 
     def attribute_many(self, node: CCTNode, metrics: Mapping[str, float]) -> None:
         """Fold several metrics of one record into ``node`` in a single call."""
         node.exclusive.add_many(metrics)
-        self._dirty[id(node)] = node
         self._generation += 1
 
     def insert_and_attribute(self, callpath: CallPath, metrics: Mapping[str, float]) -> CCTNode:
@@ -354,59 +350,15 @@ class CallingContextTree:
     # -- lazy inclusive view ---------------------------------------------------------
 
     def ensure_inclusive(self) -> None:
-        """Materialize the inclusive view if any insert/attribute made it stale."""
-        if self._inclusive_generation != self._generation:
-            self._materialize_inclusive()
-            self._inclusive_generation = self._generation
+        """Rebuild the inclusive view if any insert/attribute made it stale.
 
-    def _materialize_inclusive(self) -> None:
-        """Bring the inclusive view up to date, incrementally when possible.
-
-        The first materialization (and any refresh where most of the tree is
-        dirty) runs the full bottom-up pass.  Otherwise only the *affected*
-        region — the dirty nodes plus their ancestor chains up to the root
-        (equivalently, the subtrees hanging off the lowest dirty ancestors) —
-        is recombined: each affected node is reset to its exclusive metrics
-        and re-merged from its children, whose inclusives are either freshly
-        recomputed (affected, deeper, processed first) or still-valid cached
-        values.  Inserts alone never dirty anything: a new node's empty
-        inclusive already equals its empty exclusive, and its ancestors'
-        rollups are unchanged until the node is attributed into.
-        """
-        if self._inclusive_generation < 0:
-            self._materialize_full()
-            return
-        dirty = self._dirty
-        if not dirty:
-            return  # structure-only changes: cached rollups are still exact
-        registry = self._registry
-        affected: Dict[int, CCTNode] = {}
-        for node in dirty.values():
-            while node is not None and id(node) not in affected:
-                affected[id(node)] = node
-                node = node.parent
-        if 2 * len(affected) >= len(registry):
-            self._materialize_full()
-            return
-        propagations = 0
-        # Deeper nodes first: every affected child is recombined before the
-        # parent that merges it (ancestors are strictly shallower).
-        for node in sorted(affected.values(), key=lambda entry: -entry.depth):
-            inclusive = node._inclusive
-            inclusive.reset_to(node.exclusive)
-            for child in node.children.values():
-                inclusive.merge(child._inclusive)
-                propagations += 1
-        self.propagations += propagations
-        dirty.clear()
-
-    def _materialize_full(self) -> None:
-        """One bottom-up pass: inclusive = exclusive + Σ children's inclusive.
-
+        One bottom-up pass: inclusive = exclusive + Σ children's inclusive.
         Each node's inclusive MetricSet (and its aggregates) is reset *in
         place* rather than rebound, so references obtained from an earlier
-        ``node.inclusive`` keep reading current data after re-materialization.
+        ``node.inclusive`` keep reading current data after a rebuild.
         """
+        if self._inclusive_generation == self._generation:
+            return
         registry = self._registry
         for node in registry:
             node._inclusive.reset_to(node.exclusive)
@@ -419,7 +371,7 @@ class CallingContextTree:
                 parent._inclusive.merge(node._inclusive)
                 propagations += 1
         self.propagations += propagations
-        self._dirty.clear()
+        self._inclusive_generation = self._generation
 
     @property
     def generation(self) -> int:
@@ -437,15 +389,14 @@ class CallingContextTree:
         parallel Welford ``MetricSet.merge``.  Because the lazy inclusive view
         is rebuilt from exclusive data only, merging shards in any order
         yields the same tree a single shared tree would have produced from the
-        same observations (to floating-point accuracy).  ``other`` is not
-        modified.  Returns the ``id(other node) → this tree's node`` mapping
-        (one entry per node of ``other``, root included), which the sharded
-        tree keeps to refresh merged metrics incrementally.
+        same observations (to floating-point accuracy).  The union bumps the
+        generation, so this tree's inclusive view and memos are rebuilt in
+        one pass on their next query.  ``other`` is not modified.  Returns
+        the ``id(other node) → this tree's node`` mapping (one entry per node
+        of ``other``, root included).
         """
         mapping: Dict[int, CCTNode] = {id(other.root): self.root}
-        dirty = self._dirty
         self.root.exclusive.merge(other.root.exclusive)
-        dirty[id(self.root)] = self.root
         # Parents precede children in the registry, so every node's parent is
         # already mapped when the node is visited — one linear pass, no
         # recursion, no per-node path reconstruction.
@@ -454,7 +405,6 @@ class CallingContextTree:
                 continue
             mine = mapping[id(node.parent)].child_for(node.frame)
             mine.exclusive.merge(node.exclusive)
-            dirty[id(mine)] = mine
             mapping[id(node)] = mine
         self.insertions += other.insertions
         self._generation += 1  # metric merges above bypass attribute()
@@ -671,7 +621,6 @@ class CallingContextTree:
         self._scope_index.clear()
         self._max_depth = 0
         self._size_cache = ((-1, -1), 0)
-        self._dirty.clear()
         self._rows_cache.clear()
         self._total_cache.clear()
 
@@ -780,19 +729,16 @@ class CallingContextTree:
                                  m2s: Sequence[float]) -> None:
         """Install one metric's flat column onto ``nodes`` (decode hot path).
 
-        Touched nodes are marked dirty and the generation is bumped once, so
-        columns materialized *after* queries started (the lazy mmap view loads
-        per column on demand) invalidate inclusive views and memoized
-        aggregations exactly like live attribution would.
+        The generation is bumped once, so columns installed *after* queries
+        started invalidate inclusive views and memoized aggregations exactly
+        like live attribution would.
         """
-        dirty = self._dirty
         from_state = MetricAggregate.from_state
         for node_index, count, total, minimum, maximum, mean, m2 in zip(
                 node_indexes, counts, sums, minima, maxima, means, m2s):
             node = nodes[node_index]
             node.exclusive.put(metric, from_state(int(count), total, minimum,
                                                   maximum, mean, m2))
-            dirty[id(node)] = node
         self._generation += 1
 
     @classmethod
@@ -925,17 +871,16 @@ class ShardedCallingContextTree(ProfileTree):
     read.
 
     Query side: the structural read API (``root``, traversals, kind
-    indexes, serialization) is served by a merged tree materialized on
-    demand by unioning every shard with
-    :meth:`CallingContextTree.merge_from`; per-name queries fold the
-    shards' :meth:`name_rows` instead and never build it.  The merged view
-    is cached behind the tuple of shard generation counters — the same
-    invalidation scheme ``approximate_size_bytes`` uses — so repeated
-    queries between mutations reuse one materialization, and node
-    identities stay stable while no shard changes.  Nodes returned by
-    queries belong to the merged tree; re-fetch them after mutations
-    instead of caching across them (the same contract ``CCTNode.inclusive``
-    documents for metric sets).
+    indexes, serialization) is served by :meth:`merged`, the union of the
+    shards; per-name queries fold the shards' :meth:`name_rows` instead and
+    never build it.  A one-shard tree is its own union, so its queries are
+    served by the shard itself.  With several shards the union is a separate
+    tree, built on demand with :meth:`CallingContextTree.merge_from` and
+    cached behind the tuple of shard generation counters: repeated queries
+    between mutations reuse it, and any shard change makes the next query
+    rebuild it in one pass.  Nodes returned by queries belong to that tree;
+    re-fetch them after mutations instead of caching across them (the same
+    contract ``CCTNode.inclusive`` documents for metric sets).
 
     The single-tree mutator API (``insert``/``attribute``/...) remains
     available and routes to a default shard, making the unsharded profiler
@@ -950,22 +895,11 @@ class ShardedCallingContextTree(ProfileTree):
         self._provenance: Dict[int, Dict[str, object]] = {}
         self._merged: Optional[CallingContextTree] = None
         self._merged_key: Tuple = ()
-        #: Per-shard ``id(shard node) → merged node`` mappings from the last
-        #: full merge, and per-merged-node source-node lists — the index the
-        #: incremental metric refresh recombines dirty nodes from.
-        self._merge_mappings: Dict[int, Dict[int, CCTNode]] = {}
-        self._merge_sources: Dict[int, List[CCTNode]] = {}
-        #: Per-shard (generation, inclusive generation, node count) snapshot
-        #: taken when the merged view last absorbed that shard.
-        self._merge_records: Dict[int, Tuple[int, int, int]] = {}
         #: Propagations performed by merged views that have been discarded —
         #: keeps the ``propagations`` counter monotonic across rebuilds.
         self._retired_propagations = 0
-        #: Merged-view materializations performed, full or incremental
-        #: (observability/tests).
+        #: Union trees built by :meth:`merged` (observability/tests).
         self.merges = 0
-        #: How many of those were in-place incremental refreshes.
-        self.refreshes = 0
 
     # -- shard management -----------------------------------------------------------
 
@@ -1024,10 +958,11 @@ class ShardedCallingContextTree(ProfileTree):
     def _owning_tree(self, node: CCTNode) -> CallingContextTree:
         """The shard a mutation on ``node`` must target.
 
-        Nodes obtained from the read API belong to a *merged cache* — the
-        current one, or an already-discarded earlier materialization —
-        attributing into either would silently lose the observation, so they
-        are rejected outright.
+        With several shards, nodes obtained from the read API belong to a
+        *merged cache* — the current one, or an already-discarded earlier
+        build — and attributing into either would silently lose the
+        observation, so they are rejected outright.  A one-shard tree's read
+        API returns the shard's own nodes, which are valid targets.
         """
         tree = node.tree
         if tree is None:
@@ -1055,100 +990,29 @@ class ShardedCallingContextTree(ProfileTree):
         return tuple((tid, shard._generation) for tid, shard in self._shards.items())
 
     def merged(self) -> CallingContextTree:
-        """The union of every shard, materialized lazily at query time.
+        """The union of every shard, built lazily at query time.
 
-        The first materialization (and any after a *structural* shard change)
-        unions every shard into a fresh tree and records, per shard, the
-        shard-node → merged-node mapping plus each merged node's contributing
-        source nodes.  When only attributions happened since — the common
-        query-while-collecting pattern — the cached view is refreshed *in
-        place*: just the merged nodes fed by dirty shard nodes are recombined
-        from their sources, and the merged tree's own incremental inclusive
-        materialization then propagates only those dirty subtrees instead of
-        running a full bottom-up pass.  Node identities survive an in-place
-        refresh; a structural rebuild still discards the old view.
+        A one-shard tree is its own union: the shard is returned as is, with
+        no copy.  Otherwise the union is a fresh tree that every shard is
+        merged into, in shard order.  It is cached behind the shards'
+        generation counters and rebuilt in one pass, never patched, on the
+        first query after any shard changes.
         """
+        if len(self._shards) == 1:
+            (shard,) = self._shards.values()
+            return shard
         key = self._merge_key()
-        if self._merged is not None:
-            if key == self._merged_key:
-                return self._merged
-            if self._refresh_merged():
-                self._merged_key = key
-                self.merges += 1
-                self.refreshes += 1
-                return self._merged
-            self._retired_propagations += self._merged.propagations
-        merged = CallingContextTree(self.program_name)
-        merged.is_merged_view = True
-        self._merge_mappings.clear()
-        self._merge_sources.clear()
-        self._merge_records.clear()
-        sources = self._merge_sources
-        for tid, shard in self._shards.items():
-            mapping = merged.merge_from(shard)
-            self._merge_mappings[tid] = mapping
-            for source in shard._registry:
-                target = mapping[id(source)]
-                bucket = sources.get(id(target))
-                if bucket is None:
-                    bucket = sources[id(target)] = []
-                bucket.append(source)
-            self._merge_records[tid] = (shard._generation,
-                                        shard._inclusive_generation,
-                                        len(shard._registry))
-        self._merged = merged
-        self._merged_key = key
-        self.merges += 1
+        if self._merged is None or key != self._merged_key:
+            if self._merged is not None:
+                self._retired_propagations += self._merged.propagations
+            merged = CallingContextTree(self.program_name)
+            merged.is_merged_view = True
+            for shard in self._shards.values():
+                merged.merge_from(shard)
+            self._merged = merged
+            self._merged_key = key
+            self.merges += 1
         return self._merged
-
-    def _refresh_merged(self) -> bool:
-        """Try to bring the cached merged view up to date without a rebuild.
-
-        Possible only when every changed shard saw *metric-only* mutations
-        whose dirty records are still intact: same node count (no inserts),
-        untouched shard-local inclusive view (materializing it clears the
-        shard's dirty set, which this refresh depends on), and a non-empty
-        dirty set covering the attributions.  Each merged node fed by a dirty
-        shard node is zeroed in place and recombined from all of its source
-        nodes (Welford merges are not invertible, so the contribution cannot
-        be subtracted), then marked dirty on the merged tree so the next
-        inclusive materialization propagates only those subtrees.  A shard's
-        dirty set may predate the last full merge (it is only cleared by the
-        shard's own materialization); recombining a superset is harmless.
-        """
-        if set(self._shards) != set(self._merge_records):
-            return False
-        recompute: Dict[int, CCTNode] = {}
-        changed: List[int] = []
-        for tid, shard in self._shards.items():
-            generation, inclusive_generation, node_count = self._merge_records[tid]
-            if shard._generation == generation:
-                continue
-            if (len(shard._registry) != node_count
-                    or shard._inclusive_generation != inclusive_generation
-                    or not shard._dirty):
-                return False
-            mapping = self._merge_mappings[tid]
-            for source in shard._dirty.values():
-                target = mapping.get(id(source))
-                if target is None:
-                    return False
-                recompute[id(target)] = target
-            changed.append(tid)
-        merged = self._merged
-        assert merged is not None
-        for target in recompute.values():
-            target.exclusive.zero()
-            for source in self._merge_sources[id(target)]:
-                target.exclusive.merge(source.exclusive)
-            merged._dirty[id(target)] = target
-        merged._generation += 1
-        for tid in changed:
-            shard = self._shards[tid]
-            self._merge_records[tid] = (shard._generation,
-                                        shard._inclusive_generation,
-                                        len(shard._registry))
-        return True
 
     @property
     def generation(self) -> int:
@@ -1171,11 +1035,10 @@ class ShardedCallingContextTree(ProfileTree):
     def total_metric(self, metric: str) -> float:
         """Whole-profile total of ``metric`` across every shard.
 
-        Always the shard-order sum of per-shard totals: summary probes
-        neither force a merge nor clear the shard dirty records the
-        incremental merged-view refresh relies on, and the summation order —
-        hence the exact floating-point result — is stable across save/load
-        round-trips (shard order is preserved by every format).
+        Always the shard-order sum of per-shard totals: summary probes never
+        force a merge, and the summation order — hence the exact
+        floating-point result — is stable across save/load round-trips
+        (shard order is preserved by every format).
         """
         return sum(shard.total_metric(metric) for shard in self._shards.values())
 

@@ -246,23 +246,6 @@ class MetricSet:
         """Install a fully built aggregate (deserialization hot path)."""
         self._metrics[name] = aggregate
 
-    def copy(self) -> "MetricSet":
-        """An independent deep copy of every aggregate."""
-        duplicate = MetricSet()
-        duplicate._metrics = {name: aggregate.copy()
-                              for name, aggregate in self._metrics.items()}
-        return duplicate
-
-    def zero(self) -> None:
-        """Zero every aggregate in place, preserving object identities.
-
-        Used when a node's exclusive metrics must be recomputed from scratch
-        (the merged view's incremental refresh): held references keep reading
-        current data, and the subsequent merges refill the same aggregates.
-        """
-        for aggregate in self._metrics.values():
-            aggregate.reset()
-
     def reset_to(self, other: "MetricSet") -> None:
         """Make this set equal ``other`` while keeping object identities alive.
 

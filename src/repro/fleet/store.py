@@ -581,24 +581,26 @@ class ProfileStore:
                 labels: Optional[Mapping[str, str]]) -> RunRecord:
         database = self._coerce_database(source)
         owns_view = not isinstance(source, ProfileDatabase)
-        identity = self._identity_of(database, workload)
-        if database.metadata.workload != identity:
-            # The canonical bytes carry the catalog identity, so the content
-            # address covers it — the same profile under two identities is
-            # two runs, not one ambiguous dedupe.  Stamped onto a *copy*:
-            # ingest must not rewrite the caller's live database metadata.
-            metadata = ProfileMetadata.from_dict(database.metadata.as_dict())
-            metadata.workload = identity
-            stamped = ProfileDatabase(database.tree, metadata,
-                                      database.dlmonitor_stats)
-            stamped.issues = list(database.issues)
-            database = stamped
-
         temp_path = os.path.join(self.root, PROFILE_DIR,
                                  f".ingest-{os.getpid()}-{id(database)}")
-        backend = backend_for(FORMAT_BINARY_V1)
+        # Every exit below — a rejected identity included — closes the view
+        # this call opened, so its file handle and mapping never outlive it.
         try:
-            backend.save(database, temp_path, compression=self.compression)
+            identity = self._identity_of(database, workload)
+            if database.metadata.workload != identity:
+                # The canonical bytes carry the catalog identity, so the
+                # content address covers it — the same profile under two
+                # identities is two runs, not one ambiguous dedupe.  Stamped
+                # onto a *copy*: ingest must not rewrite the caller's live
+                # database metadata.
+                metadata = ProfileMetadata.from_dict(database.metadata.as_dict())
+                metadata.workload = identity
+                stamped = ProfileDatabase(database.tree, metadata,
+                                          database.dlmonitor_stats)
+                stamped.issues = list(database.issues)
+                database = stamped
+            backend_for(FORMAT_BINARY_V1).save(database, temp_path,
+                                               compression=self.compression)
             digest = self._digest_file(temp_path)
             run_id = digest[:RUN_ID_LENGTH]
             existing = self._records.get(run_id)

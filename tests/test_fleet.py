@@ -18,8 +18,10 @@ Pins the subsystem's contracts:
   surfacing an injected slowdown as the top-ranked regression issue.
 """
 
+import gc
 import os
 import tempfile
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -166,6 +168,25 @@ class TestProfileStore:
         # An explicit identity overrides the missing metadata.
         record = store.ingest(database, workload="rescued")
         assert record.workload == "rescued"
+
+    def test_rejected_path_ingest_closes_the_profile_it_opened(self, tmp_path):
+        database = make_database("x", BASE_OBSERVATIONS)
+        database.metadata.workload = ""
+        database.metadata.program = "program"
+        path = str(tmp_path / "anon.cctb")
+        database.save(path, format="cct-binary-v1")
+        store = ProfileStore(tmp_path / "store")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with pytest.raises(ValueError, match="workload/run identity"):
+                store.ingest(path)
+            gc.collect()
+        # Other tests' garbage may be collected here too; only this file counts.
+        leaked = [str(warning.message) for warning in caught
+                  if issubclass(warning.category, ResourceWarning)
+                  and path in str(warning.message)]
+        assert leaked == []
+        assert len(store) == 0
 
     def test_ingest_profile_file_any_format(self, tmp_path):
         database = make_database("vit", BASE_OBSERVATIONS)

@@ -8,10 +8,11 @@ cross-cutting invariants the paper's design relies on.
 import pytest
 
 from repro.analyzer import PerformanceAnalyzer
-from repro.core import DeepContextProfiler, ProfilerConfig
+from repro.core import DeepContextProfiler, ProfileDatabase, ProfilerConfig
 from repro.core import metrics as M
 from repro.dlmonitor.callpath import FrameKind
 from repro.experiments import (
+    PROFILER_DEEPCONTEXT,
     PROFILER_DEEPCONTEXT_NATIVE,
     run_workload,
 )
@@ -43,6 +44,36 @@ def test_full_pipeline_on_both_platforms(device):
     html = render_html(FlameGraphBuilder().top_down(database.tree, issues=report.issues),
                        report=report)
     assert "<svg" in html
+
+
+@pytest.mark.parametrize("model, shards", [("llama3", 1), ("resnet", 2)])
+def test_report_is_identical_from_every_tree_shape(model, shards, tmp_path):
+    """A one-shard profile answers structural queries from its shard, a
+    two-shard one from their merged union; live or reloaded, the report —
+    analyzer issues, rendered HTML, top kernels — must not depend on which
+    tree answered."""
+    database = run_workload(create_workload(model, small=True),
+                            profiler=PROFILER_DEEPCONTEXT, iterations=2).database
+    assert database.tree.shard_count() == shards
+    paths = {name: database.save(str(tmp_path / name), format=name)
+             for name in ("cct-binary-v1", "columnar-json")}
+
+    def report(profile):
+        analysis = PerformanceAnalyzer().analyze(profile)
+        graph = FlameGraphBuilder().top_down(profile.tree, issues=analysis.issues)
+        return ([issue.message for issue in analysis.issues],
+                render_html(graph, report=analysis), profile.top_kernels(10))
+
+    live = report(database)
+    assert live[0] and live[2]
+    for name, path in paths.items():
+        reloaded = ProfileDatabase.load(path)
+        try:
+            assert report(reloaded) == live, name
+        finally:
+            close = getattr(reloaded.tree, "close", None)
+            if close is not None:
+                close()
 
 
 def test_kernel_count_invariant_between_profiler_and_engine():

@@ -7,6 +7,9 @@ totals, and aggregation must stay consistent under collapsing.
 :class:`TestPerNameReference` checks every per-name rollup path — live
 sharded tree, each storage backend, single-shard reads and fleet queries —
 against a naive per-kernel reference computed from the raw observation list.
+:class:`TestPerContextReference` checks every calling context the same way:
+plain, sharded and one-thread trees, queried while they are still being fed,
+against a dict from call path to the raw values observed there.
 """
 
 import math
@@ -144,16 +147,20 @@ SUM_TOLERANCE = {"rel": 1e-9, "abs": 1e-12}
 VARIANCE_TOLERANCE = {"rel": 1e-6, "abs": 1e-12}
 
 
+def observed_path(program, tid, operator, kernel):
+    return CallPath.of([
+        root_frame(program), thread_frame(f"thread-{tid}", tid),
+        python_frame("train.py", 10 + tid, "train_step"),
+        framework_frame(f"aten::{operator}"),
+        gpu_kernel_frame(kernel),
+    ])
+
+
 def build_sharded(observed, program="reference"):
     tree = ShardedCallingContextTree(program)
     for tid, operator, kernel, gpu_time in observed:
         shard = tree.shard_for_tid(tid, thread_name=f"thread-{tid}")
-        node = shard.insert(CallPath.of([
-            root_frame(program), thread_frame(f"thread-{tid}", tid),
-            python_frame("train.py", 10 + tid, "train_step"),
-            framework_frame(f"aten::{operator}"),
-            gpu_kernel_frame(kernel),
-        ]))
+        node = shard.insert(observed_path(program, tid, operator, kernel))
         shard.attribute_many(node, {M.METRIC_GPU_TIME: gpu_time,
                                     M.METRIC_KERNEL_COUNT: 1.0})
     return tree
@@ -268,3 +275,103 @@ class TestPerNameReference:
         reference_bits = exact.pop("live")
         for name, found in exact.items():
             assert found == reference_bits, name
+
+
+@st.composite
+def fed_and_queried(draw):
+    """Observations plus the sorted positions at which to query mid-feed."""
+    observed = draw(observations)
+    positions = draw(st.lists(st.integers(0, len(observed)), max_size=5,
+                              unique=True))
+    return observed, sorted(positions)
+
+
+def context_key(frames):
+    """A call path below the root as ``(kind, name)`` per level."""
+    return tuple((frame.kind, frame.name) for frame in frames)
+
+
+def node_key(node):
+    return context_key(entry.frame for entry in node.path_from_root()[1:])
+
+
+def context_reference(observed):
+    """``call path → raw gpu_time values`` from the observations alone."""
+    by_path = {}
+    for tid, operator, kernel, gpu_time in observed:
+        frames = list(observed_path("reference", tid, operator, kernel))[1:]
+        by_path.setdefault(context_key(frames), []).append(gpu_time)
+    return by_path
+
+
+def assert_contexts_match(tree, by_path, label):
+    """Every node's exclusive and inclusive GPU time, the kernel nodes and
+    the per-name sums of ``tree`` against the per-path reference."""
+    gpu = M.METRIC_GPU_TIME
+    below = {(): []}  # every prefix → the values observed beneath it
+    for path, values in by_path.items():
+        for depth in range(len(path) + 1):
+            below.setdefault(path[:depth], []).extend(values)
+    nodes = {node_key(node): node for node in tree.all_nodes()}
+    assert len(nodes) == tree.node_count(), label
+    assert set(nodes) == set(below), label
+    for key, node in nodes.items():
+        values = by_path.get(key, [])
+        aggregate = node.exclusive.get(gpu)
+        found = ((aggregate.count, aggregate.min, aggregate.max)
+                 if aggregate is not None else (0, 0.0, 0.0))
+        expected = ((len(values), min(values), max(values))
+                    if values else (0, 0.0, 0.0))
+        assert found == expected, (label, key)
+        assert node.exclusive.sum(gpu) == pytest.approx(
+            math.fsum(values), **SUM_TOLERANCE), (label, key)
+        assert node.inclusive.count(gpu) == len(below[key]), (label, key)
+        assert node.inclusive.sum(gpu) == pytest.approx(
+            math.fsum(below[key]), **SUM_TOLERANCE), (label, key)
+    kernels = [node_key(node) for node in tree.kernels]
+    assert len(kernels) == len(by_path) and set(kernels) == set(by_path), label
+    by_name = {}
+    for path, values in by_path.items():
+        by_name.setdefault(path[-1][1], []).extend(values)
+    sums = tree.aggregate_by_name(kind=FrameKind.GPU_KERNEL, metric=gpu)
+    assert set(sums) == set(by_name), label
+    for name, values in by_name.items():
+        assert sums[name] == pytest.approx(math.fsum(values), **SUM_TOLERANCE), \
+            (label, name)
+
+
+class TestPerContextReference:
+    @settings(max_examples=100, deadline=None)
+    @given(fed_and_queried())
+    def test_every_context_matches_the_naive_reference(self, drawn):
+        observed, positions = drawn
+        plain = CallingContextTree("reference")
+        sharded = ShardedCallingContextTree("reference")
+        one_thread = ShardedCallingContextTree("reference")
+        only_shard = one_thread.shard_for_tid(1, thread_name="thread-1")
+        fed = 0
+        for position in positions + [len(observed)]:
+            for tid, operator, kernel, gpu_time in observed[fed:position]:
+                path = observed_path("reference", tid, operator, kernel)
+                metrics = {M.METRIC_GPU_TIME: gpu_time, M.METRIC_KERNEL_COUNT: 1.0}
+                plain.insert_and_attribute(path, metrics)
+                sharded.shard_for_tid(tid, thread_name=f"thread-{tid}") \
+                    .insert_and_attribute(path, metrics)
+                only_shard.insert_and_attribute(path, metrics)
+            fed = position
+            by_path = context_reference(observed[:fed])
+            for label, tree in (("plain", plain), ("sharded", sharded),
+                                ("one-thread", one_thread)):
+                assert_contexts_match(tree, by_path, f"{label} after {fed}")
+            # A one-shard tree is its own union: no copy that could go stale.
+            assert all(node.tree is only_shard for node in one_thread.all_nodes())
+        with tempfile.TemporaryDirectory() as directory:
+            database = ProfileDatabase(sharded)
+            binary = ProfileDatabase.load(database.save(
+                os.path.join(directory, "binary"), format="cct-binary-v1")).tree
+            binary.hydrate()
+            assert_contexts_match(binary, by_path, "cct-binary-v1")
+            binary.close()
+            columnar = ProfileDatabase.load(database.save(
+                os.path.join(directory, "columnar"), format="columnar-json")).tree
+            assert_contexts_match(columnar, by_path, "columnar-json")

@@ -191,10 +191,10 @@ class TestShardLifecycle:
         assert tree.merges == 2
 
     def test_mutating_a_merged_view_node_is_rejected(self):
-        # Nodes from the read API live in the merged cache, which is thrown
-        # away on the next shard mutation — attributing into them would
-        # silently lose the observation.
-        tree = _build_sharded([(1, "conv", "k0", 1.0)])
+        # Nodes from a multi-shard read API live in the merged cache, which
+        # is thrown away on the next shard mutation — attributing into them
+        # would silently lose the observation.
+        tree = _build_sharded([(1, "conv", "k0", 1.0), (2, "norm", "k1", 2.0)])
         merged_kernel = tree.kernels[0]
         with pytest.raises(ValueError, match="merged query view"):
             tree.attribute(merged_kernel, M.METRIC_GPU_TIME, 5.0)
@@ -203,47 +203,68 @@ class TestShardLifecycle:
         # Shard-owned nodes (including the degenerate default shard's) work.
         shard_node = tree.shard_for_tid(1).kernels[0]
         tree.attribute(shard_node, M.METRIC_GPU_TIME, 5.0)
-        assert tree.root.inclusive.sum(M.METRIC_GPU_TIME) == pytest.approx(6.0)
+        assert tree.root.inclusive.sum(M.METRIC_GPU_TIME) == pytest.approx(8.0)
+        # A one-shard tree is its own union: its read API hands out the
+        # shard's nodes, so attribution through them lands in the shard.
+        single = _build_sharded([(1, "conv", "k0", 1.0)])
+        kernel = single.kernels[0]
+        assert kernel.tree is single.shard_for_tid(1)
+        single.attribute(kernel, M.METRIC_GPU_TIME, 5.0)
+        single.attribute_many(kernel, {M.METRIC_GPU_TIME: 2.0})
+        assert single.shard_for_tid(1).kernels[0].exclusive.sum(
+            M.METRIC_GPU_TIME) == pytest.approx(8.0)
+        assert single.root.inclusive.sum(M.METRIC_GPU_TIME) == pytest.approx(8.0)
+        assert single.merges == 0
 
     def test_mutating_a_stale_merged_view_node_is_rejected(self):
-        # Nodes from a materialization discarded by a *structural* rebuild
-        # are dead: writing into their tree would lose the observation
-        # silently.  (Metric-only changes refresh the view in place and keep
-        # node identities — see test_metric_only_changes_refresh_in_place.)
-        tree = _build_sharded([(1, "conv", "k0", 1.0)])
+        # Nodes from a multi-shard view discarded by a rebuild are dead:
+        # writing into their tree would lose the observation silently.
+        tree = _build_sharded([(1, "conv", "k0", 1.0), (2, "norm", "k1", 2.0)])
         stale_node = tree.kernels[0]
         shard = tree.shard_for_tid(1)
-        shard.insert(_path(1, "conv", "k9"))  # structural change → rebuild
+        shard.insert(_path(1, "conv", "k9"))  # shard change → rebuild
         assert tree.kernels[0] is not stale_node  # view was rebuilt
         with pytest.raises(ValueError, match="merged query view"):
             tree.attribute(stale_node, M.METRIC_GPU_TIME, 5.0)
+        # One shard: a node fetched before a structural change is still the
+        # shard's own node, and attribution through it is kept.
+        single = _build_sharded([(1, "conv", "k0", 1.0)])
+        early_node = single.kernels[0]
+        single.shard_for_tid(1).insert(_path(1, "conv", "k9"))
+        assert single.kernels[0] is early_node
+        single.attribute(early_node, M.METRIC_GPU_TIME, 5.0)
+        assert single.root.inclusive.sum(M.METRIC_GPU_TIME) == pytest.approx(6.0)
 
-    def test_metric_only_changes_refresh_in_place(self):
-        # Attribution into already-merged contexts refreshes the cached
-        # merged view in place: node identities survive, only the affected
-        # nodes are recombined, and values stay equivalent to a rebuild.
+    def test_metric_only_changes_rebuild_the_view(self):
+        # Attribution into already-merged contexts makes the next query
+        # rebuild the merged view in one pass; the new values show.
         tree = _build_sharded([(1, "conv", "k0", 1.0), (2, "norm", "k1", 2.0)])
         merged = tree.merged()
-        kernel = tree.kernels[0]
+        assert tree.merges == 1
         shard = tree.shard_for_tid(1)
         shard.attribute(shard.kernels[0], M.METRIC_GPU_TIME, 4.0)
         shard.attribute_many(shard.kernels[0], {M.METRIC_KERNEL_COUNT: 1.0})
-        assert tree.merged() is merged
-        assert tree.refreshes == 1 and tree.merges == 2
-        assert tree.kernels[0] is kernel  # identity preserved
+        rebuilt = tree.merged()
+        assert rebuilt is not merged
+        assert tree.merges == 2
+        kernel = tree.kernels[0]
         assert kernel.exclusive.sum(M.METRIC_GPU_TIME) == pytest.approx(5.0)
+        assert kernel.exclusive.sum(M.METRIC_KERNEL_COUNT) == 2.0
         assert tree.root.inclusive.sum(M.METRIC_GPU_TIME) == pytest.approx(7.0)
-        # A structural change still rebuilds from scratch.
+        assert tree.root.inclusive.sum(M.METRIC_KERNEL_COUNT) == 3.0
+        assert tree.merged() is rebuilt  # queries between mutations reuse it
+        assert tree.merges == 2
+        # A structural change rebuilds it too.
         shard.insert(_path(1, "conv", "k9"))
-        assert tree.merged() is not merged
-        assert tree.refreshes == 1 and tree.merges == 3
+        assert tree.merged() is not rebuilt
+        assert tree.merges == 3
 
     def test_refresh_matches_rebuild_under_interleaving(self):
         observations = [(1, "conv", "k0", 0.5), (2, "norm", "k1", 1.5),
                         (3, "linear", "k0", 2.5)]
         tree = _build_sharded(observations)
         reference = _build_sharded(observations)
-        tree.merged()  # prime the cache so later changes refresh in place
+        tree.merged()  # prime the cache; each later query rebuilds it
         extra = [(1, "conv", "k0", 0.25), (2, "norm", "k1", 0.75),
                  (1, "conv", "k0", 1.25)]
         for tid, module, kernel, gpu_time in extra:
@@ -253,7 +274,6 @@ class TestShardLifecycle:
                 shard.attribute_many(node, {M.METRIC_GPU_TIME: gpu_time,
                                             M.METRIC_KERNEL_COUNT: 1.0})
             _ = tree.root.inclusive  # query between mutations
-        assert tree.refreshes >= 1
         expected = _snapshot(reference.merged())
         actual = _snapshot(tree.merged())
         assert set(actual) == set(expected)
