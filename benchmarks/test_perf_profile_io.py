@@ -1,8 +1,8 @@
 """Profile storage engine I/O — save/load wall time and first-query latency.
 
-Microbenchmark for the pluggable storage backends on a large multi-shard
+Microbenchmark for the two written profile formats on a large multi-shard
 profile (~50k nodes across 4 per-thread shards, several metric columns per
-node).  Three numbers matter per backend:
+node).  Three numbers matter per format:
 
 * **save** — serialize the sharded profile to disk;
 * **load** — open the file (for the mmap-backed ``cct-binary-v1`` format this
@@ -13,9 +13,9 @@ node).  Three numbers matter per backend:
   aggregation (one shard's frame-table names + one column).
 
 The shape assertion is the paper-style claim the storage refactor was built
-for: first-query latency on the binary backend must beat a full
+for: first-query latency on the binary format must beat a full
 columnar-JSON load by ≥5x, because the lazy view decodes only the
-shards/columns the query touches while the JSON backends parse everything up
+shards/columns the query touches while the JSON format parses everything up
 front.
 
 Run standalone with::
@@ -39,10 +39,10 @@ import pytest
 from conftest import print_block
 
 from repro.core import (
-    FORMAT_BINARY_V1,
     LazyProfileView,
     ProfileDatabase,
-    backend_for,
+    open_binary,
+    save_binary,
 )
 from repro.core import metrics as M
 from repro.core.cct import ShardedCallingContextTree
@@ -243,11 +243,10 @@ class TestChecksumOverhead:
         checksummed file.
         """
         database = build_profile()
-        backend = backend_for(FORMAT_BINARY_V1)
 
         def roundtrip(path: str, checksums: bool) -> None:
-            backend.save(database, path, checksums=checksums)
-            with backend.open(path) as view:
+            save_binary(database, path, checksums=checksums)
+            with open_binary(path) as view:
                 for metric in view.metric_names():
                     view.total_metric(metric)
                 view.column_name_states(M.METRIC_GPU_TIME)

@@ -31,18 +31,13 @@ from .storage import (
     FORMAT_BINARY_V1,
     FORMAT_COLUMNAR_JSON,
     FORMAT_JSON,
-    BinaryV1Backend,
-    ColumnarJsonBackend,
-    JsonBackend,
     LazyProfileView,
     ProfileCorruptionError,
     ProfileFormatError,
-    StorageBackend,
-    backend_for,
     detect_format,
+    open_binary,
     recover_profile,
-    register_backend,
-    registered_formats,
+    save_binary,
 )
 from .streaming import (CheckpointStats, StreamingProfileWriter,
                         completion_marker_path, is_marked_complete)
@@ -50,10 +45,6 @@ from .streaming import (CheckpointStats, StreamingProfileWriter,
 __all__ = [
     "DeepContextProfiler",
     "ProfilerConfig",
-    "StorageBackend",
-    "JsonBackend",
-    "ColumnarJsonBackend",
-    "BinaryV1Backend",
     "LazyProfileView",
     "ProfileCorruptionError",
     "ProfileFormatError",
@@ -61,11 +52,10 @@ __all__ = [
     "CheckpointStats",
     "completion_marker_path",
     "is_marked_complete",
-    "register_backend",
-    "registered_formats",
-    "backend_for",
     "detect_format",
+    "open_binary",
     "recover_profile",
+    "save_binary",
     "FORMAT_JSON",
     "FORMAT_COLUMNAR_JSON",
     "FORMAT_BINARY_V1",

@@ -25,9 +25,10 @@ The tree additionally maintains kind-indexed node registries (kernels,
 operators, scopes, per-``FrameKind`` lists) updated at insertion time, so the
 query layer and the analyzers never need a full pre-order scan for the common
 "all nodes of kind X" lookups, and every node stores its depth at
-construction.  Serialization is iterative (no recursion limit on deep traces)
-and a compact columnar encoding that omits the recomputable inclusive view is
-available through :meth:`CallingContextTree.to_columnar`.
+construction.  The tree serializes to flat columns that omit the
+recomputable inclusive view (:meth:`CallingContextTree.to_columnar`), so no
+trace is too deep to save; the legacy nested encoding is still read
+(:meth:`CallingContextTree.from_dict`), iteratively.
 
 For multi-thread collection the module provides
 :class:`ShardedCallingContextTree`: each simulated CPU thread owns a private
@@ -524,18 +525,6 @@ class CallingContextTree:
     # -- serialization -----------------------------------------------------------------------
 
     @staticmethod
-    def _encode_frame(frame: Frame) -> Dict:
-        return {
-            "name": frame.name,
-            "kind": frame.kind.value,
-            "file": frame.file,
-            "line": frame.line,
-            "library": frame.library,
-            "pc": frame.pc,
-            "tag": frame.tag,
-        }
-
-    @staticmethod
     def _decode_frame(node_data: Mapping) -> Frame:
         # Deliberately not interned: each loaded tree builds every frame once,
         # and interning here would pin frames of long-discarded profiles in
@@ -550,37 +539,14 @@ class CallingContextTree:
             tag=node_data.get("tag", ""),
         )
 
-    def to_dict(self) -> Dict:
-        """Nested-dict encoding (the original on-disk format), iteratively built.
-
-        Each node additionally carries its registration index (``order``) so a
-        reloaded tree's registries — and therefore every index-backed query —
-        enumerate in the same order as the live tree's.
-        """
-        self.ensure_inclusive()
-        order_of = {id(node): index for index, node in enumerate(self._registry)}
-
-        def encode(node: CCTNode) -> Dict:
-            entry = self._encode_frame(node.frame)
-            entry["order"] = order_of[id(node)]
-            entry["exclusive"] = node.exclusive.as_dict()
-            entry["inclusive"] = node._inclusive.as_dict()
-            entry["children"] = []
-            return entry
-
-        root_entry = encode(self.root)
-        stack: List[Tuple[CCTNode, Dict]] = [(self.root, root_entry)]
-        while stack:
-            node, entry = stack.pop()
-            children_out = entry["children"]
-            for child in node.children.values():
-                child_entry = encode(child)
-                children_out.append(child_entry)
-                stack.append((child, child_entry))
-        return {"root": root_entry, "insertions": self.insertions}
-
     @classmethod
     def from_dict(cls, data: Dict) -> "CallingContextTree":
+        """Read the legacy nested encoding (node by node, each with its
+        ``order`` of registration).
+
+        Only the exclusive aggregates are read; the inclusive view is
+        derived from them on first access, as for the flat formats.
+        """
         tree = cls()
         tree._clear_indexes()
         # Iterative pre-order rebuild; pushing children reversed preserves
@@ -595,7 +561,6 @@ class CallingContextTree:
             frame = cls._decode_frame(node_data)
             node = CCTNode(frame, parent=parent, tree=tree)
             node.exclusive = MetricSet.from_dict(node_data.get("exclusive", {}))
-            node._inclusive = MetricSet.from_dict(node_data.get("inclusive", {}))
             position = len(decoded)
             decoded.append((node_data.get("order", position), position, node))
             if parent is None:
@@ -609,9 +574,6 @@ class CallingContextTree:
         for _order, _position, node in decoded:
             tree._register_node(node)
         tree.insertions = data.get("insertions", 0)
-        # The stored inclusive view is authoritative for what was saved; mark
-        # it fresh so round-trips reproduce the input byte for byte.
-        tree._inclusive_generation = tree._generation
         return tree
 
     def _clear_indexes(self) -> None:
@@ -629,8 +591,7 @@ class CallingContextTree:
     def to_columnar(self) -> Dict:
         """Compact columnar encoding: flat frame columns + exclusive metrics only.
 
-        The inclusive view is omitted (it is recomputed lazily on load), which
-        roughly halves the metric payload relative to :meth:`to_dict`.
+        The inclusive view is omitted (it is recomputed lazily on load).
         """
         registry = self._registry
         index_of = {id(node): index for index, node in enumerate(registry)}
@@ -1076,15 +1037,6 @@ class ShardedCallingContextTree(ProfileTree):
         return sum(shard.approximate_size_bytes() for shard in self._shards.values())
 
     # -- serialization ------------------------------------------------------------------
-
-    def to_dict(self) -> Dict:
-        """Nested-dict encoding of the *merged* view (flattens the shards).
-
-        The nested JSON profile format predates sharding; it stores the union
-        tree, which loads back as a plain single :class:`CallingContextTree`.
-        Use :meth:`to_columnar` to preserve per-shard provenance.
-        """
-        return self.merged().to_dict()
 
     def to_columnar(self) -> Dict:
         """Multi-shard columnar encoding with per-shard provenance."""

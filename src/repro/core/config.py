@@ -49,13 +49,10 @@ class ProfilerConfig:
     activity_buffer_size: int = 512
     #: Program name stored in profiles and shown at the CCT root.
     program_name: str = "program"
-    #: Default on-disk format ``ProfileDatabase.save`` uses for profiles from
-    #: this session: any registered storage backend — "json" (legacy nested),
-    #: "columnar-json", or the mmap-backed "cct-binary-v1".
-    profile_format: str = "json"
     #: Per-block compression for binary profiles ("" = uncompressed, "zlib").
-    #: Applies to ``ProfileDatabase.save`` defaults and to streamed
-    #: checkpoints alike; the lazy read path is transparent either way.
+    #: Applies to ``ProfileDatabase.save``'s ``cct-binary-v1`` saves and to
+    #: streamed checkpoints alike; the lazy read path is transparent either
+    #: way.
     profile_compression: str = ""
     #: Stream checkpoints of the live profile to this ``cct-binary-v1`` file
     #: during collection ("" = off).  The file is sealed after every

@@ -7,12 +7,13 @@ size is bounded by the number of *distinct calling contexts*, not by the
 number of iterations — the property the memory-overhead evaluation of
 Figure 6(c,d) relies on.
 
-Persistence is delegated to the pluggable storage engine
-(:mod:`repro.core.storage`): ``save`` dispatches to a registered backend by
-format name, ``load`` sniffs the on-disk format (binary magic bytes, then a
-JSON probe) instead of assuming one.  A profile loaded from the mmap-backed
-binary format arrives as a ``LazyProfileView`` — the same read API as the
-eager trees, decoding shards and metric columns only as queries touch them.
+Persistence lives in :mod:`repro.core.storage`: ``save`` writes
+``cct-binary-v1`` (the default) or ``columnar-json``, and ``load`` detects
+the on-disk format (binary magic bytes, then a JSON probe) instead of
+assuming one; legacy nested ``json`` files still load.  A profile loaded
+from the mmap-backed binary format arrives as a ``LazyProfileView`` — the
+same read API as the eager trees, decoding shards and metric columns only
+as queries touch them.
 """
 
 from __future__ import annotations
@@ -124,45 +125,35 @@ class ProfileDatabase:
 
     # -- persistence ----------------------------------------------------------------------
 
-    # Canonical storage-backend names (see repro.core.storage); "columnar"
-    # remains accepted as a legacy alias for the columnar JSON backend.
+    # Format names (see repro.core.storage); nested "json" is read-only.
     FORMAT_JSON = "json"
     FORMAT_COLUMNAR = "columnar-json"
     FORMAT_BINARY = "cct-binary-v1"
 
-    def to_dict(self, format: str = FORMAT_JSON) -> Dict[str, object]:
-        """Plain-dict encoding of the whole profile (JSON-family formats).
+    def to_dict(self) -> Dict[str, object]:
+        """The ``columnar-json`` encoding of the whole profile.
 
-        ``format="json"`` nests the tree node by node (the original format);
-        ``format="columnar-json"`` stores flat frame/metric columns and omits
-        the recomputable inclusive view, which roughly halves the payload.
-
-        A sharded tree keeps one columnar block per shard together with its
-        provenance (owning thread id/name/kind) in the columnar format; the
-        nested JSON format flattens it to the merged view.
+        Flat frame/metric columns without the recomputable inclusive view; a
+        sharded tree keeps one columnar block per shard together with its
+        provenance (owning thread id/name/kind).
         """
-        data: Dict[str, object] = {
+        return {
             "metadata": self.metadata.as_dict(),
             "dlmonitor_stats": dict(self.dlmonitor_stats),
             "issues": list(self.issues),
+            "tree_columnar": self.tree.to_columnar(),
         }
-        if format in (self.FORMAT_COLUMNAR, "columnar"):
-            data["tree_columnar"] = self.tree.to_columnar()
-        elif format == self.FORMAT_JSON:
-            data["tree"] = self.tree.to_dict()
-        else:
-            raise ValueError(f"unknown profile dict format {format!r} "
-                             f"(binary formats do not have a dict encoding)")
-        return data
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "ProfileDatabase":
-        """Rebuild a profile from any encoding (auto-detected).
+        """Rebuild a profile from a ``columnar-json`` or legacy nested
+        ``json`` document (told apart by its tree key).
 
         Columnar payloads may be single-tree or sharded (per-thread shards
         with provenance); sharded profiles load back as
         :class:`ShardedCallingContextTree` so shard identity survives a
-        save/load round-trip.
+        save/load round-trip.  A nested document stores a flattened merged
+        tree and loads as one :class:`CallingContextTree`.
         """
         tree: Union[CallingContextTree, ShardedCallingContextTree]
         if "tree_columnar" in data:
@@ -181,49 +172,36 @@ class ProfileDatabase:
         database.issues = list(data.get("issues", []))
         return database
 
-    def default_format(self) -> str:
-        """The format ``save`` uses when none is given: the profiler
-        configuration's ``profile_format`` if this profile carries one,
-        otherwise the legacy nested JSON format."""
-        configured = self.metadata.config.get("profile_format")
-        return str(configured) if configured else self.FORMAT_JSON
-
     def default_compression(self) -> Optional[str]:
-        """The per-block compression ``save`` applies when none is given: the
-        profiler configuration's ``profile_compression`` if this profile
-        carries one, otherwise no compression."""
+        """The per-block compression a binary ``save`` applies when none is
+        given: the profiler configuration's ``profile_compression`` if this
+        profile carries one, otherwise no compression."""
         configured = self.metadata.config.get("profile_compression")
         return str(configured) if configured else None
 
     def save(self, path: str, format: Optional[str] = None,
              compression: Optional[str] = None) -> str:
-        """Serialise to disk through a storage backend; returns the path.
+        """Write the profile to ``path``; returns the path.
 
-        ``format`` names a registered backend ("json", "columnar-json",
-        "cct-binary-v1", or an alias); ``None`` falls back to
-        :meth:`default_format`.  ``compression`` ("zlib") compresses each
+        ``format`` is "cct-binary-v1" (``None``, the default) or
+        "columnar-json"; the legacy nested "json" format is read-only and
+        raises ``ValueError``.  ``compression`` ("zlib") compresses each
         block of the binary format independently — transparent on the lazy
-        read path.  An *explicit* compression argument is rejected by the
-        JSON backends; the session-wide :meth:`default_compression` only
-        applies to backends that support it, so ``profile_compression``
-        combined with a JSON ``profile_format`` saves plain JSON instead of
-        failing after the run.  Every file loads transparently through
-        :meth:`load`, which sniffs the format.  The nested JSON format
-        inherits the stdlib encoder's recursion limit (~1000 nesting levels);
-        deeper traces must use a flat format.
+        read path — and defaults to :meth:`default_compression`.
+        "columnar-json" rejects an explicit compression; the session-wide
+        default does not apply to it, so a session with
+        ``profile_compression`` still saves plain JSON on request.  Both
+        formats are flat, so any trace depth saves, and every file loads
+        through :meth:`load`.
         """
-        from .storage import backend_for
+        from .storage import save_profile
 
-        backend = backend_for(format or self.default_format())
-        if compression is None and backend.supports_compression:
-            compression = self.default_compression()
-        if compression:
-            return backend.save(self, path, compression=compression)
-        return backend.save(self, path)
+        return save_profile(self, path, format, compression)
 
     @classmethod
     def load(cls, path: str, format: Optional[str] = None) -> "ProfileDatabase":
-        """Load a profile, sniffing the on-disk format.
+        """Load a profile in any of the three formats, legacy nested "json"
+        included.
 
         The format is detected from the file itself (binary magic bytes,
         then a JSON probe) — never assumed.  Passing ``format`` asserts the

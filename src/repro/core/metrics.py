@@ -140,8 +140,8 @@ class MetricAggregate:
     def state(self) -> Tuple[int, float, float, float, float, float]:
         """Exact internal state ``(count, sum, min, max, mean, m2)``.
 
-        Unlike :meth:`as_dict` (which emits the derived ``std``), this is
-        lossless — the columnar profile encoding round-trips through it.
+        Lossless, unlike the legacy nested encoding (which stored the derived
+        ``std``) — both written profile formats round-trip through it.
         """
         return (self.count, self.total, self.minimum if self.count else 0.0,
                 self.maximum if self.count else 0.0, self._mean, self._m2)
@@ -184,18 +184,11 @@ class MetricAggregate:
     def max(self) -> float:
         return self.maximum if self.count else 0.0
 
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "count": float(self.count),
-            "sum": self.total,
-            "min": self.min,
-            "max": self.max,
-            "mean": self.mean,
-            "std": self.std,
-        }
-
     @classmethod
     def from_dict(cls, data: Mapping[str, float]) -> "MetricAggregate":
+        """Read one aggregate of the legacy nested encoding: ``count``,
+        ``sum``, ``min``, ``max``, ``mean`` and ``std`` (``m2`` is rebuilt
+        as ``std² · count``)."""
         aggregate = cls()
         count = int(data.get("count", 0))
         if count == 0:
@@ -294,20 +287,9 @@ class MetricSet:
     def __len__(self) -> int:
         return len(self._metrics)
 
-    def as_dict(self) -> Dict[str, Dict[str, float]]:
-        """Serializable encoding of every *observed* metric.
-
-        Count-0 aggregates are skipped: ``reset_to`` zeroes stale aggregates
-        in place (instead of deleting them, to keep held references alive), so
-        a long-lived inclusive view can carry zombie zero entries that mean
-        "nothing observed" — serializing them would bloat the payload and
-        round-trip as spurious metric rows.
-        """
-        return {name: aggregate.as_dict() for name, aggregate in self._metrics.items()
-                if aggregate.count > 0}
-
     @classmethod
     def from_dict(cls, data: Mapping[str, Mapping[str, float]]) -> "MetricSet":
+        """Read one node's aggregates of the legacy nested encoding."""
         metric_set = cls()
         for name, aggregate_data in data.items():
             metric_set._metrics[name] = MetricAggregate.from_dict(aggregate_data)

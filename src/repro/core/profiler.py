@@ -268,7 +268,6 @@ class DeepContextProfiler:
             "pc_sampling": self.config.pc_sampling,
             "callpath_cache": self.config.callpath_cache,
             "sharded_cct": self.config.sharded_cct,
-            "profile_format": self.config.profile_format,
             "profile_compression": self.config.profile_compression,
             "checkpoint_interval_s": self.config.checkpoint_interval_s,
         }

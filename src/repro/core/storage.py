@@ -1,22 +1,21 @@
-"""Pluggable profile storage engine.
+"""Profile storage: the on-disk formats and the one dispatch between them.
 
-Profile persistence is a registry of :class:`StorageBackend` implementations
-instead of format branching inside ``ProfileDatabase``:
+Profiles are written in two formats and read in three:
 
-* ``json`` — the legacy nested node-by-node JSON encoding;
-* ``columnar-json`` — flat frame/metric columns in JSON (single-tree or
-  multi-shard with thread provenance), the compact text format;
-* ``cct-binary-v1`` — an mmap-backed binary columnar format: each shard's
-  frame table and each of its per-metric columns is an independent
-  struct-packed block, addressed by a footer table of contents, so opening a
-  profile is one ``mmap`` plus a TOC read and queries read only the blocks
-  they touch (see :class:`LazyProfileView` and ``docs/FORMATS.md`` for the
-  block layout).
+* ``cct-binary-v1`` (the default) — an mmap-backed binary columnar format:
+  each shard's frame table and each of its per-metric columns is an
+  independent struct-packed block, addressed by a footer table of contents,
+  so opening a profile is one ``mmap`` plus a TOC read and queries read only
+  the blocks they touch (see :class:`LazyProfileView` and
+  ``docs/FORMATS.md`` for the block layout);
+* ``columnar-json`` — the same frame/metric columns as one JSON document
+  (single-tree or multi-shard with thread provenance), the text format;
+* ``json`` — the legacy nested node-by-node encoding, read-only: old files
+  still load through :meth:`ProfileDatabase.from_dict`, nothing writes them.
 
-``ProfileDatabase.save``/``load`` dispatch here; ``load`` sniffs the on-disk
-format (magic bytes, then a JSON probe) rather than assuming one, and new
-backends — compressed, remote — plug in through :func:`register_backend`
-without touching the database class.
+:func:`save_profile` and :func:`load_profile` back ``ProfileDatabase.save``
+and ``load``.  Loading decides the format from the file itself: the binary
+magic, else one JSON parse classified by its payload key.
 
 The binary format additionally supports *streamed* files: a file may contain
 several sealed checkpoints (block runs each terminated by a TOC + tail), the
@@ -27,8 +26,9 @@ follow) a profile that another process is still appending to.
 
 This module is the only one that knows the binary layout: every magic,
 block, TOC and tail is written by :class:`SealWriter`, whether for a
-one-shot ``save``, a streamed checkpoint or a compaction.  The streaming
-policy — which shards to re-encode, when to seal and compact — lives in
+one-shot :func:`save_binary`, a streamed checkpoint or a compaction, and
+every binary file is opened by :func:`open_binary`.  The streaming policy —
+which shards to re-encode, when to seal and compact — lives in
 :mod:`repro.core.streaming`.
 """
 
@@ -51,10 +51,12 @@ from .cct import (ALL_KINDS, DEFAULT_SHARD_ID, KIND_CODES, CallingContextTree,
                   accumulate_name_state, fold_name_rows, sums_by_name)
 from .database import ProfileDatabase, ProfileMetadata
 
-# Canonical backend names (``FORMAT_*`` on ProfileDatabase alias these).
+# Format names (``FORMAT_*`` on ProfileDatabase alias these).
 FORMAT_JSON = "json"
 FORMAT_COLUMNAR_JSON = "columnar-json"
 FORMAT_BINARY_V1 = "cct-binary-v1"
+#: Every format a profile loads from; ``json`` is read-only.
+FORMATS = (FORMAT_BINARY_V1, FORMAT_COLUMNAR_JSON, FORMAT_JSON)
 
 #: 8-byte magic leading (and trailing) every ``cct-binary-v1`` file.
 BINARY_MAGIC = b"DCCTBIN1"
@@ -129,104 +131,38 @@ def _read_array(typecode: str, buffer, offset: int, count: int) -> Tuple[array.a
 
 
 # ---------------------------------------------------------------------------
-# Backend interface and registry
+# Format detection and dispatch
 # ---------------------------------------------------------------------------
 
-class StorageBackend:
-    """One on-disk profile format: how to save, load, and recognise it."""
-
-    #: Canonical registry name (also the name format sniffing reports).
-    name: str = ""
-    #: Alternate names accepted by ``save(format=...)`` (legacy spellings).
-    aliases: Tuple[str, ...] = ()
-    #: Whether ``save`` honours per-block compression.  Backends that don't
-    #: reject an *explicit* compression argument, while the session-wide
-    #: ``profile_compression`` default simply doesn't apply to them.
-    supports_compression: bool = False
-
-    def save(self, database: ProfileDatabase, path: str,
-             compression: Optional[str] = None) -> str:
-        raise NotImplementedError
-
-    def load(self, path: str) -> ProfileDatabase:
-        raise NotImplementedError
-
-    def sniff(self, head: bytes) -> bool:
-        """Whether ``head`` (the file's first bytes) starts one of this
-        backend's files.  Registered backends are asked in registration
-        order, so a custom backend (compressed, remote cache, ...) claims its
-        own magic here and ``ProfileDatabase.load`` dispatches to it without
-        any change to the database class.  JSON-family backends return False:
-        they are told apart by payload keys after a single shared parse.
-        """
-        return False
+def _unknown_format(name: str) -> ValueError:
+    return ValueError(f"unknown profile format {name!r}; formats: "
+                      f"{', '.join(FORMATS)}")
 
 
-_REGISTRY: Dict[str, StorageBackend] = {}
-_BACKENDS: List[StorageBackend] = []
+def _detect(path: str) -> Tuple[str, Optional[Dict]]:
+    """Detect a profile's format: ``(name, parsed JSON or None)``.
 
-
-def register_backend(backend: StorageBackend) -> StorageBackend:
-    """Register a backend under its canonical name and every alias."""
-    _BACKENDS.append(backend)
-    for alias in (backend.name, *backend.aliases):
-        _REGISTRY[alias] = backend
-    return backend
-
-
-def registered_formats() -> List[str]:
-    """Canonical names of every registered backend (registration order)."""
-    return [backend.name for backend in _BACKENDS]
-
-
-def backend_for(name: str) -> StorageBackend:
-    backend = _REGISTRY.get(name)
-    if backend is None:
-        raise ValueError(
-            f"unknown profile format {name!r}; registered formats: "
-            f"{', '.join(registered_formats())}")
-    return backend
-
-
-def _canonical(name: str) -> str:
-    return backend_for(name).name
-
-
-# ---------------------------------------------------------------------------
-# Format sniffing
-# ---------------------------------------------------------------------------
-
-#: How many leading bytes backends get to sniff (plenty for any magic).
-_SNIFF_BYTES = 64
-
-
-def _detect(path: str) -> Tuple[str, Optional[Dict], Optional[StorageBackend]]:
-    """Detect a profile's format: ``(name, parsed JSON or None, backend)``.
-
-    Registered backends are offered the file head first (in registration
-    order), so plugged-in binary formats are recognised without touching this
-    module; files no backend claims are probed as JSON — parsed exactly once
-    — and classified by their tree payload key.
+    A file starting with the binary magic is ``cct-binary-v1``; any other
+    file is parsed as JSON exactly once and classified by its tree payload
+    key.
     """
     with open(path, "rb") as handle:
-        head = handle.read(_SNIFF_BYTES)
+        head = handle.read(len(BINARY_MAGIC))
     if not head:
         raise ProfileFormatError(
-            f"{path!r} is empty (0 bytes): not a profile in any registered "
-            f"format")
-    for backend in _BACKENDS:
-        if backend.sniff(head):
-            return backend.name, None, backend
+            f"{path!r} is empty (0 bytes): not a profile in any known format")
+    if head == BINARY_MAGIC:
+        return FORMAT_BINARY_V1, None
     data = _probe_json(path)
-    return _classify_json(data, path), data, None
+    return _classify_json(data, path), data
 
 
 def detect_format(path: str) -> str:
-    """The canonical format name of the profile stored at ``path``.
+    """The format name of the profile stored at ``path``.
 
     Raises :class:`ProfileFormatError` (a ``ValueError``) naming the path and
     the detected condition — empty file, truncation, unknown encoding — for
-    files no backend recognises.
+    files in no known format.
     """
     return _detect(path)[0]
 
@@ -256,23 +192,58 @@ def _classify_json(data: Mapping, path: str) -> str:
 
 
 def load_profile(path: str, expected_format: Optional[str] = None) -> ProfileDatabase:
-    """Sniff the on-disk format and load through the matching backend.
+    """Detect the on-disk format and load the profile.
 
     With ``expected_format`` the detected format must match, otherwise a
     ``ValueError`` naming the *detected* format is raised — the caller asked
     for one encoding and got a file in another.
     """
-    expected = _canonical(expected_format) if expected_format is not None else None
-    detected, payload, backend = _detect(path)
-    if expected is not None and expected != detected:
+    if expected_format is not None and expected_format not in FORMATS:
+        raise _unknown_format(expected_format)
+    detected, payload = _detect(path)
+    if expected_format is not None and expected_format != detected:
         raise ValueError(
             f"profile at {path!r} is in {detected!r} format, not the "
-            f"requested {expected!r}")
-    if backend is not None:
-        return backend.load(path)
-    # JSON family: _detect already parsed the document; decode it directly so
+            f"requested {expected_format!r}")
+    if payload is None:
+        return _database_from_view(open_binary(path))
+    # JSON: _detect already parsed the document; decode it directly so
     # detection does not cost a second full parse.
     return ProfileDatabase.from_dict(payload)
+
+
+def save_profile(database: ProfileDatabase, path: str,
+                 format: Optional[str] = None,
+                 compression: Optional[str] = None) -> str:
+    """Write ``database`` to ``path`` in ``format``; returns the path.
+
+    ``None`` means ``cct-binary-v1``, whose saves default to the session's
+    ``profile_compression``.  ``columnar-json`` rejects an explicit
+    compression.  The nested ``json`` format is read-only.
+    """
+    format = format or FORMAT_BINARY_V1
+    if format == FORMAT_BINARY_V1:
+        if compression is None:
+            compression = database.default_compression()
+        return save_binary(database, path, compression)
+    if format == FORMAT_COLUMNAR_JSON:
+        if check_compression(compression) is not None:
+            raise ValueError(
+                f"the {FORMAT_COLUMNAR_JSON!r} format does not support "
+                f"per-block compression; save with "
+                f"format={FORMAT_BINARY_V1!r} instead")
+        data = database.to_dict()
+
+        def write(temp_path: str) -> None:
+            with open(temp_path, "w", encoding="utf-8") as handle:
+                json.dump(data, handle)
+
+        return atomic_write(path, write)
+    if format == FORMAT_JSON:
+        raise ValueError(
+            f"the nested {FORMAT_JSON!r} format is read-only; save with "
+            f"format={FORMAT_BINARY_V1!r} or {FORMAT_COLUMNAR_JSON!r}")
+    raise _unknown_format(format)
 
 
 def recover_profile(path: str) -> ProfileDatabase:
@@ -285,13 +256,8 @@ def recover_profile(path: str) -> ProfileDatabase:
     last checkpoint that completed.  Bytes beyond the seal are ignored.
     Raises :class:`ProfileFormatError` when no seal ever completed.
     """
-    backend = backend_for(FORMAT_BINARY_V1)
-    return backend._database_from_view(backend.open(path, recover=True))
+    return _database_from_view(open_binary(path, recover=True))
 
-
-# ---------------------------------------------------------------------------
-# JSON-family backends
-# ---------------------------------------------------------------------------
 
 def atomic_write(path: str, writer) -> str:
     """Stream into a sibling temp file and rename over the target, so neither
@@ -306,43 +272,6 @@ def atomic_write(path: str, writer) -> str:
         raise
     os.replace(temp_path, path)
     return path
-
-
-class JsonBackend(StorageBackend):
-    """The legacy nested node-by-node JSON encoding."""
-
-    name = FORMAT_JSON
-
-    def save(self, database: ProfileDatabase, path: str,
-             compression: Optional[str] = None) -> str:
-        if check_compression(compression) is not None:
-            raise ValueError(
-                f"the {self.name!r} backend does not support per-block "
-                f"compression; save with format={FORMAT_BINARY_V1!r} instead")
-        data = database.to_dict(format=self.name)
-
-        def write(temp_path: str) -> None:
-            try:
-                with open(temp_path, "w", encoding="utf-8") as handle:
-                    json.dump(data, handle)
-            except RecursionError:
-                raise ValueError(
-                    f"trace too deep for the nested {FORMAT_JSON!r} encoding "
-                    f"(stdlib json recursion limit); save with "
-                    f"format={FORMAT_COLUMNAR_JSON!r} or "
-                    f"{FORMAT_BINARY_V1!r} instead") from None
-
-        return atomic_write(path, write)
-
-    def load(self, path: str) -> ProfileDatabase:
-        return load_profile(path, expected_format=self.name)
-
-
-class ColumnarJsonBackend(JsonBackend):
-    """Flat frame/metric columns in JSON (single-tree or sharded)."""
-
-    name = FORMAT_COLUMNAR_JSON
-    aliases = ("columnar",)
 
 
 # ---------------------------------------------------------------------------
@@ -836,9 +765,8 @@ class LazyProfileView(ProfileTree):
         process is still streaming.  Call :meth:`refresh` to follow new seals
         as they land.
         """
-        backend = backend_for(FORMAT_BINARY_V1)
         try:
-            return backend.open(path, recover=True)
+            return open_binary(path, recover=True)
         except ProfileFormatError:
             raise
         except (OSError, struct.error) as error:
@@ -880,9 +808,8 @@ class LazyProfileView(ProfileTree):
                         return False
             except OSError:
                 pass  # vanished/unreadable: the full reopen names it
-        backend = backend_for(FORMAT_BINARY_V1)
         try:
-            fresh = backend.open(self.path, recover=True)
+            fresh = open_binary(self.path, recover=True)
         except ProfileFormatError:
             raise
         except (OSError, struct.error) as error:
@@ -1080,9 +1007,6 @@ class LazyProfileView(ProfileTree):
                 total += shard.tree().approximate_size_bytes()
         return total
 
-    def to_dict(self) -> Dict:
-        return self.hydrate().to_dict()
-
     def to_columnar(self) -> Dict:
         return self.hydrate().to_columnar()
 
@@ -1114,9 +1038,8 @@ def _shard_map(tree) -> Tuple[Dict[int, CallingContextTree],
 def _columns(shard: CallingContextTree) -> Dict[str, List[Tuple[int, Tuple]]]:
     """Per-metric ``(node index, aggregate state)`` columns of one shard.
 
-    Count-0 zombie aggregates are skipped, the same policy the JSON
-    encodings apply (``MetricSet.as_dict``): they mean "nothing observed"
-    and would round-trip as spurious rows.
+    Count-0 aggregates are skipped: they mean "nothing observed" and would
+    round-trip as spurious rows.
     """
     columns: Dict[str, List[Tuple[int, Tuple]]] = {}
     for index, node in enumerate(shard.all_nodes()):
@@ -1280,167 +1203,150 @@ class SealWriter:
         return self._toc_offset - len(BINARY_MAGIC) - live
 
 
-class BinaryV1Backend(StorageBackend):
-    """The mmap-backed binary columnar format (``cct-binary-v1``)."""
+def save_binary(database: ProfileDatabase, path: str,
+                compression: Optional[str] = None,
+                checksums: bool = True) -> str:
+    """Write ``database`` as a one-seal ``cct-binary-v1`` file; returns the
+    path.  ``compression`` ("zlib") compresses each block independently."""
+    codec = check_compression(compression)
 
-    name = FORMAT_BINARY_V1
-    aliases = ("binary",)
-    supports_compression = True
+    def write(temp_path: str) -> None:
+        with open(temp_path, "wb") as handle:
+            SealWriter(handle, codec, checksums).seal(database)
 
-    def sniff(self, head: bytes) -> bool:
-        return head.startswith(BINARY_MAGIC)
+    return atomic_write(path, write)
 
-    def save(self, database: ProfileDatabase, path: str,
-             compression: Optional[str] = None,
-             checksums: bool = True) -> str:
-        codec = check_compression(compression)
 
-        def write(temp_path: str) -> None:
-            with open(temp_path, "wb") as handle:
-                SealWriter(handle, codec, checksums).seal(database)
+# ---------------------------------------------------------------------------
+# cct-binary-v1 reader
+# ---------------------------------------------------------------------------
 
-        return atomic_write(path, write)
+def _database_from_view(view: LazyProfileView) -> ProfileDatabase:
+    meta = view._meta
+    database = ProfileDatabase(
+        tree=view,
+        metadata=ProfileMetadata.from_dict(meta.get("metadata", {})),
+        dlmonitor_stats=dict(meta.get("dlmonitor_stats", {})),
+    )
+    database.issues = list(meta.get("issues", []))
+    return database
 
-    # -- load ---------------------------------------------------------------------------
 
-    def load(self, path: str) -> ProfileDatabase:
-        return self._database_from_view(self.open(path))
-
-    @staticmethod
-    def _database_from_view(view: LazyProfileView) -> ProfileDatabase:
-        meta = view._meta
-        database = ProfileDatabase(
-            tree=view,
-            metadata=ProfileMetadata.from_dict(meta.get("metadata", {})),
-            dlmonitor_stats=dict(meta.get("dlmonitor_stats", {})),
-        )
-        database.issues = list(meta.get("issues", []))
-        return database
-
-    @staticmethod
-    def _parse_toc(mm, toc_offset: int, toc_length: int) -> Optional[Dict]:
-        """The TOC at ``(offset, length)`` if it parses and self-identifies,
-        else None (never raises — the recovery scan probes candidates)."""
-        try:
-            toc = json.loads(bytes(mm[toc_offset:toc_offset + toc_length])
-                             .decode("utf-8"))
-        except (UnicodeDecodeError, ValueError):
-            return None
-        if isinstance(toc, dict) and toc.get("format") == FORMAT_BINARY_V1:
-            return toc
+def _parse_toc(mm, toc_offset: int, toc_length: int) -> Optional[Dict]:
+    """The TOC at ``(offset, length)`` if it parses and self-identifies,
+    else None (never raises — the recovery scan probes candidates)."""
+    try:
+        toc = json.loads(bytes(mm[toc_offset:toc_offset + toc_length])
+                         .decode("utf-8"))
+    except (UnicodeDecodeError, ValueError):
         return None
+    if isinstance(toc, dict) and toc.get("format") == FORMAT_BINARY_V1:
+        return toc
+    return None
 
-    @classmethod
-    def _find_seal(cls, mm, path: str) -> Tuple[Dict, int]:
-        """Scan backwards from EOF for the last intact seal.
 
-        A seal is a 24-byte tail — ``u64 toc_offset · u64 toc_length ·
-        magic`` — whose TOC bounds are self-consistent and whose TOC parses
-        as a ``cct-binary-v1`` table of contents.  An arbitrarily truncated
-        tail (crash mid-append) simply fails these checks and the scan moves
-        to the previous candidate.  Returns ``(toc, seal_end)`` where
-        ``seal_end`` is the end offset of the tail (every byte beyond it is
-        unsealed garbage).
-        """
-        magic_length = len(BINARY_MAGIC)
-        search_end = len(mm)
-        while True:
-            found = mm.rfind(BINARY_MAGIC, magic_length, search_end)
-            if found < 0:
-                raise ProfileFormatError(
-                    f"{path!r} contains no intact sealed checkpoint (crash "
-                    f"before the first seal completed, or not a streamed "
-                    f"{FORMAT_BINARY_V1} profile)")
-            tail_start = found - 16
-            if tail_start >= magic_length:
-                toc_offset, toc_length = struct.unpack_from("<QQ", mm,
-                                                            tail_start)
-                if (toc_offset >= magic_length
-                        and toc_offset + toc_length == tail_start):
-                    toc = cls._parse_toc(mm, toc_offset, toc_length)
-                    if toc is not None:
-                        return toc, found + magic_length
-            search_end = found + magic_length - 1
+def _find_seal(mm, path: str) -> Tuple[Dict, int]:
+    """Scan backwards from EOF for the last intact seal.
 
-    def open(self, path: str, recover: bool = False) -> LazyProfileView:
-        """Map the file and read the TOC; no shard or column is decoded.
-
-        With ``recover=True`` the file is scanned backwards for the last
-        intact seal instead of requiring one at exactly EOF, so truncated
-        crash leftovers and still-growing streams open at their newest
-        sealed checkpoint.
-        """
-        handle = open(path, "rb")
-        try:
-            mm = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
-        except ValueError:
-            handle.close()
+    A seal is a 24-byte tail — ``u64 toc_offset · u64 toc_length ·
+    magic`` — whose TOC bounds are self-consistent and whose TOC parses
+    as a ``cct-binary-v1`` table of contents.  An arbitrarily truncated
+    tail (crash mid-append) simply fails these checks and the scan moves
+    to the previous candidate.  Returns ``(toc, seal_end)`` where
+    ``seal_end`` is the end offset of the tail (every byte beyond it is
+    unsealed garbage).
+    """
+    magic_length = len(BINARY_MAGIC)
+    search_end = len(mm)
+    while True:
+        found = mm.rfind(BINARY_MAGIC, magic_length, search_end)
+        if found < 0:
             raise ProfileFormatError(
-                f"{path!r} is empty (0 bytes): not a {FORMAT_BINARY_V1} "
-                f"profile") from None
-        except BaseException:
-            handle.close()
-            raise
-        try:
-            if len(mm) < len(BINARY_MAGIC) + _TAIL.size:
+                f"{path!r} contains no intact sealed checkpoint (crash "
+                f"before the first seal completed, or not a streamed "
+                f"{FORMAT_BINARY_V1} profile)")
+        tail_start = found - 16
+        if tail_start >= magic_length:
+            toc_offset, toc_length = struct.unpack_from("<QQ", mm, tail_start)
+            if (toc_offset >= magic_length
+                    and toc_offset + toc_length == tail_start):
+                toc = _parse_toc(mm, toc_offset, toc_length)
+                if toc is not None:
+                    return toc, found + magic_length
+        search_end = found + magic_length - 1
+
+
+def open_binary(path: str, recover: bool = False) -> LazyProfileView:
+    """Map a ``cct-binary-v1`` file and read the TOC; no shard or column is
+    decoded.
+
+    With ``recover=True`` the file is scanned backwards for the last
+    intact seal instead of requiring one at exactly EOF, so truncated
+    crash leftovers and still-growing streams open at their newest
+    sealed checkpoint.
+    """
+    handle = open(path, "rb")
+    try:
+        mm = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
+    except ValueError:
+        handle.close()
+        raise ProfileFormatError(
+            f"{path!r} is empty (0 bytes): not a {FORMAT_BINARY_V1} "
+            f"profile") from None
+    except BaseException:
+        handle.close()
+        raise
+    try:
+        if len(mm) < len(BINARY_MAGIC) + _TAIL.size:
+            raise ProfileFormatError(
+                f"{path!r} is too short ({len(mm)} bytes) to be a "
+                f"{FORMAT_BINARY_V1} profile")
+        if mm[:len(BINARY_MAGIC)] != BINARY_MAGIC:
+            raise ProfileFormatError(
+                f"{path!r} does not start with the {FORMAT_BINARY_V1} "
+                f"magic")
+        if recover:
+            toc, seal_end = _find_seal(mm, path)
+        else:
+            seal_end = len(mm)
+            toc_offset, toc_length, tail_magic = _TAIL.unpack(mm[-_TAIL.size:])
+            if tail_magic != BINARY_MAGIC:
                 raise ProfileFormatError(
-                    f"{path!r} is too short ({len(mm)} bytes) to be a "
-                    f"{FORMAT_BINARY_V1} profile")
-            if mm[:len(BINARY_MAGIC)] != BINARY_MAGIC:
+                    f"{path!r} is truncated or corrupt: trailing "
+                    f"{FORMAT_BINARY_V1} magic missing (file cut "
+                    f"mid-block or mid-seal; recover_profile() reopens "
+                    f"the last sealed checkpoint of a streamed profile)")
+            toc = _parse_toc(mm, toc_offset, toc_length)
+            if toc is None:
                 raise ProfileFormatError(
-                    f"{path!r} does not start with the {FORMAT_BINARY_V1} "
-                    f"magic")
-            if recover:
-                toc, seal_end = self._find_seal(mm, path)
-            else:
-                seal_end = len(mm)
-                toc_offset, toc_length, tail_magic = _TAIL.unpack(mm[-_TAIL.size:])
-                if tail_magic != BINARY_MAGIC:
-                    raise ProfileFormatError(
-                        f"{path!r} is truncated or corrupt: trailing "
-                        f"{FORMAT_BINARY_V1} magic missing (file cut "
-                        f"mid-block or mid-seal; recover_profile() reopens "
-                        f"the last sealed checkpoint of a streamed profile)")
-                toc = self._parse_toc(mm, toc_offset, toc_length)
-                if toc is None:
-                    raise ProfileFormatError(
-                        f"{path!r} is truncated or corrupt: the trailing "
-                        f"table of contents does not parse as a "
-                        f"{FORMAT_BINARY_V1} TOC")
-            meta_descriptor = toc.get("meta", {})
-            meta_offset = int(meta_descriptor.get("offset", 0))
-            meta_length = int(meta_descriptor.get("length", 0))
-            meta_bytes = bytes(mm[meta_offset:meta_offset + meta_length])
-            expected_crc = meta_descriptor.get("crc32")
-            if meta_length and expected_crc is not None:
-                actual_crc = zlib.crc32(meta_bytes) & 0xFFFFFFFF
-                if actual_crc != int(expected_crc):
-                    raise ProfileCorruptionError(
-                        f"{path!r}: meta block at offset {meta_offset} "
-                        f"(length {meta_length}) failed CRC-32 verification "
-                        f"(stored 0x{int(expected_crc):08x}, computed "
-                        f"0x{actual_crc:08x}); the block's bytes changed "
-                        f"after sealing")
-            try:
-                meta = (json.loads(meta_bytes.decode("utf-8"))
-                        if meta_length else {})
-            except (UnicodeDecodeError, ValueError) as error:
+                    f"{path!r} is truncated or corrupt: the trailing "
+                    f"table of contents does not parse as a "
+                    f"{FORMAT_BINARY_V1} TOC")
+        meta_descriptor = toc.get("meta", {})
+        meta_offset = int(meta_descriptor.get("offset", 0))
+        meta_length = int(meta_descriptor.get("length", 0))
+        meta_bytes = bytes(mm[meta_offset:meta_offset + meta_length])
+        expected_crc = meta_descriptor.get("crc32")
+        if meta_length and expected_crc is not None:
+            actual_crc = zlib.crc32(meta_bytes) & 0xFFFFFFFF
+            if actual_crc != int(expected_crc):
                 raise ProfileCorruptionError(
-                    f"{path!r}: meta block at offset {meta_offset} does not "
-                    f"parse as JSON ({error})") from None
-        except BaseException:
-            mm.close()
-            handle.close()
-            raise
-        if TELEMETRY.enabled:
-            TELEMETRY.count("storage.views_opened")
-        return LazyProfileView(path, handle, mm, toc, meta, seal_end=seal_end)
-
-
-# ---------------------------------------------------------------------------
-# Default registry
-# ---------------------------------------------------------------------------
-
-register_backend(JsonBackend())
-register_backend(ColumnarJsonBackend())
-register_backend(BinaryV1Backend())
+                    f"{path!r}: meta block at offset {meta_offset} "
+                    f"(length {meta_length}) failed CRC-32 verification "
+                    f"(stored 0x{int(expected_crc):08x}, computed "
+                    f"0x{actual_crc:08x}); the block's bytes changed "
+                    f"after sealing")
+        try:
+            meta = (json.loads(meta_bytes.decode("utf-8"))
+                    if meta_length else {})
+        except (UnicodeDecodeError, ValueError) as error:
+            raise ProfileCorruptionError(
+                f"{path!r}: meta block at offset {meta_offset} does not "
+                f"parse as JSON ({error})") from None
+    except BaseException:
+        mm.close()
+        handle.close()
+        raise
+    if TELEMETRY.enabled:
+        TELEMETRY.count("storage.views_opened")
+    return LazyProfileView(path, handle, mm, toc, meta, seal_end=seal_end)

@@ -125,10 +125,9 @@ def run_workload(workload: Workload, device: str = "a100", mode: str = MODE_EAGE
                  health_path: Optional[str] = None) -> RunResult:
     """Run ``workload`` under one configuration and collect measurements.
 
-    With ``profile_path`` the resulting profile database is persisted through
-    the storage engine (``profile_format`` selects a registered backend —
-    "json", "columnar-json", "cct-binary-v1" — defaulting to the profiler
-    configuration's ``profile_format``); the on-disk size is reported in
+    With ``profile_path`` the resulting profile database is saved there
+    (``profile_format`` is "cct-binary-v1", the default for ``None``, or
+    "columnar-json"); the on-disk size is reported in
     ``extra["profile_file_bytes"]``.  A profile reloaded later — eagerly from
     JSON or as a lazy mmap-backed view from the binary format — plugs into
     the same analyzers and exporters as the in-memory database.

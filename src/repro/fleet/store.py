@@ -41,9 +41,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from ..core.database import ProfileDatabase, ProfileMetadata
-from ..core.storage import (FORMAT_BINARY_V1, LazyProfileView,
-                            ProfileFormatError, backend_for,
-                            check_compression, load_profile, recover_profile)
+from ..core.storage import (BINARY_MAGIC, LazyProfileView, ProfileFormatError,
+                            check_compression, load_profile, open_binary,
+                            recover_profile, save_binary)
 from ..obs import TELEMETRY
 from .index import FleetIndex, RunSummary
 
@@ -510,11 +510,12 @@ class ProfileStore:
     def _coerce_database(source) -> ProfileDatabase:
         """A :class:`ProfileDatabase` for whatever the caller handed us.
 
-        Paths load through the format-sniffing storage engine; a file that
-        fails the strict load because its tail is unsealed — a crashed or
-        still-being-streamed checkpoint file — is reopened at its last intact
-        seal via :func:`repro.core.storage.recover_profile`, which is exactly
-        the live-attach contract the streaming pipeline guarantees.
+        Paths load through the format-detecting storage engine; a binary
+        file that fails the strict load because its tail is unsealed — a
+        crashed or still-being-streamed checkpoint file — is reopened at its
+        last intact seal via :func:`repro.core.storage.recover_profile`,
+        which is exactly the live-attach contract the streaming pipeline
+        guarantees.  Any other file's format error is raised as it is.
         """
         if isinstance(source, ProfileDatabase):
             return source
@@ -536,6 +537,9 @@ class ProfileStore:
         try:
             return load_profile(path)
         except ProfileFormatError:
+            with open(path, "rb") as handle:
+                if handle.read(len(BINARY_MAGIC)) != BINARY_MAGIC:
+                    raise
             return recover_profile(path)
 
     @staticmethod
@@ -565,9 +569,9 @@ class ProfileStore:
         """Canonicalise, content-address and catalog one run's profile.
 
         ``source`` may be a :class:`ProfileDatabase` or a path to a profile
-        in any registered format — including a streamed checkpoint file that
-        is truncated or still being appended to, which is recovered at its
-        last intact seal.  Returns the new record, or the existing one when
+        in any of the three formats — including a streamed checkpoint file
+        that is truncated or still being appended to, which is recovered at
+        its last intact seal.  Returns the new record, or the existing one when
         the canonical bytes are already catalogued (content addressing).
 
         Raises ``ValueError`` when the profile carries no workload identity
@@ -599,8 +603,7 @@ class ProfileStore:
                                           database.dlmonitor_stats)
                 stamped.issues = list(database.issues)
                 database = stamped
-            backend_for(FORMAT_BINARY_V1).save(database, temp_path,
-                                               compression=self.compression)
+            save_binary(database, temp_path, self.compression)
             digest = self._digest_file(temp_path)
             run_id = digest[:RUN_ID_LENGTH]
             existing = self._records.get(run_id)
@@ -649,8 +652,7 @@ class ProfileStore:
                     labels: Optional[Mapping[str, str]]
                     ) -> Tuple[RunRecord, RunSummary]:
         metadata = database.metadata
-        with backend_for(FORMAT_BINARY_V1).open(
-                os.path.join(self.root, relative)) as view:
+        with open_binary(os.path.join(self.root, relative)) as view:
             # The index summary is computed while the canonical bytes are
             # already mapped — the one decode pass ingest pays so standing
             # fleet queries never pay it again.
@@ -755,7 +757,7 @@ class ProfileStore:
 
     def open_view(self, run_id: str) -> LazyProfileView:
         """The run's profile as a lazy mmap-backed view (nothing decoded)."""
-        return backend_for(FORMAT_BINARY_V1).open(self.profile_path(run_id))
+        return open_binary(self.profile_path(run_id))
 
     def load(self, run_id: str) -> ProfileDatabase:
         """The run's full :class:`ProfileDatabase` (lazy tree inside)."""
@@ -864,8 +866,7 @@ class ProfileStore:
                 self.fleet_index.remove(record.run_id)
                 continue
             try:
-                with backend_for(FORMAT_BINARY_V1).open(
-                        os.path.join(self.root, record.path)) as view:
+                with open_binary(os.path.join(self.root, record.path)) as view:
                     summary = RunSummary.from_view(record.run_id,
                                                    record.digest, view)
             except (ProfileFormatError, OSError):
@@ -921,7 +922,7 @@ class ProfileStore:
             return f"profile file {record.path!r} is missing from the store"
         block_problems: List[str] = []
         try:
-            with backend_for(FORMAT_BINARY_V1).open(path) as view:
+            with open_binary(path) as view:
                 block_problems = view.verify_blocks()
         except (ProfileFormatError, OSError) as error:
             return str(error)

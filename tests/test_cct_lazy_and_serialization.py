@@ -4,8 +4,8 @@ The CCT attributes observations into exclusive aggregates only and rolls the
 inclusive view up on demand with parallel Welford merges; these tests pin the
 invariants that refactor relies on: merge ≡ sequential adds, the generation
 counter invalidates the view after post-query mutations, kind indexes match
-traversal results, and the iterative / columnar (de)serializers round-trip
-large and very deep trees.
+traversal results, and the columnar (de)serializers and default save
+round-trip large and very deep trees.
 """
 
 import json
@@ -14,7 +14,8 @@ import sys
 
 import pytest
 
-from repro.core import CallingContextTree, MetricAggregate, ProfileDatabase
+from repro.core import (CallingContextTree, MetricAggregate, ProfileDatabase,
+                        detect_format)
 from repro.core import metrics as M
 from repro.dlmonitor.callpath import (
     CallPath,
@@ -253,12 +254,17 @@ class TestIterativeSerialization:
             tree.attribute_many(node, {M.METRIC_GPU_TIME: 1e-5 * (index + 1),
                                        M.METRIC_KERNEL_COUNT: 1.0})
         assert tree.node_count() >= 5000
-        encoded = tree.to_dict()
-        restored = CallingContextTree.from_dict(encoded)
+        encoded = tree.to_columnar()
+        restored = CallingContextTree.from_columnar(encoded)
         assert restored.node_count() == tree.node_count()
+        for original, copy in zip(tree.all_nodes(), restored.all_nodes()):
+            assert copy.frame.identity() == original.frame.identity()
+            assert copy.depth == original.depth
+            for name, aggregate in original.exclusive.items():
+                assert copy.exclusive.get(name).state() == aggregate.state()
         # Round-tripping the restored tree must reproduce the encoding exactly
-        # (same nesting, same sibling order, same aggregate values).
-        assert restored.to_dict() == encoded
+        # (same registry order, same parents, same aggregate states).
+        assert restored.to_columnar() == encoded
 
     def test_deep_tree_exceeding_recursion_limit(self):
         depth = sys.getrecursionlimit() + 500
@@ -268,15 +274,21 @@ class TestIterativeSerialization:
         leaf = tree.insert(CallPath.of(frames))
         tree.attribute(leaf, M.METRIC_CPU_TIME, 1.0)
         assert tree.max_depth() == depth
-        restored = CallingContextTree.from_dict(tree.to_dict())
+        restored = CallingContextTree.from_columnar(tree.to_columnar())
         assert restored.node_count() == tree.node_count()
+        for original, copy in zip(tree.all_nodes(), restored.all_nodes()):
+            assert copy.frame.identity() == original.frame.identity()
+            assert copy.depth == original.depth
+            assert copy.inclusive.sum(M.METRIC_CPU_TIME) == \
+                original.inclusive.sum(M.METRIC_CPU_TIME)
         assert restored.root.inclusive.sum(M.METRIC_CPU_TIME) == pytest.approx(1.0)
 
     def test_roundtrip_preserves_registry_order_for_interleaved_creation(self):
         # Nodes created in an order that differs from pre-order: x, op2 first,
         # then y/op, then op under x.  Index-backed queries (all_nodes,
-        # operators, ...) must enumerate identically before and after both
-        # serialization formats.
+        # operators, ...) must enumerate identically before and after a
+        # columnar round trip (tests/test_legacy_nested_json.py covers the
+        # legacy nested reader).
         tree = CallingContextTree("order")
         tree.insert(CallPath.of([root_frame(), python_frame("a.py", 1, "x"),
                                  framework_frame("op2")]))
@@ -285,11 +297,9 @@ class TestIterativeSerialization:
         tree.insert(CallPath.of([root_frame(), python_frame("a.py", 1, "x"),
                                  framework_frame("op", backward=True)]))
         live_order = [node.frame.identity() for node in tree.all_nodes()]
-        from_json = CallingContextTree.from_dict(tree.to_dict())
         from_cols = CallingContextTree.from_columnar(tree.to_columnar())
-        assert [n.frame.identity() for n in from_json.all_nodes()] == live_order
         assert [n.frame.identity() for n in from_cols.all_nodes()] == live_order
-        assert [n.frame.identity() for n in from_json.operators] == \
+        assert [n.frame.identity() for n in from_cols.operators] == \
             [n.frame.identity() for n in tree.operators]
 
     def test_columnar_roundtrip_preserves_metrics(self):
@@ -309,33 +319,33 @@ class TestIterativeSerialization:
     def test_columnar_database_save_load(self, tmp_path):
         tree = _random_tree(contexts=5, observations=120)
         database = ProfileDatabase(tree)
-        json_path = database.save(str(tmp_path / "profile.json"))
+        binary_path = database.save(str(tmp_path / "profile.cctb"))
         columnar_path = database.save(str(tmp_path / "profile.columnar.json"),
                                       format=ProfileDatabase.FORMAT_COLUMNAR)
-        from_json = ProfileDatabase.load(json_path)
+        from_binary = ProfileDatabase.load(binary_path)
         from_columnar = ProfileDatabase.load(columnar_path)
-        assert from_json.node_count() == from_columnar.node_count() == database.node_count()
-        assert from_columnar.total_gpu_time() == pytest.approx(
-            database.total_gpu_time(), rel=1e-9)
-        assert from_columnar.top_kernels(5) == from_json.top_kernels(5)
-        # The columnar file omits the recomputable inclusive view.
-        assert (tmp_path / "profile.columnar.json").stat().st_size < \
-            (tmp_path / "profile.json").stat().st_size
+        with from_binary.tree:
+            assert from_binary.node_count() == from_columnar.node_count() == \
+                database.node_count()
+            assert from_columnar.total_gpu_time() == pytest.approx(
+                database.total_gpu_time(), rel=1e-9)
+            assert from_columnar.top_kernels(5) == from_binary.top_kernels(5)
 
-    def test_deep_columnar_save_survives_json_recursion_limit(self, tmp_path):
+    def test_default_save_survives_json_recursion_limit(self, tmp_path):
         depth = sys.getrecursionlimit() + 500
         frames = [root_frame("deep")]
         frames += [python_frame("deep.py", line, f"f{line}") for line in range(depth)]
         tree = CallingContextTree("deep")
         tree.attribute(tree.insert(CallPath.of(frames)), M.METRIC_CPU_TIME, 2.0)
         database = ProfileDatabase(tree)
-        path = database.save(str(tmp_path / "deep.json"),
-                             format=ProfileDatabase.FORMAT_COLUMNAR)
-        restored = ProfileDatabase.load(path)
-        assert restored.node_count() == tree.node_count()
-        assert restored.total_cpu_time() == pytest.approx(2.0)
-        # The nested default format cannot encode traces this deep (stdlib
-        # json recursion limit) — it must fail with a helpful error, not a
-        # bare RecursionError.
-        with pytest.raises(ValueError, match="columnar"):
-            database.save(str(tmp_path / "deep_nested.json"))
+        for format_name, expected in ((None, ProfileDatabase.FORMAT_BINARY),
+                                      (ProfileDatabase.FORMAT_COLUMNAR,
+                                       ProfileDatabase.FORMAT_COLUMNAR)):
+            path = database.save(str(tmp_path / f"deep.{expected}"),
+                                 format=format_name)
+            assert detect_format(path) == expected
+            restored = ProfileDatabase.load(path)
+            assert restored.node_count() == tree.node_count()
+            assert restored.total_cpu_time() == pytest.approx(2.0)
+            if expected == ProfileDatabase.FORMAT_BINARY:
+                restored.tree.close()

@@ -59,8 +59,7 @@ class TestRunner:
 
         path = str(tmp_path / "run.cctb")
         result = run_named_workload("gnn", profiler=PROFILER_DEEPCONTEXT,
-                                    iterations=1, profile_path=path,
-                                    profile_format="cct-binary-v1")
+                                    iterations=1, profile_path=path)
         assert result.extra["profile_file_bytes"] > 0
         reloaded = ProfileDatabase.load(path)
         assert isinstance(reloaded.tree, LazyProfileView)

@@ -16,13 +16,12 @@ import struct
 import pytest
 
 from repro.core import (
-    FORMAT_BINARY_V1,
     ProfileCorruptionError,
     ProfileDatabase,
     ProfileFormatError,
     StreamingProfileWriter,
-    backend_for,
     recover_profile,
+    save_binary,
 )
 from repro.core import metrics as M
 from repro.core.cct import ShardedCallingContextTree
@@ -251,7 +250,7 @@ class TestShortReads:
 
     def test_short_read_during_detection_is_a_named_error(self, tmp_path):
         path = str(tmp_path / "p.cctb")
-        backend_for(FORMAT_BINARY_V1).save(self._small_database(), path)
+        save_binary(self._small_database(), path)
         plan = FaultPlan([short_read(1, keep=4)])
         with FaultInjector(tmp_path, plan):
             with pytest.raises(ProfileFormatError):

@@ -27,7 +27,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analyzer import PerformanceAnalyzer, RegressionAnalysis, Severity
-from repro.core import ProfileDatabase, ProfileMetadata, recover_profile
+from repro.core import (ProfileDatabase, ProfileFormatError, ProfileMetadata,
+                        recover_profile)
 from repro.core import metrics as M
 from repro.core.cct import CallingContextTree, ShardedCallingContextTree
 from repro.dlmonitor.callpath import (
@@ -199,6 +200,21 @@ class TestProfileStore:
         loaded = store.load(record.run_id)
         assert loaded.total_gpu_time() == database.total_gpu_time()
         assert loaded.metadata.workload == "vit"
+
+    def test_ingest_of_a_corrupt_json_file_reports_the_json_error(self, tmp_path):
+        """Only binary files get the streamed-checkpoint recovery retry; a
+        cut JSON profile fails with its own condition, not a binary one."""
+        path = str(tmp_path / "half.json")
+        make_database("vit", BASE_OBSERVATIONS).save(path, format="columnar-json")
+        with open(path, "rb") as handle:
+            blob = handle.read()
+        with open(path, "wb") as handle:
+            handle.write(blob[:len(blob) // 2])
+        store = ProfileStore(tmp_path / "store")
+        with pytest.raises(ProfileFormatError,
+                           match=r"half\.json.*not valid JSON"):
+            store.ingest(path)
+        assert len(store) == 0
 
     def test_ingest_recovers_truncated_stream(self, tmp_path):
         """A crashed streamed checkpoint file ingests at its last seal."""

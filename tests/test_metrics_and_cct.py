@@ -76,8 +76,14 @@ class TestMetricAggregate:
         aggregate = MetricAggregate()
         for value in (1.0, 2.0, 6.0):
             aggregate.add(value)
-        restored = MetricAggregate.from_dict(aggregate.as_dict())
-        assert restored.count == 3
+        # One aggregate of the legacy nested encoding, which stored std.
+        std = 2.160246899469287
+        restored = MetricAggregate.from_dict(
+            {"count": 3.0, "sum": 9.0, "min": 1.0, "max": 6.0, "mean": 3.0,
+             "std": std})
+        assert (restored.count, restored.sum, restored.min, restored.max,
+                restored.mean) == (3, 9.0, 1.0, 6.0, 3.0)
+        assert restored.state()[5] == std * std * 3
         assert restored.mean == pytest.approx(aggregate.mean)
         assert restored.std == pytest.approx(aggregate.std)
 
@@ -173,7 +179,7 @@ class TestCallingContextTree:
         node = tree.insert(_make_path("aten::conv2d", "conv_kernel"))
         tree.attribute(node, M.METRIC_GPU_TIME, 0.125)
         tree.attribute(node, M.METRIC_KERNEL_COUNT, 1.0)
-        restored = CallingContextTree.from_dict(tree.to_dict())
+        restored = CallingContextTree.from_columnar(tree.to_columnar())
         assert restored.node_count() == tree.node_count()
         assert restored.root.inclusive.sum(M.METRIC_GPU_TIME) == pytest.approx(0.125)
         restored_kernels = restored.kernels

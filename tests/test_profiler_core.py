@@ -151,14 +151,17 @@ class TestProfileDatabase:
         assert values == sorted(values, reverse=True)
         assert all(0 <= row["fraction"] <= 1 for row in top)
 
-    def test_json_roundtrip(self, tmp_path):
+    def test_default_save_roundtrip(self, tmp_path):
         database = self._database()
-        path = database.save(str(tmp_path / "profile.json"))
+        path = database.save(str(tmp_path / "profile.cctb"))
         restored = ProfileDatabase.load(path)
-        assert restored.node_count() == database.node_count()
-        assert restored.total_gpu_time() == pytest.approx(database.total_gpu_time())
-        assert restored.metadata.program == "persist"
-        assert restored.total_kernel_launches() == database.total_kernel_launches()
+        with restored.tree:
+            assert restored.node_count() == database.node_count()
+            assert restored.total_gpu_time() == pytest.approx(
+                database.total_gpu_time())
+            assert restored.metadata.program == "persist"
+            assert restored.total_kernel_launches() == \
+                database.total_kernel_launches()
 
     def test_size_bytes_positive_and_bounded_by_nodes(self):
         database = self._database()

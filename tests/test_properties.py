@@ -5,7 +5,7 @@ profile contains, the CCT, the flame-graph views and the exports must agree on
 totals, and aggregation must stay consistent under collapsing.
 
 :class:`TestPerNameReference` checks every per-name rollup path — live
-sharded tree, each storage backend, single-shard reads and fleet queries —
+sharded tree, each written format, single-shard reads and fleet queries —
 against a naive per-kernel reference computed from the raw observation list.
 :class:`TestPerContextReference` checks every calling context the same way:
 plain, sharded and one-thread trees, queried while they are still being fed,
@@ -99,7 +99,7 @@ class TestProfileInvariants:
     @given(profiles)
     def test_serialization_preserves_totals_and_structure(self, observations):
         tree = build_tree(observations)
-        restored = CallingContextTree.from_dict(tree.to_dict())
+        restored = CallingContextTree.from_columnar(tree.to_columnar())
         assert restored.node_count() == tree.node_count()
         assert restored.root.inclusive.sum(M.METRIC_GPU_TIME) == pytest.approx(
             tree.root.inclusive.sum(M.METRIC_GPU_TIME))
@@ -218,14 +218,13 @@ class TestPerNameReference:
         with tempfile.TemporaryDirectory() as directory:
             database = ProfileDatabase(live)
             trees = {}
-            for name in ("json", "columnar-json", "cct-binary-v1"):
+            for name in ("columnar-json", "cct-binary-v1"):
                 path = database.save(os.path.join(directory, name), format=name)
                 trees[name] = ProfileDatabase.load(path).tree
             hydrated = ProfileDatabase.load(os.path.join(directory, "cct-binary-v1")).tree
             hydrated.hydrate()
             trees["hydrated"] = hydrated
-            # Nested JSON stores a standard deviation, not m2: reference
-            # only.  The flat encodings must reproduce the live rows exactly.
+            # Every encoding must also reproduce the live rows exactly.
             for name, tree in (("live", live), *trees.items()):
                 assert_states_match(
                     states_by_name(tree.name_rows(gpu), kind=FrameKind.GPU_KERNEL),
@@ -233,8 +232,7 @@ class TestPerNameReference:
                 assert tree.aggregate_by_name(
                     kind=FrameKind.GPU_KERNEL, metric=M.METRIC_KERNEL_COUNT) == \
                     {kernel: float(state[0]) for kernel, state in expected.items()}
-                if name != "json":
-                    exact[name] = bits(tree.name_rows(gpu), tree.total_metric(gpu))
+                exact[name] = bits(tree.name_rows(gpu), tree.total_metric(gpu))
             lazy = trees["cct-binary-v1"]
             assert not lazy.hydrated
             for tid in lazy.shard_ids():

@@ -7,8 +7,12 @@ same observations, to floating-point accuracy.  These tests pin that property
 (with hypothesis), the shard lifecycle (handles, caching behind generation
 counters), the multi-shard columnar persistence with provenance, and the
 zero-row regressions fixed alongside (``aggregate_by_name`` count gating,
-``MetricSet.as_dict`` zombie zero entries).
+zombie count-0 entries in legacy files).
 """
+
+import copy
+import json
+import os
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,7 +25,6 @@ from repro.core import (
     ShardedCallingContextTree,
 )
 from repro.core import metrics as M
-from repro.core.metrics import MetricSet
 from repro.cpu.clock import MachineClock
 from repro.dlmonitor.callpath import (
     CallPath,
@@ -37,6 +40,8 @@ from repro.framework import functional as F
 from repro.framework.threads import THREAD_BACKWARD, ThreadRegistry
 
 THREAD_NAMES = {1: "main", 2: "backward-0", 3: "worker-0"}
+LEGACY_PATH = os.path.join(os.path.dirname(__file__), "data",
+                           "legacy-nested-v0.json")
 
 
 def _path(tid: int, module: str, kernel: str) -> CallPath:
@@ -339,16 +344,6 @@ class TestShardedPersistence:
         assert restored.top_kernels(3) == database.top_kernels(3)
         assert restored.node_count() == database.node_count()
 
-    def test_json_format_flattens_to_merged_view(self, tmp_path):
-        tree = self._sharded()
-        database = ProfileDatabase(tree)
-        path = database.save(str(tmp_path / "flat.json"))
-        restored = ProfileDatabase.load(path)
-        assert isinstance(restored.tree, CallingContextTree)
-        assert restored.node_count() == database.node_count()
-        assert restored.total_gpu_time() == pytest.approx(database.total_gpu_time(),
-                                                          rel=1e-9)
-
 
 def _run_training(engine, profiler, iterations=2):
     with engine, profiler.profile():
@@ -424,35 +419,20 @@ class TestZeroRowRegressions:
         assert tree.aggregate_by_name(kind=FrameKind.GPU_KERNEL,
                                       metric=M.METRIC_MEMCPY_BYTES) == {}
 
-    def test_metric_set_as_dict_skips_zombie_zero_aggregates(self):
-        stale = MetricSet()
-        stale.add(M.METRIC_GPU_TIME, 1.0)
-        stale.add(M.METRIC_CPU_TIME, 2.0)
-        fresh = MetricSet()
-        fresh.add(M.METRIC_CPU_TIME, 3.0)
-        # reset_to keeps the gpu_time aggregate object alive but zeroed...
-        stale.reset_to(fresh)
-        assert stale.get(M.METRIC_GPU_TIME).count == 0
-        # ...and serialization must not leak the zombie.
-        encoded = stale.as_dict()
-        assert M.METRIC_GPU_TIME not in encoded
-        assert encoded[M.METRIC_CPU_TIME]["sum"] == pytest.approx(3.0)
-
     def test_tree_roundtrip_drops_count_zero_inclusive_entries(self):
-        tree = CallingContextTree("legacy")
-        node = tree.insert(_path(1, "conv", "k0"))
-        tree.attribute(node, M.METRIC_GPU_TIME, 1.0)
-        payload = tree.to_dict()
+        with open(LEGACY_PATH, encoding="utf-8") as handle:
+            payload = json.load(handle)
         # A legacy file with a zombie count-0 aggregate in the root's
-        # inclusive payload (written before as_dict skipped them).
-        payload["root"]["inclusive"]["stale_metric"] = {
+        # inclusive payload.  The reader derives the inclusive view from the
+        # exclusive data, so the entry never reaches the loaded tree.
+        zombie = copy.deepcopy(payload)
+        zombie["tree"]["root"]["inclusive"]["stale_metric"] = {
             "count": 0.0, "sum": 0.0, "min": 0.0, "max": 0.0, "mean": 0.0, "std": 0.0,
         }
-        restored = CallingContextTree.from_dict(payload)
-        reencoded = restored.to_dict()
-        assert "stale_metric" not in reencoded["root"]["inclusive"]
-        assert reencoded["root"]["inclusive"][M.METRIC_GPU_TIME]["sum"] == \
-            pytest.approx(1.0)
+        restored = ProfileDatabase.from_dict(zombie).tree
+        assert "stale_metric" not in restored.root.inclusive
+        assert restored.root.inclusive.sum(M.METRIC_GPU_TIME) == \
+            payload["tree"]["root"]["inclusive"][M.METRIC_GPU_TIME]["sum"] > 0
 
 
 class TestThreadRegistryIndex:

@@ -1,22 +1,21 @@
-"""Tests for the pluggable profile storage engine.
+"""Tests for the profile storage engine.
 
 Three properties are pinned here:
 
 * **Round-trip equivalence** (hypothesis): for any set of per-thread
-  observations, saving through each registered backend — nested ``json``,
-  ``columnar-json``, mmap-backed ``cct-binary-v1`` — and loading back yields
-  the same structure, the same exclusive Welford states (byte-exact for the
-  flat formats), the same inclusive views, and (for the shard-aware formats)
-  the same thread provenance.
+  observations, saving in each writable format — ``columnar-json`` and
+  mmap-backed ``cct-binary-v1`` — and loading back yields the same
+  structure, byte-exact exclusive Welford states, the same inclusive views,
+  and the same thread provenance.
 
 * **Laziness**: opening a binary profile decodes nothing; a single-shard
   query reads exactly that shard's frame table plus the one requested
   metric column; cross-shard aggregation reads one column per shard; neither
   decodes a tree; structural access hydrates and matches the eager tree.
 
-* **Sniffing**: ``ProfileDatabase.load`` detects the on-disk format instead
-  of assuming JSON, and mismatches/unknown files raise errors naming what was
-  actually found.
+* **Detection**: ``ProfileDatabase.load`` detects the on-disk format
+  (legacy nested ``json`` included) instead of assuming one, and
+  mismatches/unknown files raise errors naming what was actually found.
 
 A crash at any write of a one-shot binary save leaves the profile it was
 replacing intact.
@@ -35,9 +34,7 @@ from repro.core import (
     ProfileDatabase,
     ProfileMetadata,
     ShardedCallingContextTree,
-    backend_for,
     detect_format,
-    registered_formats,
 )
 from repro.core import metrics as M
 from repro.core.faultfs import (FaultInjector, FaultPlan, InjectedCrash,
@@ -54,7 +51,9 @@ from repro.dlmonitor.callpath import (
 )
 from repro.obs import TELEMETRY
 
-ALL_FORMATS = ("json", "columnar-json", "cct-binary-v1")
+ALL_FORMATS = ("columnar-json", "cct-binary-v1")
+LEGACY_PATH = os.path.join(os.path.dirname(__file__), "data",
+                           "legacy-nested-v0.json")
 THREAD_NAMES = {1: "main", 2: "backward-0", 3: "worker-0"}
 
 
@@ -148,17 +147,11 @@ class TestRoundTripEquivalence:
                 restored = ProfileDatabase.load(path)
                 actual = _snapshot(_merged_of(restored))
                 assert set(actual) == set(expected), format_name
-                exact = format_name != "json"  # nested JSON stores std, not m2
                 for key, (exclusive, inclusive) in expected.items():
                     actual_exclusive, actual_inclusive = actual[key]
                     assert set(actual_exclusive) == set(exclusive)
                     for name, state in exclusive.items():
-                        if exact:
-                            assert actual_exclusive[name] == state, (format_name, key)
-                        else:
-                            assert actual_exclusive[name][0] == state[0]
-                            assert actual_exclusive[name][1] == pytest.approx(
-                                state[1], rel=1e-9, abs=1e-12)
+                        assert actual_exclusive[name] == state, (format_name, key)
                     assert set(actual_inclusive) == set(inclusive)
                     for name, (count, total) in inclusive.items():
                         assert actual_inclusive[name][0] == count
@@ -380,13 +373,12 @@ class TestLazyProfileView:
 
     def test_resave_through_other_backends(self, tmp_path):
         database, loaded = self._binary_database(tmp_path)
-        for format_name in ("json", "columnar-json"):
-            path = loaded.save(str(tmp_path / f"re.{format_name}"),
-                               format=format_name)
-            resaved = ProfileDatabase.load(path)
-            assert resaved.node_count() == database.node_count()
-            assert resaved.total_gpu_time() == pytest.approx(
-                database.total_gpu_time(), rel=1e-9)
+        path = loaded.save(str(tmp_path / "re.columnar-json"),
+                           format="columnar-json")
+        resaved = ProfileDatabase.load(path)
+        assert resaved.node_count() == database.node_count()
+        assert resaved.total_gpu_time() == pytest.approx(
+            database.total_gpu_time(), rel=1e-9)
 
     def test_unknown_shard_raises(self, tmp_path):
         _database, loaded = self._binary_database(tmp_path)
@@ -404,20 +396,14 @@ class TestFormatSniffing:
             path = database.save(str(tmp_path / f"p.{format_name}"),
                                  format=format_name)
             assert detect_format(path) == format_name
-
-    def test_legacy_alias_still_accepted(self, tmp_path):
-        database = self._database()
-        path = database.save(str(tmp_path / "p.columnar"), format="columnar")
-        assert detect_format(path) == "columnar-json"
-        assert ProfileDatabase.load(path).node_count() == database.node_count()
+        assert detect_format(LEGACY_PATH) == "json"
 
     def test_mismatch_error_names_detected_format(self, tmp_path):
         database = self._database()
-        json_path = database.save(str(tmp_path / "p.json"), format="json")
         binary_path = database.save(str(tmp_path / "p.cctb"),
                                     format="cct-binary-v1")
         with pytest.raises(ValueError, match="'json'"):
-            ProfileDatabase.load(json_path, format="cct-binary-v1")
+            ProfileDatabase.load(LEGACY_PATH, format="cct-binary-v1")
         with pytest.raises(ValueError, match="'cct-binary-v1'"):
             ProfileDatabase.load(binary_path, format="columnar-json")
         with pytest.raises(ValueError, match="'columnar-json'"):
@@ -447,52 +433,23 @@ class TestFormatSniffing:
         offset, length, magic = struct.unpack("<QQ8s", blob[-24:])
         assert magic == BINARY_MAGIC and offset + length == len(blob) - 24
 
-    def test_unknown_format_name_lists_registered(self):
-        with pytest.raises(ValueError, match="registered formats"):
-            backend_for("tarball")
-        assert registered_formats() == ["json", "columnar-json", "cct-binary-v1"]
-
-    def test_custom_backend_plugs_into_sniffing(self, tmp_path):
-        from repro.core.storage import (StorageBackend, _BACKENDS, _REGISTRY,
-                                        register_backend)
-
-        class EnvelopeBackend(StorageBackend):
-            """Toy plug-in: the columnar payload behind a custom magic."""
-
-            name = "envelope-v1"
-            MAGIC = b"ENVELOP1"
-
-            def sniff(self, head):
-                return head.startswith(self.MAGIC)
-
-            def save(self, database, path):
-                payload = json.dumps(database.to_dict(format="columnar-json"))
-                with open(path, "wb") as handle:
-                    handle.write(self.MAGIC + payload.encode("utf-8"))
-                return path
-
-            def load(self, path):
-                with open(path, "rb") as handle:
-                    blob = handle.read()
-                return ProfileDatabase.from_dict(
-                    json.loads(blob[len(self.MAGIC):].decode("utf-8")))
-
-        backend = register_backend(EnvelopeBackend())
-        try:
-            database = self._database()
-            path = database.save(str(tmp_path / "p.env"), format="envelope-v1")
-            assert detect_format(path) == "envelope-v1"
-            restored = ProfileDatabase.load(path)  # dispatched by sniffing
-            assert restored.node_count() == database.node_count()
-            with pytest.raises(ValueError, match="'envelope-v1'"):
-                ProfileDatabase.load(path, format="json")
-        finally:
-            _BACKENDS.remove(backend)
-            del _REGISTRY["envelope-v1"]
+    def test_unknown_format_name_lists_registered(self, tmp_path):
+        # The old alias spellings are unknown names too.
+        database = self._database()
+        path = database.save(str(tmp_path / "p.cctb"))
+        listing = "formats: cct-binary-v1, columnar-json, json"
+        for name in ("tarball", "columnar", "binary"):
+            with pytest.raises(ValueError, match=listing):
+                database.save(str(tmp_path / f"p.{name}"), format=name)
+            with pytest.raises(ValueError, match=listing):
+                ProfileDatabase.load(path, format=name)
+            assert not os.path.exists(tmp_path / f"p.{name}")
 
     def test_save_default_format_follows_profiler_config(self, tmp_path):
+        # The default is cct-binary-v1, whatever format key older profiler
+        # configurations left in the metadata.
         database = self._database()
-        database.metadata.config["profile_format"] = "cct-binary-v1"
+        database.metadata.config["profile_format"] = "json"
         path = database.save(str(tmp_path / "configured"))
         assert detect_format(path) == "cct-binary-v1"
         assert isinstance(ProfileDatabase.load(path).tree, LazyProfileView)
@@ -576,7 +533,6 @@ class TestBlockCompression:
 
     def test_profile_compression_config_drives_default_save(self, tmp_path):
         database = self._database()
-        database.metadata.config["profile_format"] = "cct-binary-v1"
         database.metadata.config["profile_compression"] = "zlib"
         path = database.save(str(tmp_path / "configured"))
         view = ProfileDatabase.load(path).tree
@@ -585,10 +541,16 @@ class TestBlockCompression:
 
     def test_json_backends_reject_compression(self, tmp_path):
         database = self._database()
-        for format_name in ("json", "columnar-json"):
-            with pytest.raises(ValueError, match="does not support"):
-                database.save(str(tmp_path / f"p.{format_name}"),
-                              format=format_name, compression="zlib")
+        with pytest.raises(ValueError, match="does not support"):
+            database.save(str(tmp_path / "p.columnar-json"),
+                          format="columnar-json", compression="zlib")
+        for compression in (None, "zlib"):
+            with pytest.raises(ValueError,
+                               match="read-only.*'cct-binary-v1' or "
+                                     "'columnar-json'"):
+                database.save(str(tmp_path / "p.json"), format="json",
+                              compression=compression)
+        assert os.listdir(tmp_path) == []
 
     def test_unknown_compression_name_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="unsupported profile compression"):
@@ -634,14 +596,13 @@ class TestProfileFormatErrors:
         assert issubclass(ProfileFormatError, ValueError)
 
     def test_config_compression_with_json_format_saves_plain_json(self, tmp_path):
-        # profile_compression is session-wide; combined with a JSON
-        # profile_format it must not blow up after the run — the default
-        # only applies to backends that support compression.
+        # profile_compression is session-wide; combined with an explicit
+        # columnar-json save it must not blow up after the run — the default
+        # only applies to binary saves.
         database = ProfileDatabase(_build_sharded([(1, "conv", "k0", 1.0)]))
-        database.metadata.config["profile_format"] = "json"
         database.metadata.config["profile_compression"] = "zlib"
-        path = database.save(str(tmp_path / "plain"))
-        assert detect_format(path) == "json"
+        path = database.save(str(tmp_path / "plain"), format="columnar-json")
+        assert detect_format(path) == "columnar-json"
         assert ProfileDatabase.load(path).node_count() == database.node_count()
 
 

@@ -33,13 +33,13 @@ from repro.analyzer import (
     quarantine_issues,
 )
 from repro.core import (
-    FORMAT_BINARY_V1,
     LazyProfileView,
     ProfileCorruptionError,
     ProfileDatabase,
     ProfileFormatError,
     ProfileMetadata,
-    backend_for,
+    open_binary,
+    save_binary,
 )
 from repro.core import metrics as M
 from repro.core.cct import ShardedCallingContextTree
@@ -88,7 +88,7 @@ OBSERVATIONS = [("conv", "k_conv", 0.010), ("linear", "k_gemm", 0.020),
 
 def _column_block_offset(path: str, metric: str = M.METRIC_GPU_TIME) -> int:
     """Byte offset of one shard's column block (to aim corruption at)."""
-    with backend_for(FORMAT_BINARY_V1).open(path) as view:
+    with open_binary(path) as view:
         entry = view._toc["shards"][0]
         return int(entry["columns"][metric]["offset"])
 
@@ -105,9 +105,8 @@ def _corrupt_column_block(store: ProfileStore, run_id: str) -> None:
 class TestChecksums:
     def test_saved_profiles_carry_crc32_per_block(self, tmp_path):
         path = str(tmp_path / "p.cctb")
-        backend = backend_for(FORMAT_BINARY_V1)
-        backend.save(make_database("unet", OBSERVATIONS), path)
-        with backend.open(path) as view:
+        save_binary(make_database("unet", OBSERVATIONS), path)
+        with open_binary(path) as view:
             assert view._toc["checksum"] == "crc32"
             assert "crc32" in view._toc["meta"]
             for entry in view._toc["shards"]:
@@ -120,10 +119,9 @@ class TestChecksums:
         """Backward compatibility: pre-checksum files have no crc32 keys and
         every read succeeds without verification."""
         path = str(tmp_path / "old.cctb")
-        backend = backend_for(FORMAT_BINARY_V1)
         database = make_database("unet", OBSERVATIONS)
-        backend.save(database, path, checksums=False)
-        with backend.open(path) as view:
+        save_binary(database, path, checksums=False)
+        with open_binary(path) as view:
             assert "checksum" not in view._toc
             assert all("crc32" not in entry["frames"]
                        for entry in view._toc["shards"])
@@ -135,17 +133,16 @@ class TestChecksums:
         """Corruption in an untouched block does not fail unrelated queries;
         the first touch of the bad block does."""
         path = str(tmp_path / "p.cctb")
-        backend = backend_for(FORMAT_BINARY_V1)
-        backend.save(make_database("unet", OBSERVATIONS), path)
+        save_binary(make_database("unet", OBSERVATIONS), path)
         flip_bit(path, _column_block_offset(path, M.METRIC_KERNEL_COUNT) + 3)
-        with backend.open(path) as view:
+        with open_binary(path) as view:
             # The gpu_time column and the frame table are intact: fine.
             assert view.total_metric(M.METRIC_GPU_TIME) > 0
             with pytest.raises(ProfileCorruptionError) as excinfo:
                 view.total_metric(M.METRIC_KERNEL_COUNT)
             assert M.METRIC_KERNEL_COUNT in str(excinfo.value)
         # verify_blocks names exactly the one rotten block.
-        with backend.open(path) as view:
+        with open_binary(path) as view:
             problems = view.verify_blocks()
         assert len(problems) == 1
         assert "CRC-32" in problems[0]
@@ -165,8 +162,7 @@ class TestNamedErrors:
 
     def test_refresh_after_file_vanishes_names_the_path(self, tmp_path):
         path = str(tmp_path / "p.cctb")
-        backend_for(FORMAT_BINARY_V1).save(
-            make_database("unet", OBSERVATIONS), path)
+        save_binary(make_database("unet", OBSERVATIONS), path)
         view = LazyProfileView.attach(path)
         try:
             os.unlink(path)
