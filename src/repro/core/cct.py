@@ -322,9 +322,12 @@ class CallingContextTree:
         Returns the leaf node.  Almost every level already exists, so the
         walk probes ``children`` inline and calls ``child_for`` only to create.
         """
-        node = self.root
+        return self.insert_below(self.root, callpath)
+
+    def insert_below(self, node: CCTNode, frames: Iterable[Frame]) -> CCTNode:
+        """Insert a path whose prefix reaches ``node``, walking only the rest (``frames``)."""
         root_kind = FrameKind.ROOT
-        for frame in callpath:
+        for frame in frames:
             if frame.kind is root_kind:
                 continue
             child = node.children.get(frame.identity())

@@ -1,11 +1,16 @@
 """GPU metric collection.
 
-The collector registers a GPU-domain callback through DLMonitor: at every
-kernel launch / memory copy it emits the correlation ID, retrieves the unified
-call path, inserts it into the CCT and remembers the association.  Device-side
-measurements (kernel durations, launch configurations, instruction samples)
-arrive later through asynchronous activity buffers and are linked back to
-their nodes through the correlation registry (paper §4.2, "GPU Metrics").
+The collector registers raw ``ApiCallbackData`` handlers with DLMonitor once
+(``gpu_api_register``), not a ``DLMONITOR_GPU`` callback: every API enter,
+and exits only while PC sampling, their one reader, is on.  At every launch
+it inserts the call path into the CCT and registers the correlation ID.
+Device-side measurements arrive later in activity buffers and are linked
+back to their nodes through the correlation registry (paper §4.2).
+
+While the call-path cache is on, the first launch in an operator memoizes,
+on the entry the cache returns, the node its path reached before its GPU API
+and kernel frames; later launches in it walk only those frames from there.
+With the cache off every launch inserts its full path: the reference.
 
 With a :class:`~repro.core.cct.ShardedCallingContextTree` the collector
 attributes into the private shard of the *launching* thread: the call path is
@@ -30,18 +35,22 @@ from __future__ import annotations
 from typing import List, Optional, Union
 
 from ..dlmonitor.api import DLMonitor
-from ..dlmonitor.callpath import gpu_instruction_frame
-from ..dlmonitor.domains import DLMONITOR_GPU, PHASE_ENTER, GpuEvent
+from ..dlmonitor.callpath import FrameKind, gpu_instruction_frame
+from ..dlmonitor.integration import gpu_leaf_frames
 from ..gpu.activity import ActivityKind, ActivityRecord
+from ..gpu.runtime import ApiCallbackData
 from ..gpu.sampling import InstructionSample
 from .cct import CallingContextTree, ShardedCallingContextTree
 from .config import ProfilerConfig
 from .correlation import CorrelationRegistry
 from . import metrics as M
 
+#: Kinds of the frames that end a launch path, below what an operator's launches share.
+_LEAF_KINDS = (FrameKind.GPU_API, FrameKind.GPU_KERNEL)
+
 
 class GpuMetricCollector:
-    """Collects coarse and fine-grained GPU metrics into the CCT."""
+    """Collects coarse and fine-grained GPU metrics into the CCT via raw GPU API handlers."""
 
     def __init__(self, monitor: DLMonitor,
                  tree: Union[CallingContextTree, ShardedCallingContextTree],
@@ -72,7 +81,8 @@ class GpuMetricCollector:
         activity = self.monitor.tracing_api.runtime.activity
         self._saved_buffer_size = activity.buffer_size
         activity.buffer_size = buffer_size
-        self.monitor.callback_register(DLMONITOR_GPU, self._on_gpu_event)
+        self.monitor.gpu_api_register(
+            self._on_enter, self._on_exit if self.config.pc_sampling else None)
         self.monitor.tracing_api.activity_register_callbacks(self._on_activity)
         if self.config.pc_sampling:
             self.monitor.tracing_api.enable_pc_sampling(
@@ -83,7 +93,7 @@ class GpuMetricCollector:
         if not self._running:
             return
         self.monitor.tracing_api.activity_flush_all()
-        self.monitor.callback_unregister(DLMONITOR_GPU, self._on_gpu_event)
+        self.monitor.gpu_api_unregister()
         if self.config.pc_sampling:
             self.monitor.tracing_api.disable_pc_sampling()
         # Final flush done: free every correlation that was attributed but
@@ -124,29 +134,39 @@ class GpuMetricCollector:
                     self.correlations.release(correlation_id)
                 self._awaiting_samples.discard(correlation_id)
 
-    def _on_gpu_event(self, event: GpuEvent) -> None:
+    def _on_exit(self, data: ApiCallbackData, tid: int) -> None:
+        """API exit (PC sampling only): the launch's sample batch comes next."""
+        pending = self.correlations.peek(data.correlation_id)
+        if pending is not None:
+            pending.launch_exited = True
+
+    def _on_enter(self, data: ApiCallbackData, tid: int) -> None:
         """Kernel-launch / memcpy / malloc callback on the launching CPU thread."""
-        if event.phase != PHASE_ENTER:
-            pending = self.correlations.peek(event.correlation_id)
-            if pending is not None:
-                pending.launch_exited = True
-            return
-        self._drain_awaiting_samples()
+        if self._awaiting_samples:
+            self._drain_awaiting_samples()
         self.launches_seen += 1
-        callpath = self.monitor.callpath_get(sources=self._sources)
-        shard = self._shard_for_tid(event.thread_tid)
-        node = shard.insert(callpath)
-        is_backward = False
-        stack = self.monitor.shadow_stacks.for_thread(event.thread_tid)
-        top = stack.top()
-        if top is not None:
-            is_backward = top.is_backward
+        monitor = self.monitor
+        shard = self._shard_for_tid(tid)
+        top = monitor.shadow_stacks.for_thread(tid).top()
+        # A memo holds only while its entry is both cached and on top.
+        entry = top if top is not None and monitor.cache.peek(tid) is top else None
+        if entry is not None and entry.launch_node is not None:
+            node = shard.insert_below(
+                entry.launch_node, gpu_leaf_frames(data) if self._sources.gpu else ())
+        else:
+            node = shard.insert(monitor.callpath_get(sources=self._sources))
+            if entry is not None:
+                prefix = node
+                while prefix.frame.kind in _LEAF_KINDS:
+                    prefix = prefix.parent
+                entry.launch_node = prefix
+        kernel = data.kernel_function
         self.correlations.register(
-            event.correlation_id, node, kernel_name=event.kernel_name,
-            api_name=event.api_name, is_backward=is_backward,
+            data.correlation_id, node, kernel_name=kernel.name if kernel is not None else "",
+            api_name=data.api_name, is_backward=top is not None and top.is_backward,
         )
-        if event.api_name.endswith("Malloc") and event.bytes:
-            shard.attribute(node, M.METRIC_ALLOCATED_BYTES, event.bytes)
+        if data.api_name.endswith("Malloc") and data.bytes:
+            shard.attribute(node, M.METRIC_ALLOCATED_BYTES, data.bytes)
 
     def _on_activity(self, records: List[ActivityRecord]) -> None:
         """Asynchronous activity-buffer delivery: attribute device-side metrics.

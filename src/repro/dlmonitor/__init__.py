@@ -43,7 +43,7 @@ from .domains import (
     GpuEvent,
 )
 from .fusion_map import FusionMap, FusionRecord, OriginalOperator
-from .integration import CallPathBuilder, CallPathSources, GpuLeafContext
+from .integration import CallPathBuilder, CallPathSources
 from .shadow_stack import ShadowEntry, ShadowStack, ShadowStackRegistry
 
 __all__ = [
@@ -87,7 +87,6 @@ __all__ = [
     "OriginalOperator",
     "CallPathBuilder",
     "CallPathSources",
-    "GpuLeafContext",
     "ShadowStack",
     "ShadowStackRegistry",
     "ShadowEntry",

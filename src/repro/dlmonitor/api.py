@@ -7,12 +7,20 @@ The four core APIs of the paper are provided both as methods of
 :class:`DLMonitor` and as module-level functions with the paper's C-style
 names (``dlmonitor_init``, ``dlmonitor_callback_register``,
 ``dlmonitor_callpath_get``, ``dlmonitor_finalize``).
+
+Per-event work is done only for a subscriber that asked for it.  Only a
+forward operator with a sequence ID walks the Python stack at entry: the
+backward pass reads those frames after that stack is gone.  Any other
+operator walks it at the first call-path request inside it, from the frame
+that entered it.  Events are built only for registered callbacks; the GPU
+collector gets the raw ``ApiCallbackData`` (see ``gpu_api_register``).
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..framework.eager import CallbackInfo, EagerEngine, PHASE_BEFORE
 from ..framework.jit import CompilationEvent, JitCompiler, PHASE_FUSION
@@ -21,7 +29,7 @@ from ..gpu.cupti import GpuTracingApi
 from ..gpu.roctracer import tracing_api_for
 from ..gpu.runtime import ApiCallbackData, ApiPhase
 from ..native.unwinder import Unwinder
-from ..pycontext import capture_user_frames
+from ..pycontext import PyFrame, capture_user_frames
 from .association import ForwardBackwardAssociator, ForwardRecord
 from .audit import CustomDriverInterceptor, LibraryAuditor, parse_interception_config
 from .cache import CallPathCache
@@ -37,11 +45,13 @@ from .domains import (
     GpuEvent,
 )
 from .fusion_map import FusionMap, OriginalOperator
-from .integration import CallPathBuilder, CallPathSources, GpuLeafContext
+from .integration import CallPathBuilder, CallPathSources
 from .shadow_stack import ShadowEntry, ShadowStackRegistry
 
 FrameworkCallback = Callable[[FrameworkEvent], None]
 GpuCallback = Callable[[GpuEvent], None]
+#: A raw GPU API handler: the runtime's callback data and the calling thread's tid.
+GpuApiHandler = Callable[[ApiCallbackData, int], None]
 
 
 @dataclass
@@ -87,7 +97,10 @@ class DLMonitor:
 
         self._framework_callbacks: List[FrameworkCallback] = []
         self._gpu_callbacks: List[GpuCallback] = []
-        self._gpu_leaf: Dict[int, GpuLeafContext] = {}
+        self._gpu_enter: Optional[GpuApiHandler] = None
+        self._gpu_exit: Optional[GpuApiHandler] = None
+        #: Per tid, the enter data of the GPU API call in progress.
+        self._gpu_leaf: Dict[int, ApiCallbackData] = {}
         self._initialized = False
         self._custom_interceptor: Optional[CustomDriverInterceptor] = None
         if interception_config:
@@ -121,6 +134,7 @@ class DLMonitor:
             self._custom_interceptor.uninstall()
         self._framework_callbacks.clear()
         self._gpu_callbacks.clear()
+        self.gpu_api_unregister()
         self._gpu_leaf.clear()
         self.cache.clear()
         self._initialized = False
@@ -148,6 +162,19 @@ class DLMonitor:
         elif domain == DLMONITOR_GPU and callback in self._gpu_callbacks:
             self._gpu_callbacks.remove(callback)
 
+    def gpu_api_register(self, on_enter: GpuApiHandler,
+                         on_exit: Optional[GpuApiHandler] = None) -> None:
+        """Install the profiler's raw GPU API handlers, run before ``DLMONITOR_GPU``.
+
+        One pair per monitor; exits are delivered only when ``on_exit`` is given.
+        """
+        self._gpu_enter = on_enter
+        self._gpu_exit = on_exit
+
+    def gpu_api_unregister(self) -> None:
+        self._gpu_enter = None
+        self._gpu_exit = None
+
     # ------------------------------------------------------------------ call paths
 
     def callpath_get(self, sources: Optional[CallPathSources] = None,
@@ -165,7 +192,7 @@ class DLMonitor:
         python_triples = ()
         if sources.python and thread.has_python_context:
             if cached_prefix is not None:
-                python_triples = cached_prefix.python_callpath
+                python_triples = self._python_callpath(cached_prefix)
             else:
                 python_triples = tuple(capture_user_frames(skip=2))
                 self.stats.python_captures += 1
@@ -198,10 +225,6 @@ class DLMonitor:
         stack = self.shadow_stacks.for_thread(tid)
 
         if info.phase == PHASE_BEFORE:
-            python_triples = ()
-            if thread.has_python_context:
-                python_triples = tuple(capture_user_frames(skip=2))
-                self.stats.python_captures += 1
             # The operator's dispatch frame is the outermost native frame the
             # framework pushed for this operator (e.g. ``at::_ops::conv2d::call``);
             # its address is what the shadow stack records as the operator's
@@ -214,18 +237,21 @@ class DLMonitor:
                 dispatch_pc = native_frames[dispatch_index].pc
             else:
                 dispatch_pc = 0
+            entry_frame = sys._getframe(1) if thread.has_python_context else None
             entry = ShadowEntry(
                 op_name=info.op_name,
                 is_backward=info.is_backward,
                 sequence_id=info.sequence_id,
                 dispatch_pc=dispatch_pc,
-                python_callpath=python_triples,
+                python_callpath=() if entry_frame is None else None,
                 scope=tuple(info.scope),
+                entry_frame=entry_frame,
             )
             stack.push(entry)
-            if not info.is_backward:
+            if not info.is_backward and info.sequence_id is not None:
+                # The backward pass reads these frames after this stack is gone.
                 self.associator.record_forward(info.sequence_id, info.op_name, tid,
-                                               python_triples, entry.scope)
+                                               self._python_callpath(entry), entry.scope)
             if self.enable_callpath_cache:
                 self.cache.store(tid, entry)
             self._dispatch_framework(info, PHASE_ENTER)
@@ -233,8 +259,19 @@ class DLMonitor:
             self._dispatch_framework(info, PHASE_EXIT)
             if stack.depth:
                 stack.pop()
+            if info.is_backward:
+                self.associator.release(info.sequence_id)
             if self.enable_callpath_cache and stack.depth == 0:
                 self.cache.invalidate(tid)
+
+    def _python_callpath(self, entry: ShadowEntry) -> Tuple[PyFrame, ...]:
+        """``entry``'s user frames, walked once from the frame that entered it
+        (the user frames above it stay at the same lines while it runs)."""
+        if entry.python_callpath is None:
+            entry.python_callpath = tuple(capture_user_frames(start=entry.entry_frame))
+            entry.entry_frame = None
+            self.stats.python_captures += 1
+        return entry.python_callpath
 
     def _dispatch_framework(self, info: CallbackInfo, phase: str) -> None:
         self.stats.framework_events += 1
@@ -259,31 +296,30 @@ class DLMonitor:
     # ------------------------------------------------------------------ GPU interception
 
     def _on_gpu_api(self, data: ApiCallbackData) -> None:
-        thread = self.engine.threads.current
-        tid = thread.tid
-        kernel_name = data.kernel_function.name if data.kernel_function is not None else ""
-        if data.phase == ApiPhase.ENTER:
-            self._gpu_leaf[tid] = GpuLeafContext(
-                api_name=data.api_name,
-                kernel_name=kernel_name,
-                library="libcudart.so" if data.api_name.startswith("cuda") else "libamdhip64.so",
-                device=data.device,
-            )
+        tid = self.engine.threads.current.tid
         self.stats.gpu_events += 1
-        event = GpuEvent(
-            api_name=data.api_name,
-            phase=PHASE_ENTER if data.phase == ApiPhase.ENTER else PHASE_EXIT,
-            correlation_id=data.correlation_id,
-            device=data.device,
-            kernel_name=kernel_name,
-            stream=data.stream,
-            bytes=data.bytes,
-            kind=data.kind,
-            thread_tid=tid,
-        )
-        for callback in list(self._gpu_callbacks):
-            callback(event)
-        if data.phase == ApiPhase.EXIT:
+        enter = data.phase is ApiPhase.ENTER
+        if enter:
+            self._gpu_leaf[tid] = data
+        handler = self._gpu_enter if enter else self._gpu_exit
+        if handler is not None:
+            handler(data, tid)
+        if self._gpu_callbacks:
+            kernel = data.kernel_function
+            event = GpuEvent(
+                api_name=data.api_name,
+                phase=PHASE_ENTER if enter else PHASE_EXIT,
+                correlation_id=data.correlation_id,
+                device=data.device,
+                kernel_name=kernel.name if kernel is not None else "",
+                stream=data.stream,
+                bytes=data.bytes,
+                kind=data.kind,
+                thread_tid=tid,
+            )
+            for callback in list(self._gpu_callbacks):
+                callback(event)
+        if not enter:
             self._gpu_leaf.pop(tid, None)
 
     # ------------------------------------------------------------------ JIT interception

@@ -7,6 +7,10 @@ Python and framework call path; backward operators carry the same sequence ID,
 so the backward thread can look up the forward context and graft it onto its
 own native call path (paper §4.1, "Forward and backward operator
 association", and case study 6.1).
+
+A record is released when its backward operator exits.  The tape skips
+operators without backward kernels; their records die at the first forward
+record after a backward pass, so one iteration's forward operators bound them.
 """
 
 from __future__ import annotations
@@ -34,6 +38,8 @@ class ForwardBackwardAssociator:
     def __init__(self, max_records: int = 100_000) -> None:
         self.max_records = max_records
         self._records: Dict[int, ForwardRecord] = {}
+        #: A backward operator has exited since the last forward record.
+        self._backward_ran = False
         self.lookups = 0
         self.hits = 0
 
@@ -42,17 +48,26 @@ class ForwardBackwardAssociator:
         """Store the forward context of an operator keyed by its sequence ID."""
         if sequence_id is None:
             return
-        if len(self._records) >= self.max_records:
-            # Drop the oldest record; sequence IDs are monotonically increasing.
-            oldest = min(self._records)
-            del self._records[oldest]
-        self._records[sequence_id] = ForwardRecord(
+        records = self._records
+        if self._backward_ran:
+            # A new forward pass: what the last backward pass skipped is dead.
+            records.clear()
+            self._backward_ran = False
+        elif len(records) >= self.max_records:
+            # Sequence IDs arrive in increasing order, so the first key is the oldest.
+            del records[next(iter(records))]
+        records[sequence_id] = ForwardRecord(
             sequence_id=sequence_id,
             op_name=op_name,
             thread_tid=thread_tid,
-            python_callpath=tuple(python_callpath),
-            scope=tuple(scope),
+            python_callpath=python_callpath,
+            scope=scope,
         )
+
+    def release(self, sequence_id: Optional[int]) -> None:
+        """Drop the record of a backward operator that has exited."""
+        self._records.pop(sequence_id, None)
+        self._backward_ran = True
 
     def lookup(self, sequence_id: Optional[int]) -> Optional[ForwardRecord]:
         """Fetch the forward record for a backward operator's sequence ID."""

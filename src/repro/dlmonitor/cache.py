@@ -2,10 +2,10 @@
 
 Many deep-learning operators launch several GPU kernels that share the same
 Python and operator call path.  DLMonitor therefore caches, per thread, the
-shadow-stack entry pushed when the operator was first entered: it already
-holds the Python call path captured at entry and the operator's dispatch
-address, so subsequent GPU API callbacks from the same operator reuse it
-instead of walking the interpreter stack again.  Two modes exist:
+shadow-stack entry pushed when the operator was entered.  It holds the
+operator's dispatch address, the GPU collector's launch-node memo and the
+Python call path: walked at entry or at the first request inside the
+operator, then reused by every later one.  Two modes exist:
 
 * without native call-path collection, the cached Python path is concatenated
   with the shadow operator stack and the GPU API/kernel frames directly;

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..framework.threads import ThreadContext
+from ..gpu.runtime import ApiCallbackData
 from ..native.unwinder import NativeFrame, Unwinder
 from ..pycontext import PyFrame
 from .association import ForwardRecord
@@ -70,14 +71,14 @@ class CallPathSources:
         return cls(python=True, framework=False, native=False, gpu=False)
 
 
-@dataclass
-class GpuLeafContext:
-    """GPU API/kernel information appended at a kernel-launch callback."""
-
-    api_name: str
-    kernel_name: str = ""
-    library: str = ""
-    device: str = ""
+def gpu_leaf_frames(data: ApiCallbackData) -> Tuple[Frame, ...]:
+    """The GPU API frame and, for a kernel launch, the kernel frame of ``data``."""
+    library = "libcudart.so" if data.api_name.startswith("cuda") else "libamdhip64.so"
+    api_frame = gpu_api_frame(data.api_name, library=library)
+    kernel = data.kernel_function
+    if kernel is None or not kernel.name:
+        return (api_frame,)
+    return (api_frame, gpu_kernel_frame(kernel.name, device=data.device))
 
 
 class CallPathBuilder:
@@ -88,7 +89,6 @@ class CallPathBuilder:
         self.auditor = auditor
         self.unwinder = unwinder
         self.program_name = program_name
-        self.paths_built = 0
         # The (root, thread) prefix of a thread's paths never changes; frames
         # are immutable, so one shared pair per tid serves every build — this
         # is a per-event path (every sample, launch and operator callback).
@@ -100,11 +100,11 @@ class CallPathBuilder:
         shadow_stack: ShadowStack,
         python_triples: Sequence[PyFrame],
         sources: CallPathSources,
-        gpu_leaf: Optional[GpuLeafContext] = None,
+        gpu_leaf: Optional[ApiCallbackData] = None,
         cached_prefix: Optional[ShadowEntry] = None,
         forward_record: Optional[ForwardRecord] = None,
     ) -> CallPath:
-        """Assemble the unified call path for ``thread``."""
+        """Assemble the unified call path for ``thread``, ending at ``gpu_leaf``'s frames."""
         prefix = self._thread_prefixes.get(thread.tid)
         if prefix is None:
             prefix = (root_frame(self.program_name), thread_frame(thread.name, thread.tid))
@@ -124,11 +124,7 @@ class CallPathBuilder:
             frames.extend(framework_part)
 
         if sources.gpu and gpu_leaf is not None:
-            frames.append(gpu_api_frame(gpu_leaf.api_name, library=gpu_leaf.library))
-            if gpu_leaf.kernel_name:
-                frames.append(gpu_kernel_frame(gpu_leaf.kernel_name, device=gpu_leaf.device))
-
-        self.paths_built += 1
+            frames.extend(gpu_leaf_frames(gpu_leaf))
         return CallPath.of(frames)
 
     # -- parts ---------------------------------------------------------------------

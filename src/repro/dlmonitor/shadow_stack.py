@@ -11,7 +11,8 @@ operator frames.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from types import FrameType
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..pycontext import PyFrame
 
@@ -25,9 +26,13 @@ class ShadowEntry:
     sequence_id: Optional[int]
     #: Program counter of the operator's outermost native dispatch frame.
     dispatch_pc: int
-    #: Python call path captured when the operator was entered (user frames).
-    python_callpath: Tuple[PyFrame, ...] = ()
+    #: User Python frames; ``None`` until walked from ``entry_frame``.
+    python_callpath: Optional[Tuple[PyFrame, ...]] = ()
     scope: Tuple[str, ...] = ()
+    #: The frame that called the entry hook, held until that walk.
+    entry_frame: Optional[FrameType] = None
+    #: The GPU collector's CCT node above this operator's launch leaves.
+    launch_node: Any = None
 
 
 class ShadowStack:

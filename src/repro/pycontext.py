@@ -11,18 +11,19 @@ Frames from ``repro.workloads``, ``examples``, ``tests`` and any user script
 are considered user code; frames from the rest of the ``repro`` package are
 internal and filtered out.
 
-Every operator entry walks the whole interpreter stack, so the verdict is
-memoized per ``co_filename``.  The memo is bounded by source files and stays
-exact: an absolute name's verdict never changes, and a relative name (such
-as ``<frozen runpy>``) is memoized per working directory, because that is
-what it resolves against.
+DLMonitor walks the whole interpreter stack once per operator that needs a
+call path, so the verdict is memoized per ``co_filename``.  The memo is
+bounded by source files and stays exact: an absolute name's verdict never
+changes, and a relative name (such as ``<frozen runpy>``) is memoized per
+working directory, because that is what it resolves against.
 """
 
 from __future__ import annotations
 
 import os
 import sys
-from typing import Dict, List, Tuple
+from types import FrameType
+from typing import Dict, List, Optional, Tuple
 
 #: (file, line, function) — the same frame triple used throughout the package.
 PyFrame = Tuple[str, int, str]
@@ -63,15 +64,17 @@ def is_user_frame(filename: str) -> bool:
     return verdict
 
 
-def capture_user_frames(skip: int = 1, limit: int = 128) -> List[PyFrame]:
+def capture_user_frames(skip: int = 1, limit: int = 128,
+                        start: Optional[FrameType] = None) -> List[PyFrame]:
     """Walk the live interpreter stack and keep only user frames.
 
+    The walk begins ``skip`` frames above this function, or at ``start``.
     Returns frames ordered from the outermost caller to the innermost callee,
     which is the order call paths are stored in throughout the repository.
     """
     frames: List[PyFrame] = []
     verdicts = _VERDICTS
-    frame = sys._getframe(skip)
+    frame = start if start is not None else sys._getframe(skip)
     depth = 0
     while frame is not None and depth < limit:
         code = frame.f_code

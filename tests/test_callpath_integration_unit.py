@@ -12,9 +12,10 @@ from repro.cpu.clock import MachineClock
 from repro.dlmonitor.association import ForwardRecord
 from repro.dlmonitor.audit import LibraryAuditor
 from repro.dlmonitor.callpath import FrameKind
-from repro.dlmonitor.integration import CallPathBuilder, CallPathSources, GpuLeafContext
+from repro.dlmonitor.integration import CallPathBuilder, CallPathSources
 from repro.dlmonitor.shadow_stack import ShadowEntry, ShadowStack
 from repro.framework.threads import THREAD_BACKWARD, THREAD_MAIN, ThreadRegistry
+from repro.gpu.runtime import ApiCallbackData, ApiPhase, KernelFunction
 from repro.native.symbols import LIBCUDART, LIBPYTHON, LIBTORCH_CPU, LIBTORCH_CUDA, standard_address_space
 from repro.native.unwinder import Unwinder
 
@@ -50,12 +51,18 @@ def _shadow_for(thread, op_name="aten::conv2d", backward=False, sequence_id=1):
 PYTHON_TRIPLES = (("train.py", 7, "train_step"), ("model.py", 42, "forward"))
 
 
+def _launch(kernel_name):
+    """The enter callback of a ``cudaLaunchKernel`` of ``kernel_name``."""
+    return ApiCallbackData("cudaLaunchKernel", ApiPhase.ENTER, correlation_id=1,
+                           device="A100", kernel_function=KernelFunction(kernel_name))
+
+
 class TestIntegrationRules:
     def test_full_integration_order(self, setup):
         _space, thread, builder = setup
         path = builder.build(thread, _shadow_for(thread), PYTHON_TRIPLES,
                              CallPathSources.all(),
-                             gpu_leaf=GpuLeafContext("cudaLaunchKernel", "conv_kernel"))
+                             gpu_leaf=_launch("conv_kernel"))
         kinds = path.kinds()
         # Root/thread, then Python, then framework scopes+op, native, GPU API, kernel.
         assert kinds[0] == FrameKind.ROOT and kinds[1] == FrameKind.THREAD
@@ -105,7 +112,7 @@ class TestIntegrationRules:
         _space, thread, builder = setup
         sources = CallPathSources(python=True, framework=True, native=True, gpu=False)
         path = builder.build(thread, _shadow_for(thread), PYTHON_TRIPLES, sources,
-                             gpu_leaf=GpuLeafContext("cudaLaunchKernel", "k"))
+                             gpu_leaf=_launch("k"))
         assert not path.has_kind(FrameKind.GPU_API)
         assert not path.has_kind(FrameKind.GPU_KERNEL)
 
@@ -150,8 +157,7 @@ class TestIntegrationRules:
                                scope=("table0",))
         path = builder.build(backward, shadow, (), CallPathSources.all(),
                              forward_record=record,
-                             gpu_leaf=GpuLeafContext("cudaLaunchKernel",
-                                                     "indexing_backward_kernel"))
+                             gpu_leaf=_launch("indexing_backward_kernel"))
         python_files = [frame.file for frame in path.frames_of_kind(FrameKind.PYTHON)]
         assert python_files == ["dlrm.py"]
         names = [frame.name for frame in path.frames_of_kind(FrameKind.FRAMEWORK)]
@@ -166,9 +172,3 @@ class TestIntegrationRules:
         path = builder.build(backward, ShadowStack(), (), CallPathSources.all())
         assert not path.has_kind(FrameKind.PYTHON)
         assert path.has_kind(FrameKind.NATIVE)
-
-    def test_paths_built_counter(self, setup):
-        _space, thread, builder = setup
-        before = builder.paths_built
-        builder.build(thread, ShadowStack(), (), CallPathSources.python_only())
-        assert builder.paths_built == before + 1

@@ -220,8 +220,29 @@ class TestForwardBackwardAssociator:
         for sequence_id in range(10):
             associator.record_forward(sequence_id, "op", 1, (), ())
         assert associator.size == 4
-        assert associator.lookup(9) is not None
-        assert associator.lookup(0) is None
+        assert [sequence_id for sequence_id in range(10)
+                if associator.lookup(sequence_id) is not None] == [6, 7, 8, 9]
+
+    def test_record_released_when_its_backward_operator_exits(self):
+        associator = ForwardBackwardAssociator()
+        python_callpath = (("model.py", 3, "forward"),)
+        for sequence_id in (1, 2):
+            associator.record_forward(sequence_id, "aten::linear", 1, python_callpath, ())
+        assert associator.lookup(2).python_callpath is python_callpath
+        associator.release(2)
+        assert associator.lookup(2) is None
+        assert associator.lookup(1) is not None and associator.size == 1
+
+    def test_records_skipped_by_the_backward_pass_dropped_at_next_forward(self):
+        associator = ForwardBackwardAssociator()
+        for sequence_id in (1, 2, 3):
+            associator.record_forward(sequence_id, "op", 1, (), ())
+        associator.release(3)  # the backward pass skips 2 and 1
+        assert associator.size == 2
+        associator.record_forward(4, "op", 1, (), ())
+        assert associator.size == 1
+        assert associator.lookup(4) is not None
+        assert associator.lookup(1) is None and associator.lookup(2) is None
 
 
 class TestFusionMap:

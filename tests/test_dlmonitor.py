@@ -14,12 +14,16 @@ from repro.dlmonitor import (
     dlmonitor_init,
     parse_interception_config,
 )
+from repro.core import DeepContextProfiler, ProfilerConfig
 from repro.dlmonitor.audit import CustomDriverInterceptor, LibraryAuditor
+from repro.dlmonitor.domains import GpuEvent
 from repro.framework import EagerEngine, modules, tensor
 from repro.framework import functional as F
 from repro.framework.jit import JitCompiler, jit
 from repro.gpu.kernels import KernelSpec
+from repro.gpu.runtime import ApiPhase
 from repro.native.symbols import LIBPYTHON
+from repro.pycontext import capture_user_frames
 
 
 @pytest.fixture
@@ -96,6 +100,95 @@ class TestGpuDomain:
         launches = [event for event in events if event.kernel_name]
         assert launches and launches[0].kernel_name.startswith("vectorized_elementwise")
         assert launches[0].correlation_id > 0
+
+
+def _profiled_training(subscribe=None):
+    """Two tiny training iterations under a full profiler, as profile columns.
+
+    ``subscribe(engine, monitor)`` runs once the profiler has started.
+    """
+    engine = EagerEngine("a100")
+    profiler = DeepContextProfiler(engine, ProfilerConfig.full())
+    with engine, profiler.profile():
+        if subscribe is not None:
+            subscribe(engine, profiler.monitor)
+        model = modules.Sequential(modules.Conv2d(3, 8), modules.ReLU(), name="net")
+        for _ in range(2):
+            engine.backward(F.sum_(model(tensor((2, 3, 16, 16)))))
+            profiler.mark_iteration()
+        engine.synchronize()
+    return profiler.database.tree.to_columnar()
+
+
+class TestSubscribers:
+    def test_gpu_callback_beside_a_profiler_sees_every_api_call(self):
+        """One enter and one exit ``GpuEvent`` per API call; the profile is unchanged."""
+        raw, events = [], []
+
+        def subscribe(engine, monitor):
+            engine.runtime.subscribe(
+                lambda data: raw.append((data, engine.threads.current.tid)))
+            monitor.callback_register(DLMONITOR_GPU, events.append)
+
+        # One call site for both runs: the profile records this test's line.
+        observed, reference = (_profiled_training(hook) for hook in (subscribe, None))
+        assert observed == reference
+        expected = [GpuEvent(
+            api_name=data.api_name,
+            phase="enter" if data.phase is ApiPhase.ENTER else "exit",
+            correlation_id=data.correlation_id, device=data.device,
+            kernel_name=data.kernel_function.name if data.kernel_function else "",
+            stream=data.stream, bytes=data.bytes, kind=data.kind, thread_tid=tid,
+        ) for data, tid in raw]
+        assert events and events == expected
+        assert len(events) == 2 * len({event.correlation_id for event in events})
+
+    def test_callpath_in_gpu_callback_has_the_operators_python_frames(self, engine):
+        """The walk starts where the operator was entered, not at the request."""
+        monitor = dlmonitor_init(engine)
+        paths = []
+
+        def on_gpu(event):
+            if event.phase == "enter":
+                paths.append(monitor.callpath_get())
+
+        monitor.callback_register(DLMONITOR_GPU, on_gpu)
+        with engine:
+            x = tensor((64, 64))
+            here = capture_user_frames()
+            F.relu(x)
+        file, line, function = here[-1]
+        assert paths
+        for path in paths:
+            python = [(frame.file, frame.line, frame.name)
+                      for frame in path.frames_of_kind(FrameKind.PYTHON)]
+            assert python == here[:-1] + [(file, line + 1, function)]
+            assert "on_gpu" not in {name for _file, _line, name in python}
+
+    def test_python_frames_captured_only_when_needed(self, engine):
+        """An operator that launches nothing walks no Python stack."""
+        config = ProfilerConfig.without_native()
+        config.collect_cpu_time = False
+        profiler = DeepContextProfiler(engine, config)
+        with engine, profiler.profile():
+            stats = profiler.monitor.stats
+            at_entry = {}
+            profiler.monitor.callback_register(
+                DLMONITOR_FRAMEWORK,
+                lambda event: at_entry.setdefault(event.op_name, stats.python_captures)
+                if event.phase == "enter" else None)
+            x = tensor((8, 8))
+            before = stats.python_captures
+            F.reshape(x, (64,))
+            assert stats.python_captures == before
+            F.relu(x)
+            assert stats.python_captures == before + 1
+            assert at_entry["aten::relu"] == before
+
+            before = stats.python_captures
+            F.linear(x, tensor((4, 8), requires_grad=True))  # has a sequence ID
+            assert at_entry["aten::linear"] == before + 1
+            assert stats.python_captures == before + 1
 
 
 class TestCallPathGet:

@@ -1,5 +1,8 @@
 """Tests for the profiler core: collectors, orchestration, database persistence."""
 
+import gc
+import tracemalloc
+
 import pytest
 
 from repro.core import (
@@ -136,6 +139,67 @@ class TestDeepContextProfiler:
         database = profiler.database
         assert database.total_gpu_time() > 0
         assert len(profiler.monitor.fusion_map) >= 1
+
+
+def _profile_columns(model, mode, config, iterations=2):
+    """The profile tree of ``iterations`` iterations of a small ``model`` as columns."""
+    engine = EagerEngine("a100")
+    compiler = JitCompiler(engine) if mode == "jit" else None
+    profiler = DeepContextProfiler(engine, config, jit_compiler=compiler)
+    workload = create_workload(model, small=True)
+    with engine, profiler.profile():
+        workload.build(engine)
+        if compiler is not None:
+            compiled = jit(workload.step_fn(engine), engine=engine,
+                           with_grad=workload.training, compiler=compiler)
+        for iteration in range(iterations):
+            if compiler is not None:
+                compiled(*workload.make_batch(engine, iteration))
+            else:
+                workload.run_iteration(engine, iteration)
+            profiler.mark_iteration()
+        engine.synchronize()
+    return profiler.database.tree.to_columnar()
+
+
+class TestCollectionPaths:
+    @pytest.mark.parametrize("model, mode, preset", [
+        ("gnn", "eager", ProfilerConfig.without_native),
+        ("unet", "jit", ProfilerConfig.without_native),
+        ("resnet", "eager", ProfilerConfig.full),  # native frames and PC sampling
+    ])
+    def test_callpath_cache_on_and_off_build_the_same_profile(self, model, mode, preset):
+        """With the cache off every launch inserts its full path: the reference."""
+        cached, uncached = preset(), preset()
+        uncached.callpath_cache = False
+        # One call site for both runs: the profile records this test's line.
+        columns, reference = (_profile_columns(model, mode, config)
+                              for config in (cached, uncached))
+        assert columns == reference
+
+    def test_live_memory_stays_flat_across_iterations(self):
+        """Live memory is bounded by distinct contexts, not by iterations run."""
+        engine = EagerEngine("a100")
+        profiler = DeepContextProfiler(engine, ProfilerConfig.without_native())
+        workload = create_workload("resnet", small=True)
+        live = {}
+        tracemalloc.start()
+        try:
+            with engine, profiler.profile():
+                workload.build(engine)
+                for iteration in range(1, 17):
+                    workload.run_iteration(engine, iteration)
+                    profiler.mark_iteration()
+                    if iteration in (4, 16):
+                        # Buffered activity records and their pending
+                        # correlations, and the simulator's cyclic garbage,
+                        # would otherwise move a reading by hundreds of KiB.
+                        profiler.monitor.tracing_api.activity_flush_all()
+                        gc.collect()
+                        live[iteration] = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert live[16] <= 1.1 * live[4], live
 
 
 class TestProfileDatabase:
