@@ -34,13 +34,16 @@ For multi-thread collection the module provides
 :class:`ShardedCallingContextTree`: each simulated CPU thread owns a private
 ``CallingContextTree`` shard, collectors attribute into the shard of the
 launching/observing thread with no cross-thread coordination, and structural
-queries run against the shards' union.  Under the same rule, the union is
-built lazily, keyed by the shards' generation counters, and rebuilt in one
-pass whenever any of them moves: the shards are structurally unioned on
-``Frame.identity()`` (:meth:`CallingContextTree.merge_from`) and their
-metrics combined with ``MetricSet.merge``.  A one-shard tree is its own
-union: its structural queries are served by that shard, with no copy, so it
-behaves exactly like the plain single-tree model.
+queries run against the shards' union.  Every call path starts ``root →
+thread frame`` and each shard holds one thread's paths, so the shards are
+disjoint below their roots (unless threads share a name) and their union
+needs no copy: it is a :class:`ShardForest`, a read-only view whose only
+node of its own is a root over the shards' top-level nodes.  Under the same
+rule, the view is built lazily, keyed by the shards' generation counters,
+and rebuilt in one pass whenever any of them moves.  A one-shard tree is
+its own union, so it behaves exactly like the plain single-tree model.
+Trees that overlap (a fleet's runs) are unioned by copying, with
+:meth:`CallingContextTree.merge_from`.
 
 Per-name rollups (the bottom-up view, ``top_kernels``, the fleet's summary
 rows) have one primitive: *name rows*, ``{(kind code, name): (count, sum,
@@ -270,11 +273,6 @@ class CCTNode:
 class CallingContextTree:
     """The profile's calling context tree with online metric aggregation."""
 
-    #: True on the union trees ``ShardedCallingContextTree.merged()`` builds
-    #: for several shards — such trees are discardable query caches and must
-    #: never be attributed into.
-    is_merged_view = False
-
     def __init__(self, program_name: str = "program") -> None:
         self.insertions = 0
         #: Node→parent merges performed by inclusive-view materializations.
@@ -400,6 +398,9 @@ class CallingContextTree:
         of ``other``, root included).
         """
         mapping: Dict[int, CCTNode] = {id(other.root): self.root}
+        # A shard forest's top-level nodes hang below their shards' roots.
+        for node in other.root.children.values():
+            mapping[id(node.parent)] = self.root
         self.root.exclusive.merge(other.root.exclusive)
         # Parents precede children in the registry, so every node's parent is
         # already mapped when the node is visited — one linear pass, no
@@ -597,10 +598,9 @@ class CallingContextTree:
         The inclusive view is omitted (it is recomputed lazily on load).
         """
         registry = self._registry
-        index_of = {id(node): index for index, node in enumerate(registry)}
         frames: Dict[str, List] = {
             "kind": [], "name": [], "file": [], "line": [],
-            "library": [], "pc": [], "tag": [], "parent": [],
+            "library": [], "pc": [], "tag": [], "parent": self.parent_indexes(),
         }
         metric_columns: Dict[str, Dict[str, List[float]]] = {}
         for index, node in enumerate(registry):
@@ -612,7 +612,6 @@ class CallingContextTree:
             frames["library"].append(frame.library)
             frames["pc"].append(frame.pc)
             frames["tag"].append(frame.tag)
-            frames["parent"].append(index_of[id(node.parent)] if node.parent is not None else -1)
             for name, aggregate in node.exclusive.items():
                 column = metric_columns.get(name)
                 if column is None:
@@ -634,6 +633,16 @@ class CallingContextTree:
             "nodes": frames,
             "exclusive": metric_columns,
         }
+
+    def parent_indexes(self) -> List[int]:
+        """Each registry node's parent as a registry position (-1 for the
+        root): the parent column of flat encodings.  Top-level nodes get the
+        root's position; in a shard forest their parents are shard roots."""
+        index_of = {id(node): index for index, node in enumerate(self._registry)}
+        for node in self.root.children.values():
+            index_of.setdefault(id(node.parent), 0)
+        return [index_of[id(node.parent)] if node.parent is not None else -1
+                for node in self._registry]
 
     @classmethod
     def build_from_columns(cls, kinds: Sequence, names: Sequence[str],
@@ -743,6 +752,72 @@ class CallingContextTree:
         return total
 
 
+class ShardForest(CallingContextTree):
+    """The read-only union of a sharded tree's shards.
+
+    Shards hold disjoint thread subtrees, so the union is served from the
+    shards' own nodes: its only node of its own is its root, whose children
+    are the shards' top-level nodes and whose exclusive set merges the shard
+    roots'.  Its registry and kind indexes are the shards' (roots left out)
+    concatenated in shard order: the registry a :meth:`merge_from` copy of
+    the shards would build.  A top-level node's ``parent`` stays its shard's
+    root, which carries the same root frame.  A thread frame's identity is
+    its name, so threads that share a name have overlapping shards; those
+    are unioned by copying, as :meth:`merge_from` does.  Either way the
+    union is a snapshot of the shards' structure and refuses every mutator.
+    """
+
+    def __init__(self, program_name: str,
+                 shards: Iterable[CallingContextTree]) -> None:
+        super().__init__(program_name)
+        self._shards = tuple(shards)
+        keys = [key for shard in self._shards for key in shard.root.children]
+        if len(set(keys)) < len(keys):
+            for shard in self._shards:
+                CallingContextTree.merge_from(self, shard)
+            self._shards = ()  # the union owns every node
+            return
+        root = self.root
+        for shard in self._shards:
+            root.exclusive.merge(shard.root.exclusive)
+            root.children.update(shard.root.children)
+            self._registry.extend(shard._registry[1:])
+            for kind, bucket in shard._by_kind.items():
+                self._by_kind.setdefault(kind, []).extend(
+                    bucket[1:] if kind is FrameKind.ROOT else bucket)
+            self._operator_index.extend(shard._operator_index)
+            self._scope_index.extend(shard._scope_index)
+            self._max_depth = max(self._max_depth, shard._max_depth)
+            self.insertions += shard.insertions
+
+    def ensure_inclusive(self) -> None:
+        """Each shard's own pass, then the root: its exclusive set plus the
+        top-level nodes' inclusive views, merged in reverse creation order —
+        the order a copy's bottom-up pass uses, so every value is bit for
+        bit the copy's.  A union that owns its nodes runs the tree's pass."""
+        if not self._shards:
+            super().ensure_inclusive()
+            return
+        for shard in self._shards:
+            shard.ensure_inclusive()
+        if self._inclusive_generation == self._generation:
+            return
+        inclusive = self.root._inclusive
+        inclusive.reset_to(self.root.exclusive)
+        for node in reversed(self.root.children.values()):
+            inclusive.merge(node._inclusive)
+        self._inclusive_generation = self._generation
+
+    def _refuse(self, *args, **kwargs) -> None:
+        raise ValueError(
+            "the union of several shards is a read-only view; attribute "
+            "through a shard's own node (shard_for/shard_for_tid) or the "
+            "sharded tree")
+
+    insert_below = attribute = attribute_many = _refuse
+    merge_from = install_exclusive_column = _refuse
+
+
 # ---------------------------------------------------------------------------
 # Wrapper trees: the read API served from one merged tree
 # ---------------------------------------------------------------------------
@@ -814,7 +889,7 @@ class ProfileTree:
 
 
 # ---------------------------------------------------------------------------
-# Per-thread shards, merged at query time
+# Per-thread shards, unioned at query time
 # ---------------------------------------------------------------------------
 
 #: Shard id used by the degenerate single-tree API (no thread routing).
@@ -824,7 +899,7 @@ SHARDED_TREE_FORMAT = "cct-columnar-sharded-v1"
 
 
 class ShardedCallingContextTree(ProfileTree):
-    """Per-thread CCT shards with a lazily merged query-time view.
+    """Per-thread CCT shards with a lazily built query-time union.
 
     Collection side: every simulated CPU thread gets its own private
     :class:`CallingContextTree` (``shard_for`` / ``shard_for_tid``), so the
@@ -835,20 +910,21 @@ class ShardedCallingContextTree(ProfileTree):
     read.
 
     Query side: the structural read API (``root``, traversals, kind
-    indexes, serialization) is served by :meth:`merged`, the union of the
-    shards; per-name queries fold the shards' :meth:`name_rows` instead and
-    never build it.  A one-shard tree is its own union, so its queries are
-    served by the shard itself.  With several shards the union is a separate
-    tree, built on demand with :meth:`CallingContextTree.merge_from` and
+    indexes) is served by :meth:`merged`, the union of the shards; per-name
+    queries and totals fold the shards' own results instead and never build
+    it.  A one-shard tree is its own union, so its queries are served by the
+    shard itself.  With several shards the union is a :class:`ShardForest`,
     cached behind the tuple of shard generation counters: repeated queries
     between mutations reuse it, and any shard change makes the next query
-    rebuild it in one pass.  Nodes returned by queries belong to that tree;
-    re-fetch them after mutations instead of caching across them (the same
-    contract ``CCTNode.inclusive`` documents for metric sets).
+    rebuild it in one pass.  Unless threads share a name, every node the
+    read API returns, except the union's root, is a shard's own node, so
+    attribution through it lands in that shard.  Lists returned by queries
+    are snapshots; re-fetch them after structural changes.
 
-    The single-tree mutator API (``insert``/``attribute``/...) remains
-    available and routes to a default shard, making the unsharded profiler
-    the degenerate one-shard case of this class.
+    The single-tree mutator API remains available: ``insert`` and
+    ``insert_and_attribute`` route to a default shard, and ``attribute``
+    and ``attribute_many`` to the node's own shard, making the unsharded
+    profiler the degenerate one-shard case of this class.
     """
 
     def __init__(self, program_name: str = "program") -> None:
@@ -857,13 +933,8 @@ class ShardedCallingContextTree(ProfileTree):
         self._shards: Dict[int, CallingContextTree] = {}
         #: Per-shard provenance: which thread produced it (saved with profiles).
         self._provenance: Dict[int, Dict[str, object]] = {}
-        self._merged: Optional[CallingContextTree] = None
+        self._merged: Optional[ShardForest] = None
         self._merged_key: Tuple = ()
-        #: Propagations performed by merged views that have been discarded —
-        #: keeps the ``propagations`` counter monotonic across rebuilds.
-        self._retired_propagations = 0
-        #: Union trees built by :meth:`merged` (observability/tests).
-        self.merges = 0
 
     # -- shard management -----------------------------------------------------------
 
@@ -920,22 +991,22 @@ class ShardedCallingContextTree(ProfileTree):
         return self.default_shard.insert(callpath)
 
     def _owning_tree(self, node: CCTNode) -> CallingContextTree:
-        """The shard a mutation on ``node`` must target.
+        """The shard a mutation on ``node`` must target: the node's own tree.
 
-        With several shards, nodes obtained from the read API belong to a
-        *merged cache* — the current one, or an already-discarded earlier
-        build — and attributing into either would silently lose the
-        observation, so they are rejected outright.  A one-shard tree's read
-        API returns the shard's own nodes, which are valid targets.
+        A shard's own node, fetched before or after any rebuild of the
+        union, is a valid target; a node with no tree goes to the default
+        shard.  Any other node (the union's root, a copied union's node, a
+        node of another tree) is rejected: an observation attributed into it
+        would never show in this tree.
         """
         tree = node.tree
         if tree is None:
             return self.default_shard
-        if tree.is_merged_view:
+        if tree not in self._shards.values():
             raise ValueError(
-                "node belongs to the merged query view, which is rebuilt (and "
-                "discarded) when any shard changes; attribute through the "
-                "owning shard (shard_for/shard_for_tid) or insert_and_attribute")
+                "node belongs to no shard of this tree; attribute through a "
+                "shard's own node (shard_for/shard_for_tid) or "
+                "insert_and_attribute")
         return tree
 
     def attribute(self, node: CCTNode, metric: str, value: float) -> None:
@@ -948,7 +1019,7 @@ class ShardedCallingContextTree(ProfileTree):
                              metrics: Mapping[str, float]) -> CCTNode:
         return self.default_shard.insert_and_attribute(callpath, metrics)
 
-    # -- merged view -----------------------------------------------------------------
+    # -- union view ------------------------------------------------------------------
 
     def _merge_key(self) -> Tuple:
         return tuple((tid, shard._generation) for tid, shard in self._shards.items())
@@ -956,26 +1027,19 @@ class ShardedCallingContextTree(ProfileTree):
     def merged(self) -> CallingContextTree:
         """The union of every shard, built lazily at query time.
 
-        A one-shard tree is its own union: the shard is returned as is, with
-        no copy.  Otherwise the union is a fresh tree that every shard is
-        merged into, in shard order.  It is cached behind the shards'
-        generation counters and rebuilt in one pass, never patched, on the
-        first query after any shard changes.
+        A one-shard tree is its own union: the shard is returned as is.
+        Otherwise the union is a :class:`ShardForest` over the shards' own
+        nodes, in shard order.  It is cached behind the shards' generation
+        counters and rebuilt in one pass, never patched, on the first query
+        after any shard changes.
         """
         if len(self._shards) == 1:
             (shard,) = self._shards.values()
             return shard
         key = self._merge_key()
         if self._merged is None or key != self._merged_key:
-            if self._merged is not None:
-                self._retired_propagations += self._merged.propagations
-            merged = CallingContextTree(self.program_name)
-            merged.is_merged_view = True
-            for shard in self._shards.values():
-                merged.merge_from(shard)
-            self._merged = merged
+            self._merged = ShardForest(self.program_name, self._shards.values())
             self._merged_key = key
-            self.merges += 1
         return self._merged
 
     @property
@@ -989,12 +1053,10 @@ class ShardedCallingContextTree(ProfileTree):
 
     @property
     def propagations(self) -> int:
-        """Total node→parent merges, monotonic across merged-view rebuilds."""
-        merged = self._merged.propagations if self._merged is not None else 0
-        return (self._retired_propagations + merged
-                + sum(shard.propagations for shard in self._shards.values()))
+        """Node→parent merges of every shard's inclusive passes."""
+        return sum(shard.propagations for shard in self._shards.values())
 
-    # -- totals and footprint (per shard, no merge) -----------------------------------
+    # -- totals and footprint (per shard, no union) -----------------------------------
 
     def total_metric(self, metric: str) -> float:
         """Whole-profile total of ``metric`` across every shard.
@@ -1014,30 +1076,22 @@ class ShardedCallingContextTree(ProfileTree):
                               for shard in self._shards.values())
 
     def approximate_size_bytes(self) -> int:
-        """Footprint of every shard plus the merged view if materialized.
+        """Footprint of every shard (a union view owns only its root).
 
-        Like the single-tree variant this reports the *current* footprint —
-        an unmaterialized merged view costs (almost) nothing and is counted
-        as such, so overhead probes taken mid-collection stay cheap.
+        Like the single-tree variant this reports the *current* footprint, so
+        overhead probes taken mid-collection stay cheap.
         """
-        total = self.stored_size_bytes()
-        if self._merged is not None:
-            total += self._merged.approximate_size_bytes()
-        return total
+        return sum(shard.approximate_size_bytes() for shard in self._shards.values())
 
     def stored_node_count(self) -> int:
-        """Nodes held across the shards, without forcing a merge.
+        """Nodes held across the shards, without forcing a union.
 
-        Each shard counts its own root, so this slightly exceeds the merged
-        view's ``node_count()`` (which unions them); it is the collection-side
-        number overhead probes use so that probing mid-run neither pays for a
-        materialization nor perturbs the footprint it is reporting.
+        Each shard counts its own root, so this slightly exceeds the union's
+        ``node_count()`` (one root over them all); it is the collection-side
+        number overhead probes use, so that probing mid-run never builds a
+        union view.
         """
         return sum(shard.node_count() for shard in self._shards.values())
-
-    def stored_size_bytes(self) -> int:
-        """Shard-only footprint (excludes any materialized merged view)."""
-        return sum(shard.approximate_size_bytes() for shard in self._shards.values())
 
     # -- serialization ------------------------------------------------------------------
 

@@ -217,13 +217,12 @@ class DeepContextProfiler:
         """Profiler-side bookkeeping used by the Figure-6 overhead harness."""
         tree = self.tree
         if isinstance(tree, ShardedCallingContextTree):
-            # Collection-side numbers: probing must not force a merged-view
-            # materialization mid-run (it would be O(total nodes) per probe
-            # and would then show up in the very footprint being reported).
+            # Collection-side numbers: probing mid-run reads the shards and
+            # never builds a union view.
             stats: Dict[str, float] = {
                 "profiler_wall_seconds": self._wall_seconds,
                 "cct_nodes": float(tree.stored_node_count()),
-                "cct_size_bytes": float(tree.stored_size_bytes()),
+                "cct_size_bytes": float(tree.approximate_size_bytes()),
                 "cct_shards": float(tree.shard_count()),
             }
         else:

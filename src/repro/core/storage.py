@@ -290,7 +290,6 @@ def _encode_frames_block(tree: CallingContextTree) -> bytes:
     per-shard decode several times cheaper than a full JSON parse.
     """
     registry = tree.all_nodes()
-    index_of = {id(node): index for index, node in enumerate(registry)}
     strings: Dict[str, int] = {}
 
     def intern(value: str) -> int:
@@ -308,7 +307,7 @@ def _encode_frames_block(tree: CallingContextTree) -> bytes:
     lines: List[int] = []
     pcs: List[int] = []
     frame_indexes: List[int] = []
-    parents: List[int] = []
+    parents = tree.parent_indexes()
     for node in registry:
         frame = node.frame
         key = (frame.kind, frame.name, frame.file, frame.line,
@@ -324,7 +323,6 @@ def _encode_frames_block(tree: CallingContextTree) -> bytes:
             lines.append(int(frame.line))
             pcs.append(int(frame.pc))
         frame_indexes.append(frame_index)
-        parents.append(index_of[id(node.parent)] if node.parent is not None else -1)
 
     encoded = [value.encode("utf-8") for value in strings]  # insertion order
     offsets = [0]
@@ -638,8 +636,6 @@ class LazyProfileView(ProfileTree):
     moves to a new seal.  Mutate the tree returned by :meth:`hydrate`
     instead.
     """
-
-    is_merged_view = False
 
     def __init__(self, path: str, handle, mm: mmap.mmap, toc: Mapping,
                  meta: Mapping, seal_end: Optional[int] = None) -> None:

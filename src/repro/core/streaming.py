@@ -161,8 +161,7 @@ class StreamingProfileWriter:
         the shard grew structurally; a metric-only change reuses the sealed
         frame table because shard registries are append-only, so an unchanged
         node count implies an identical encoding.  The live tree is only
-        read: checkpointing never disturbs inclusive views or merged-view
-        caches.
+        read: checkpointing never disturbs inclusive views or union views.
 
         A checkpoint that fails partway — ``ENOSPC``, an I/O error, a torn
         write — leaves the file recoverable at the previous seal and the

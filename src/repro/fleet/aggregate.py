@@ -551,15 +551,14 @@ class FleetAggregator:
     # -- the fleet CCT ------------------------------------------------------------------
 
     def merged_tree(self) -> CallingContextTree:
-        """The fleet-wide CCT: every run's shards unioned into one tree.
+        """The fleet-wide CCT: every run's shards copied into one tree.
 
-        Structure needs bytes, so index-served runs open their views here
-        (on demand; an unopenable run demotes).  Hydration and merge cost
-        are paid once and cached (until an underlying view moves — see
-        ``_ensure_fresh``); runs merge in run order and, within a run, shard
-        order — the same sequence a single profile containing all the shards
-        would merge in, so the result is bit-for-bit the tree that
-        profile's merged view would serve.
+        Runs share calling contexts, so they are unioned with
+        ``CallingContextTree.merge_from``.  Structure needs bytes, so
+        index-served runs open their views here (on demand; an unopenable
+        run demotes).  Hydration and merge cost are paid once and cached
+        (until an underlying view moves — see ``_ensure_fresh``); runs merge
+        in run order and, within a run, shard order.
         """
         self._ensure_fresh()
         if self._merged is None:
@@ -576,7 +575,6 @@ class FleetAggregator:
                                       (lambda v=view: v.hydrate())))
                 hydrated_trees = self._gather(tasks)
                 combined = CallingContextTree(self.program_name)
-                combined.is_merged_view = True
                 for run_id in list(self._sources):
                     hydrated = hydrated_trees.get(run_id)
                     if hydrated is None:

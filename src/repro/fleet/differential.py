@@ -72,9 +72,9 @@ def merge_population(sources: Iterable, program_name: str = "population") -> Cal
     Each source is resolved with :func:`resolve_tree` and folded in with
     ``CallingContextTree.merge_from`` — structural union on
     ``Frame.identity()`` plus parallel Welford metric merges — in iteration
-    order, exactly the sequence a single sharded profile holding every
-    source's shards would replay, so population merges are bit-for-bit
-    equivalent to having collected the observations into one profile.
+    order.  A multi-shard source resolves to its union view, whose nodes
+    come in shard order, so its nodes merge exactly as its shards merged
+    one by one would.
     """
     combined = CallingContextTree(program_name)
     for source in sources:
@@ -87,8 +87,11 @@ def _index_by_path(tree: CallingContextTree) -> Dict[Tuple, CCTNode]:
 
     Parents precede children in the registry, so each node's key extends an
     already-computed parent key — one linear pass, no per-node root walks.
+    Top-level keys start at ``()`` under whichever node is their parent: a
+    shard forest's top-level nodes hang below their shards' roots.
     """
-    keys: Dict[int, Tuple] = {id(tree.root): ()}
+    keys: Dict[int, Tuple] = {id(node.parent): ()
+                              for node in tree.root.children.values()}
     index: Dict[Tuple, CCTNode] = {}
     for node in tree.all_nodes():
         if node.parent is None:

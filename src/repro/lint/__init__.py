@@ -3,8 +3,8 @@
 The durability, caching and concurrency contracts the profiler's correctness
 rests on — blessed block emitters, temp-file-then-``os.replace`` durable
 writes, generation-counter cache invalidation, wrapped storage exceptions,
-catalog-lock discipline, merged-view immutability — are stated once here as
-checkable rules instead of being re-litigated in every review.  Each rule
+catalog-lock discipline — are stated once here as checkable rules instead
+of being re-litigated in every review.  Each rule
 has a stable id (``RL001``…), a severity, documentation (``docs/LINT.md``)
 and precise ``file:line`` findings.
 

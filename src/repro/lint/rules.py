@@ -10,7 +10,7 @@ generality for zero-configuration precision.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from .engine import Finding, ModuleInfo, Rule, Severity, register_rule
 
@@ -34,18 +34,8 @@ _JSON_GUARDS = {"ValueError", "json.JSONDecodeError", "Exception",
                 "BaseException", "ProfileFormatError",
                 "repro.core.storage.ProfileFormatError"}
 
-#: Shard-tree mutators that must never be called on merged-view objects.
-TREE_MUTATORS = {"insert", "attribute", "attribute_many",
-                 "insert_and_attribute", "merge_from",
-                 "install_exclusive_column"}
-
 #: ``MetricSet`` mutators (``node.exclusive.add(...)`` and friends).
 METRIC_MUTATORS = {"add", "add_many", "merge", "put", "zero"}
-
-#: Read accessors through which merged-view taint propagates.
-_MERGED_READ_ATTRS = {"root", "kernels", "operators", "scopes"}
-_MERGED_READ_CALLS = {"find", "all_nodes", "nodes_of_kind", "bfs", "nodes",
-                      "leaves"}
 
 _TEMP_MARKERS = ("tmp", "temp", "pending")
 
@@ -622,145 +612,6 @@ class CatalogLockRule(Rule):
                     if ("cataloglock" in text.replace("_", "")
                             or "catalog_lock" in text):
                         return True
-        return False
-
-
-# ---------------------------------------------------------------------------
-# RL006 — merged-view mutation guard
-# ---------------------------------------------------------------------------
-
-@register_rule
-class MergedViewMutationRule(Rule):
-    """Objects obtained from ``merged()`` views are read-only caches.
-
-    The merged tree is rebuilt (and discarded) when any shard changes
-    (PR 2): attributing into it — or into nodes fetched from it — silently
-    loses the observation on the next rebuild.  The runtime guard catches
-    this at attribution time; this rule catches it in review.
-    """
-
-    id = "RL006"
-    name = "merged-view-mutation"
-    severity = Severity.ERROR
-    contract = ("No shard mutator (insert/attribute/attribute_many/"
-                "merge_from/install_exclusive_column, or "
-                ".exclusive.<mutator>) may be called on an object obtained "
-                "from a .merged() accessor, nor may such an object be "
-                "passed as the node of attribute/attribute_many.")
-
-    def check(self, module: ModuleInfo) -> Iterator[Finding]:
-        scopes: List[ast.AST] = [module.tree]
-        scopes.extend(node for node in ast.walk(module.tree)
-                      if isinstance(node, (ast.FunctionDef,
-                                           ast.AsyncFunctionDef)))
-        for scope in scopes:
-            yield from self._check_scope(module, scope)
-
-    def _check_scope(self, module: ModuleInfo,
-                     scope: ast.AST) -> Iterator[Finding]:
-        own_nodes = self._own_nodes(scope)
-        tainted = self._tainted_names(own_nodes)
-
-        def is_tainted(expr: ast.AST) -> bool:
-            return self._expr_tainted(expr, tainted)
-
-        seen: Set[int] = set()
-        for node in own_nodes:
-            if not (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)):
-                continue
-            if id(node) in seen:
-                continue
-            attr = node.func.attr
-            if attr in TREE_MUTATORS and is_tainted(node.func.value):
-                seen.add(id(node))
-                yield self.finding(
-                    module, node,
-                    f".{attr}(...) called on an object obtained from a "
-                    f"merged() view; merged views are discardable query "
-                    f"caches — mutate through the owning shard instead")
-            elif (attr in ("attribute", "attribute_many") and node.args
-                  and is_tainted(node.args[0])):
-                seen.add(id(node))
-                yield self.finding(
-                    module, node,
-                    f"node passed to .{attr}(...) was obtained from a "
-                    f"merged() view; attributing into merged-view nodes "
-                    f"silently loses the observation on the next rebuild")
-            elif (attr in METRIC_MUTATORS
-                  and isinstance(node.func.value, ast.Attribute)
-                  and node.func.value.attr in ("exclusive", "inclusive")
-                  and is_tainted(node.func.value.value)):
-                seen.add(id(node))
-                yield self.finding(
-                    module, node,
-                    f"direct metric mutation "
-                    f".{node.func.value.attr}.{attr}(...) on an object "
-                    f"obtained from a merged() view")
-
-    @staticmethod
-    def _own_nodes(scope: ast.AST) -> List[ast.AST]:
-        """Nodes belonging to this scope, not to nested function scopes."""
-        nodes: List[ast.AST] = []
-        stack: List[ast.AST] = [scope]
-        while stack:
-            current = stack.pop()
-            nodes.append(current)
-            for child in ast.iter_child_nodes(current):
-                if (current is not scope
-                        and isinstance(child, (ast.FunctionDef,
-                                               ast.AsyncFunctionDef))):
-                    continue
-                if (current is scope and scope is not child
-                        and isinstance(child, (ast.FunctionDef,
-                                               ast.AsyncFunctionDef))
-                        and not isinstance(scope, (ast.FunctionDef,
-                                                   ast.AsyncFunctionDef))):
-                    # Module scope: functions are their own scopes.
-                    continue
-                stack.append(child)
-        return nodes
-
-    def _tainted_names(self, nodes: Sequence[ast.AST]) -> Set[str]:
-        tainted: Set[str] = set()
-        for _ in range(4):  # tiny fixpoint: taint flows through assignments
-            before = len(tainted)
-            for node in nodes:
-                if isinstance(node, ast.Assign):
-                    if self._expr_tainted(node.value, tainted):
-                        for target in node.targets:
-                            if isinstance(target, ast.Name):
-                                tainted.add(target.id)
-                            elif isinstance(target, (ast.Tuple, ast.List)):
-                                for element in target.elts:
-                                    if isinstance(element, ast.Name):
-                                        tainted.add(element.id)
-                elif isinstance(node, ast.For):
-                    if (self._expr_tainted(node.iter, tainted)
-                            and isinstance(node.target, ast.Name)):
-                        tainted.add(node.target.id)
-            if len(tainted) == before:
-                break
-        return tainted
-
-    def _expr_tainted(self, expr: ast.AST, tainted: Set[str]) -> bool:
-        if isinstance(expr, ast.Name):
-            return expr.id in tainted
-        if isinstance(expr, ast.Call):
-            if (isinstance(expr.func, ast.Attribute)
-                    and expr.func.attr == "merged"):
-                return True
-            if (isinstance(expr.func, ast.Attribute)
-                    and expr.func.attr in _MERGED_READ_CALLS):
-                return self._expr_tainted(expr.func.value, tainted)
-            return False
-        if isinstance(expr, ast.Attribute):
-            if expr.attr in _MERGED_READ_ATTRS or expr.attr in ("exclusive",
-                                                                "inclusive"):
-                return self._expr_tainted(expr.value, tainted)
-            return False
-        if isinstance(expr, ast.Subscript):
-            return self._expr_tainted(expr.value, tainted)
         return False
 
 

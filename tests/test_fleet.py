@@ -304,7 +304,12 @@ class TestFleetAggregator:
                 node = shard.insert(_path("fleet", op, kernel))
                 shard.attribute_many(node, {M.METRIC_GPU_TIME: gpu_time,
                                             M.METRIC_KERNEL_COUNT: 1.0})
-        expected = _tree_states(combined.merged())
+        # The runs' shards overlap (every run has the same paths), which is
+        # merge_from's job: the reference copies the shards in shard order.
+        reference = CallingContextTree("fleet")
+        for shard in combined.shards().values():
+            reference.merge_from(shard)
+        expected = _tree_states(reference)
 
         with tempfile.TemporaryDirectory() as root:
             store = ProfileStore(root)

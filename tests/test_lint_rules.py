@@ -368,65 +368,6 @@ class TestRL005:
 
 
 # ---------------------------------------------------------------------------
-# RL006 — merged-view mutation
-# ---------------------------------------------------------------------------
-
-class TestRL006:
-    def test_mutator_on_merged_view_node(self):
-        findings = run_rule("RL006", """\
-            def update(tree, obs):
-                merged = tree.merged()
-                node = merged.kernels[0]
-                node.attribute(obs)
-            """)
-        assert [f.line for f in findings] == [4]
-
-    def test_merged_node_passed_to_shard_attribute(self):
-        findings = run_rule("RL006", """\
-            def update(tree, shard, obs):
-                node = tree.merged().find("kernel", "gemm")
-                shard.attribute(node, obs)
-            """)
-        assert [f.line for f in findings] == [3]
-
-    def test_metric_mutation_through_merged_accessor_chain(self):
-        findings = run_rule("RL006", """\
-            def update(tree):
-                tree.merged().root.exclusive.add("time", 1.0)
-            """)
-        assert [f.line for f in findings] == [2]
-
-    def test_taint_flows_through_loops(self):
-        findings = run_rule("RL006", """\
-            def update(tree, obs):
-                for node in tree.merged().kernels:
-                    node.attribute(obs)
-            """)
-        assert [f.line for f in findings] == [3]
-
-    def test_reads_on_merged_view_are_conforming(self):
-        findings = run_rule("RL006", """\
-            def report(tree):
-                merged = tree.merged()
-                total = merged.total_metric("time")
-                return total, [n.name for n in merged.kernels]
-            """)
-        assert findings == []
-
-    def test_mutating_shard_nodes_is_conforming(self):
-        findings = run_rule("RL006", """\
-            def update(tree, obs):
-                node = tree.kernels[0]
-                node.attribute(obs)
-            """)
-        assert findings == []
-
-    def test_real_sharded_tests_are_clean(self):
-        assert run_rule_on_file("RL006", "tests/test_sharded_cct.py") == []
-        assert run_rule_on_file("RL006", "src/repro/core/cct.py") == []
-
-
-# ---------------------------------------------------------------------------
 # RL007 — monkeypatching
 # ---------------------------------------------------------------------------
 

@@ -361,8 +361,13 @@ class TestPerContextReference:
             for label, tree in (("plain", plain), ("sharded", sharded),
                                 ("one-thread", one_thread)):
                 assert_contexts_match(tree, by_path, f"{label} after {fed}")
-            # A one-shard tree is its own union: no copy that could go stale.
+            # A one-shard tree is its own union, and a multi-shard union owns
+            # only its root: every other node the read API returns belongs
+            # to a shard, so attribution through it cannot be lost.
             assert all(node.tree is only_shard for node in one_thread.all_nodes())
+            shards = list(sharded.shards().values())
+            assert all(any(node.tree is shard for shard in shards)
+                       for node in sharded.all_nodes() if node is not sharded.root)
         with tempfile.TemporaryDirectory() as directory:
             database = ProfileDatabase(sharded)
             binary = ProfileDatabase.load(database.save(

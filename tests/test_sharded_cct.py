@@ -17,6 +17,7 @@ import os
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.analyzer import PerformanceAnalyzer
 from repro.core import (
     CallingContextTree,
     DeepContextProfiler,
@@ -35,9 +36,12 @@ from repro.dlmonitor.callpath import (
     root_frame,
     thread_frame,
 )
+from repro.fleet import merge_population
 from repro.framework import EagerEngine, modules, tensor
 from repro.framework import functional as F
+from repro.framework.dataloader import DataLoader
 from repro.framework.threads import THREAD_BACKWARD, ThreadRegistry
+from repro.workloads.models.unet import data_selection
 
 THREAD_NAMES = {1: "main", 2: "backward-0", 3: "worker-0"}
 LEGACY_PATH = os.path.join(os.path.dirname(__file__), "data",
@@ -97,6 +101,15 @@ def _snapshot(tree: CallingContextTree):
                      for name, aggregate in node.inclusive.items() if aggregate.count}
         snapshot[key] = (exclusive, inclusive)
     return snapshot
+
+
+def _exact_states(tree: CallingContextTree):
+    """Every node in registry order: its path and exact exclusive and
+    inclusive Welford states."""
+    return [(tuple(n.frame.identity() for n in node.path_from_root()),
+             {name: aggregate.state() for name, aggregate in node.exclusive.items()},
+             {name: aggregate.state() for name, aggregate in node.inclusive.items()})
+            for node in tree.all_nodes()]
 
 
 class TestShardMergeEquivalence:
@@ -185,30 +198,34 @@ class TestShardLifecycle:
         tree = _build_sharded([(1, "conv", "k0", 1.0), (2, "norm", "k1", 2.0)])
         merged = tree.merged()
         assert tree.merged() is merged
-        assert tree.merges == 1
         # Pure reads do not invalidate the cache...
         tree.node_count(), tree.kernels, tree.aggregate_by_name()
-        assert tree.merges == 1
+        assert tree.merged() is merged
         # ...but mutating any shard does.
         shard = tree.shard_for_tid(1)
         shard.attribute(shard.kernels[0], M.METRIC_GPU_TIME, 4.0)
         assert tree.root.inclusive.sum(M.METRIC_GPU_TIME) == pytest.approx(7.0)
-        assert tree.merges == 2
+        assert tree.merged() is not merged
 
     def test_mutating_a_merged_view_node_is_rejected(self):
-        # Nodes from a multi-shard read API live in the merged cache, which
-        # is thrown away on the next shard mutation — attributing into them
-        # would silently lose the observation.
+        # With several shards the union view owns one node, its root; every
+        # other node of the read API is a shard's own node, so attribution
+        # through it lands in that shard.
         tree = _build_sharded([(1, "conv", "k0", 1.0), (2, "norm", "k1", 2.0)])
-        merged_kernel = tree.kernels[0]
-        with pytest.raises(ValueError, match="merged query view"):
-            tree.attribute(merged_kernel, M.METRIC_GPU_TIME, 5.0)
-        with pytest.raises(ValueError, match="merged query view"):
-            tree.attribute_many(merged_kernel, {M.METRIC_GPU_TIME: 5.0})
-        # Shard-owned nodes (including the degenerate default shard's) work.
-        shard_node = tree.shard_for_tid(1).kernels[0]
-        tree.attribute(shard_node, M.METRIC_GPU_TIME, 5.0)
-        assert tree.root.inclusive.sum(M.METRIC_GPU_TIME) == pytest.approx(8.0)
+        kernel = tree.kernels[0]
+        assert kernel.tree is tree.shard_for_tid(1)
+        tree.attribute(kernel, M.METRIC_GPU_TIME, 5.0)
+        tree.attribute_many(kernel, {M.METRIC_GPU_TIME: 2.0})
+        assert tree.shard_for_tid(1).kernels[0].exclusive.sum(
+            M.METRIC_GPU_TIME) == pytest.approx(8.0)
+        assert tree.root.inclusive.sum(M.METRIC_GPU_TIME) == pytest.approx(10.0)
+        # The union's root belongs to no shard: an observation there would
+        # vanish with the view, so it is rejected.
+        with pytest.raises(ValueError, match="no shard of this tree"):
+            tree.attribute(tree.root, M.METRIC_GPU_TIME, 5.0)
+        with pytest.raises(ValueError, match="no shard of this tree"):
+            tree.attribute_many(tree.root, {M.METRIC_GPU_TIME: 5.0})
+        assert tree.root.inclusive.sum(M.METRIC_GPU_TIME) == pytest.approx(10.0)
         # A one-shard tree is its own union: its read API hands out the
         # shard's nodes, so attribution through them lands in the shard.
         single = _build_sharded([(1, "conv", "k0", 1.0)])
@@ -219,18 +236,22 @@ class TestShardLifecycle:
         assert single.shard_for_tid(1).kernels[0].exclusive.sum(
             M.METRIC_GPU_TIME) == pytest.approx(8.0)
         assert single.root.inclusive.sum(M.METRIC_GPU_TIME) == pytest.approx(8.0)
-        assert single.merges == 0
+        assert single.merged() is single.shard_for_tid(1)
 
     def test_mutating_a_stale_merged_view_node_is_rejected(self):
-        # Nodes from a multi-shard view discarded by a rebuild are dead:
-        # writing into their tree would lose the observation silently.
+        # Nodes fetched before a rebuild are still shard nodes, and
+        # attribution through them is kept; the discarded view's root is not.
         tree = _build_sharded([(1, "conv", "k0", 1.0), (2, "norm", "k1", 2.0)])
-        stale_node = tree.kernels[0]
+        early_node = tree.kernels[0]
+        stale_root = tree.root
         shard = tree.shard_for_tid(1)
         shard.insert(_path(1, "conv", "k9"))  # shard change → rebuild
-        assert tree.kernels[0] is not stale_node  # view was rebuilt
-        with pytest.raises(ValueError, match="merged query view"):
-            tree.attribute(stale_node, M.METRIC_GPU_TIME, 5.0)
+        assert tree.root is not stale_root  # view was rebuilt
+        assert tree.kernels[0] is early_node
+        tree.attribute(early_node, M.METRIC_GPU_TIME, 5.0)
+        assert tree.root.inclusive.sum(M.METRIC_GPU_TIME) == pytest.approx(8.0)
+        with pytest.raises(ValueError, match="no shard of this tree"):
+            tree.attribute(stale_root, M.METRIC_GPU_TIME, 5.0)
         # One shard: a node fetched before a structural change is still the
         # shard's own node, and attribution through it is kept.
         single = _build_sharded([(1, "conv", "k0", 1.0)])
@@ -240,29 +261,66 @@ class TestShardLifecycle:
         single.attribute(early_node, M.METRIC_GPU_TIME, 5.0)
         assert single.root.inclusive.sum(M.METRIC_GPU_TIME) == pytest.approx(6.0)
 
+    def test_node_of_another_tree_is_rejected(self):
+        # Attributing a foreign node used to write into that node's own
+        # tree, so the observation never showed in this one.
+        for observations in ([(1, "conv", "k0", 1.0)],
+                             [(1, "conv", "k0", 1.0), (2, "norm", "k1", 2.0)]):
+            tree = _build_sharded(observations)
+            other = _build_single([(1, "conv", "k0", 0.0)])
+            foreign = other.kernels[0]
+            with pytest.raises(ValueError, match="no shard of this tree"):
+                tree.attribute(foreign, M.METRIC_GPU_TIME, 5.0)
+            with pytest.raises(ValueError, match="no shard of this tree"):
+                tree.attribute_many(foreign, {M.METRIC_GPU_TIME: 5.0})
+            assert other.total_metric(M.METRIC_GPU_TIME) == 0.0
+            assert tree.total_metric(M.METRIC_GPU_TIME) == pytest.approx(
+                sum(gpu_time for *_, gpu_time in observations))
+
+    def test_union_view_refuses_every_mutator(self):
+        tree = _build_sharded([(1, "conv", "k0", 1.0), (2, "norm", "k1", 2.0)])
+        view = tree.merged()
+        kernel = view.kernels[0]
+        donor = _build_single([(3, "linear", "k0", 1.0)])
+        mutations = [
+            lambda: view.insert(_path(1, "conv", "k9")),
+            lambda: view.insert_below(kernel, [gpu_kernel_frame("k9")]),
+            lambda: view.insert_and_attribute(_path(1, "conv", "k9"),
+                                              {M.METRIC_GPU_TIME: 1.0}),
+            lambda: view.attribute(kernel, M.METRIC_GPU_TIME, 1.0),
+            lambda: view.attribute_many(kernel, {M.METRIC_GPU_TIME: 1.0}),
+            lambda: view.merge_from(donor),
+            lambda: view.install_exclusive_column(
+                [kernel], M.METRIC_GPU_TIME, [0], [1], [1.0], [1.0], [1.0],
+                [1.0], [0.0]),
+        ]
+        for mutate in mutations:
+            with pytest.raises(ValueError, match="read-only view"):
+                mutate()
+        assert tree.merged() is view
+        assert tree.node_count() == 9
+        assert tree.total_metric(M.METRIC_GPU_TIME) == pytest.approx(3.0)
+
     def test_metric_only_changes_rebuild_the_view(self):
-        # Attribution into already-merged contexts makes the next query
-        # rebuild the merged view in one pass; the new values show.
+        # Attribution into already-unioned contexts makes the next query
+        # rebuild the union view in one pass; the new values show.
         tree = _build_sharded([(1, "conv", "k0", 1.0), (2, "norm", "k1", 2.0)])
         merged = tree.merged()
-        assert tree.merges == 1
+        assert tree.merged() is merged
         shard = tree.shard_for_tid(1)
         shard.attribute(shard.kernels[0], M.METRIC_GPU_TIME, 4.0)
         shard.attribute_many(shard.kernels[0], {M.METRIC_KERNEL_COUNT: 1.0})
         rebuilt = tree.merged()
         assert rebuilt is not merged
-        assert tree.merges == 2
         kernel = tree.kernels[0]
         assert kernel.exclusive.sum(M.METRIC_GPU_TIME) == pytest.approx(5.0)
         assert kernel.exclusive.sum(M.METRIC_KERNEL_COUNT) == 2.0
         assert tree.root.inclusive.sum(M.METRIC_GPU_TIME) == pytest.approx(7.0)
         assert tree.root.inclusive.sum(M.METRIC_KERNEL_COUNT) == 3.0
         assert tree.merged() is rebuilt  # queries between mutations reuse it
-        assert tree.merges == 2
         # A structural change rebuilds it too.
         shard.insert(_path(1, "conv", "k9"))
         assert tree.merged() is not rebuilt
-        assert tree.merges == 3
 
     def test_refresh_matches_rebuild_under_interleaving(self):
         observations = [(1, "conv", "k0", 0.5), (2, "norm", "k1", 1.5),
@@ -300,15 +358,17 @@ class TestShardLifecycle:
         shard = tree.shard_for_tid(1)
         shard.attribute(shard.kernels[0], M.METRIC_GPU_TIME, 1.0)
         tree.root.inclusive.sum(M.METRIC_GPU_TIME)  # view 2 (view 1 retired)
-        assert tree.propagations >= first * 2
+        assert tree.propagations > first
+        assert tree.propagations == sum(
+            shard.propagations for shard in tree.shards().values())
 
     def test_overhead_probes_do_not_materialize_the_merged_view(self):
         tree = _build_sharded([(1, "conv", "k0", 1.0), (2, "norm", "k1", 2.0)])
         assert tree.stored_node_count() > 0
-        assert tree.stored_size_bytes() > 0
-        assert tree.merges == 0
-        # The shard-summed count exceeds the merged count only by the
-        # per-shard roots that union into one.
+        assert tree.approximate_size_bytes() > 0
+        assert tree.propagations == 0
+        # The shard-summed count exceeds the union's count only by the
+        # per-shard roots that the union replaces with one.
         assert tree.stored_node_count() == tree.node_count() + tree.shard_count() - 1
 
     def test_degenerate_single_shard_api(self):
@@ -343,6 +403,18 @@ class TestShardedPersistence:
                                                           rel=1e-9)
         assert restored.top_kernels(3) == database.top_kernels(3)
         assert restored.node_count() == database.node_count()
+
+    @pytest.mark.parametrize("format_name", ["cct-binary-v1", "columnar-json"])
+    def test_union_view_saves_as_one_tree(self, tmp_path, format_name):
+        # The view's top-level nodes hang below their shards' roots; the
+        # flat encodings must still give them the root as parent.
+        view = self._sharded().merged()
+        path = ProfileDatabase(view).save(str(tmp_path / "union"),
+                                          format=format_name)
+        restored = ProfileDatabase.load(path).tree
+        if not isinstance(restored, CallingContextTree):
+            restored = restored.hydrate()
+        assert _exact_states(restored) == _exact_states(view)
 
 
 def _run_training(engine, profiler, iterations=2):
@@ -404,6 +476,51 @@ class TestShardedProfiling:
         for sharded_row, plain_row in zip(sharded_top, plain_top):
             assert sharded_row["gpu_time"] == pytest.approx(plain_row["gpu_time"],
                                                             rel=1e-9)
+
+
+    def test_same_named_threads_are_unioned_by_copying(self):
+        # Two data loaders each start a "dataloader-worker-0" thread.  A
+        # thread frame's identity is its name, so the two threads' shards
+        # overlap, and their union is a read-only copy, as merge_from builds.
+        engine = EagerEngine("a100")
+        profiler = DeepContextProfiler(engine, ProfilerConfig(program_name="loaders"))
+        with engine, profiler.profile():
+            for _ in range(2):
+                DataLoader(lambda i: [], num_batches=1, engine=engine, num_workers=2,
+                           initial_load_cpu_seconds=2.0).initial_load(data_selection)
+        database = profiler.database
+        tree = database.tree
+        names = [entry["thread_name"] for entry in tree.shard_provenance()]
+        assert len(names) == 4 and len(set(names)) == 2
+        reference = CallingContextTree("loaders")
+        for shard in tree.shards().values():
+            reference.merge_from(shard)
+        view = tree.merged()
+        assert _exact_states(view) == _exact_states(reference)
+        assert PerformanceAnalyzer().analyze(database) is not None
+        leaf = view.all_nodes()[-1]
+        with pytest.raises(ValueError, match="no shard of this tree"):
+            tree.attribute(leaf, M.METRIC_CPU_TIME, 1.0)
+        with pytest.raises(ValueError, match="read-only view"):
+            view.attribute(leaf, M.METRIC_CPU_TIME, 1.0)
+
+    def test_union_view_is_a_merge_from_donor(self):
+        # A union view's top-level nodes hang below their shards' roots;
+        # merge_from and merge_population must still graft them at the root.
+        engine = EagerEngine("a100")
+        database = _run_training(engine, DeepContextProfiler(
+            engine, ProfilerConfig(program_name="donor")))
+        shards = database.tree.shards()
+        assert len(shards) == 2
+        one_by_one = CallingContextTree("donor")
+        for shard in shards.values():
+            one_by_one.merge_from(shard)
+        from_view = CallingContextTree("donor")
+        from_view.merge_from(database.tree.merged())
+        expected = _exact_states(one_by_one)
+        assert len(expected) == one_by_one.node_count() > 2
+        assert _exact_states(from_view) == expected
+        assert _exact_states(merge_population([database], "donor")) == expected
 
 
 class TestZeroRowRegressions:
