@@ -66,7 +66,7 @@ from typing import (Callable, Dict, Iterable, Iterator, List, Mapping,
                     Optional, Sequence, Tuple)
 
 from ..dlmonitor.callpath import CallPath, Frame, FrameKind, root_frame
-from .metrics import MetricAggregate, MetricSet
+from .metrics import MetricAggregate, MetricSet, ReadOnlyMetricSet
 
 _node_ids = itertools.count(1)
 
@@ -231,9 +231,9 @@ class CCTNode:
         child = self.children.get(key)
         if child is None:
             child = CCTNode(frame, parent=self)
-            self.children[key] = child
             if self.tree is not None:
-                self.tree._register_node(child)
+                self.tree._register_node(child)  # a read-only tree refuses
+            self.children[key] = child
         return child
 
     def ancestors(self) -> Iterator["CCTNode"]:
@@ -764,7 +764,9 @@ class ShardForest(CallingContextTree):
     root, which carries the same root frame.  A thread frame's identity is
     its name, so threads that share a name have overlapping shards; those
     are unioned by copying, as :meth:`merge_from` does.  Either way the
-    union is a snapshot of the shards' structure and refuses every mutator.
+    union is a snapshot of the shards' structure and refuses every mutator,
+    a new child of a node it owns and a write to its root's exclusive set
+    included.
     """
 
     def __init__(self, program_name: str,
@@ -776,7 +778,6 @@ class ShardForest(CallingContextTree):
             for shard in self._shards:
                 CallingContextTree.merge_from(self, shard)
             self._shards = ()  # the union owns every node
-            return
         root = self.root
         for shard in self._shards:
             root.exclusive.merge(shard.root.exclusive)
@@ -789,6 +790,9 @@ class ShardForest(CallingContextTree):
             self._scope_index.extend(shard._scope_index)
             self._max_depth = max(self._max_depth, shard._max_depth)
             self.insertions += shard.insertions
+        # Built: a rebuild would silently drop a new node or a root value.
+        self._register_node = self._refuse
+        root.exclusive = ReadOnlyMetricSet(root.exclusive)
 
     def ensure_inclusive(self) -> None:
         """Each shard's own pass, then the root: its exclusive set plus the

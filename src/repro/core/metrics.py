@@ -299,3 +299,19 @@ class MetricSet:
         """Rough in-memory footprint used by the memory-overhead evaluation."""
         # One aggregate stores six floats/ints plus dict overhead.
         return 64 + len(self._metrics) * 96
+
+
+class ReadOnlyMetricSet(MetricSet):
+    """A read-only view's own metric set: its reads are a set's, every write
+    raises, because the view's next rebuild would silently drop it."""
+
+    __slots__ = ()
+
+    def __init__(self, source: MetricSet) -> None:
+        self._metrics = source._metrics
+
+    def _refuse(self, *args, **kwargs) -> None:
+        raise ValueError("this metric set belongs to a read-only view; write "
+                         "through the tree that owns the node")
+
+    add = add_many = put = reset_to = merge = _refuse

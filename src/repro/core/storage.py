@@ -45,6 +45,7 @@ from typing import (Callable, Dict, Iterable, List, Mapping, Optional, Tuple,
                     Union)
 
 from ..dlmonitor.callpath import Frame, FrameKind
+from ..durable import atomic_write
 from ..obs import TELEMETRY
 from .cct import (ALL_KINDS, DEFAULT_SHARD_ID, KIND_CODES, CallingContextTree,
                   CCTNode, NameRows, ProfileTree, ShardedCallingContextTree,
@@ -232,13 +233,9 @@ def save_profile(database: ProfileDatabase, path: str,
                 f"the {FORMAT_COLUMNAR_JSON!r} format does not support "
                 f"per-block compression; save with "
                 f"format={FORMAT_BINARY_V1!r} instead")
-        data = database.to_dict()
-
-        def write(temp_path: str) -> None:
-            with open(temp_path, "w", encoding="utf-8") as handle:
-                json.dump(data, handle)
-
-        return atomic_write(path, write)
+        with atomic_write(path, "w") as handle:
+            json.dump(database.to_dict(), handle)
+        return path
     if format == FORMAT_JSON:
         raise ValueError(
             f"the nested {FORMAT_JSON!r} format is read-only; save with "
@@ -257,21 +254,6 @@ def recover_profile(path: str) -> ProfileDatabase:
     Raises :class:`ProfileFormatError` when no seal ever completed.
     """
     return _database_from_view(open_binary(path, recover=True))
-
-
-def atomic_write(path: str, writer) -> str:
-    """Stream into a sibling temp file and rename over the target, so neither
-    an encoding failure nor a mid-write crash/disk-full can truncate an
-    existing profile at ``path``."""
-    temp_path = f"{path}.tmp"
-    try:
-        writer(temp_path)
-    except BaseException:
-        if os.path.exists(temp_path):
-            os.unlink(temp_path)
-        raise
-    os.replace(temp_path, path)
-    return path
 
 
 # ---------------------------------------------------------------------------
@@ -1205,12 +1187,9 @@ def save_binary(database: ProfileDatabase, path: str,
     """Write ``database`` as a one-seal ``cct-binary-v1`` file; returns the
     path.  ``compression`` ("zlib") compresses each block independently."""
     codec = check_compression(compression)
-
-    def write(temp_path: str) -> None:
-        with open(temp_path, "wb") as handle:
-            SealWriter(handle, codec, checksums).seal(database)
-
-    return atomic_write(path, write)
+    with atomic_write(path) as handle:
+        SealWriter(handle, codec, checksums).seal(database)
+    return path
 
 
 # ---------------------------------------------------------------------------

@@ -25,10 +25,10 @@ bit-for-bit equal.
 
 Lifecycle contract:
 
-* every index mutation happens under the store's advisory catalog lock
-  (``_CatalogLock``) with a temp-file + ``os.replace`` promotion, the same
-  crash-safety discipline as ``catalog.json`` (lint rules RL002/RL008 keep
-  it that way);
+* every index file is written through the store's advisory catalog lock
+  (``_CatalogLock.write_json``, which refuses unless the lock is held) as a
+  temp-file + ``os.replace`` promotion, the same crash-safety discipline as
+  ``catalog.json``;
 * a summary is **valid** for a record only when its schema version matches
   :data:`INDEX_VERSION`, its digest matches the record's content address,
   and every name id resolves in the dictionary — anything else (including a
@@ -197,7 +197,7 @@ class FleetIndex:
         """
         os.makedirs(self.runs_dir, exist_ok=True)
         with TELEMETRY.span("fleet.index.build", run_id=summary.run_id), \
-                self._catalog_lock():
+                self._catalog_lock() as lock:
             self._names_cache = None  # re-read under the lock, not from cache
             names = self.names()
             rewrite_names = names is None
@@ -214,11 +214,10 @@ class FleetIndex:
                         ids[name] = len(names)
                         names.append(name)
                         rewrite_names = True
-            payloads = []
             if rewrite_names:
-                payloads.append((self.names_path,
-                                 {"version": INDEX_VERSION, "names": names}))
-            payloads.append((self.summary_path(summary.run_id), {
+                lock.write_json(self.names_path,
+                                {"version": INDEX_VERSION, "names": names})
+            lock.write_json(self.summary_path(summary.run_id), {
                 "version": INDEX_VERSION,
                 "run_id": summary.run_id,
                 "digest": summary.digest,
@@ -230,17 +229,7 @@ class FleetIndex:
                              metric_states.items()]
                     for metric, metric_states in summary.states.items()
                 },
-            }))
-            for index_path, payload in payloads:
-                temp_index_path = f"{index_path}.{os.getpid()}.tmp"
-                try:
-                    with open(temp_index_path, "w", encoding="utf-8") as handle:
-                        json.dump(payload, handle)
-                    os.replace(temp_index_path, index_path)
-                except BaseException:
-                    if os.path.exists(temp_index_path):
-                        os.unlink(temp_index_path)
-                    raise
+            })
         self._names_cache = None
         self._summary_cache.pop(summary.run_id, None)
         if TELEMETRY.enabled:

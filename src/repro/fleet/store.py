@@ -44,6 +44,7 @@ from ..core.database import ProfileDatabase, ProfileMetadata
 from ..core.storage import (BINARY_MAGIC, LazyProfileView, ProfileFormatError,
                             check_compression, load_profile, open_binary,
                             recover_profile, save_binary)
+from ..durable import atomic_write
 from ..obs import TELEMETRY
 from .index import FleetIndex, RunSummary
 
@@ -133,7 +134,8 @@ class _CatalogLock:
     closes it entirely).  Acquisition retries with exponential backoff up to
     a bounded timeout; a stale lock — older than ``stale_s``, i.e. its
     holder crashed between acquire and release — is broken rather than
-    waited on forever.
+    waited on forever.  Catalog and index files are written only through
+    :meth:`write_json`, which refuses unless the lock is held.
     """
 
     def __init__(self, path: str, timeout_s: float = LOCK_TIMEOUT_S,
@@ -141,6 +143,7 @@ class _CatalogLock:
         self.path = path
         self.timeout_s = timeout_s
         self.stale_s = stale_s
+        self.held = False
 
     def acquire(self) -> None:
         started = time.monotonic()
@@ -187,13 +190,24 @@ class _CatalogLock:
                         os.close(fd)
                     _note_lock_wait(time.monotonic() - started, contended,
                                     stale_breaks, timed_out=False)
+                    self.held = True
                     return
 
     def release(self) -> None:
+        self.held = False
         try:
             os.unlink(self.path)
         except FileNotFoundError:
             pass
+
+    def write_json(self, path: str, payload,
+                   indent: Optional[int] = None) -> None:
+        """Atomically replace ``path`` with ``payload`` as JSON, under the lock."""
+        if not self.held:
+            raise RuntimeError(f"refusing to write {path!r}: catalog lock "
+                               f"{self.path!r} is not held")
+        with atomic_write(path, "w") as handle:
+            json.dump(payload, handle, indent=indent)
 
     def __enter__(self) -> "_CatalogLock":
         self.acquire()
@@ -446,12 +460,13 @@ class ProfileStore:
         updates and *both* runs land in the catalog; without the lock the
         read-merge-write races and the last writer wins.  Under the lock the
         on-disk catalog is re-read and any run unknown to this handle (and
-        not removed by it) is adopted before writing; the write itself is a
-        sibling temp file promoted with ``os.replace``, so a crash mid-write
-        can never leave a half-written ``catalog.json`` behind (and a
-        crashed peer's leftover temp file is simply ignored).
+        not removed by it) is adopted before writing; the write itself goes
+        through :meth:`_CatalogLock.write_json`, a sibling temp file promoted
+        with ``os.replace``, so a crash mid-write can never leave a
+        half-written ``catalog.json`` behind (and a crashed peer's leftover
+        temp file is simply ignored).
         """
-        with _CatalogLock(self.lock_path):
+        with _CatalogLock(self.lock_path) as lock:
             if os.path.exists(self.catalog_path):
                 try:
                     with open(self.catalog_path, "r", encoding="utf-8") as handle:
@@ -468,19 +483,10 @@ class ProfileStore:
             # *before* serializing so the ordered-records cache cannot serve
             # a pre-mutation list into the catalog write.
             self._generation += 1
-            data = {
+            lock.write_json(self.catalog_path, {
                 "version": CATALOG_VERSION,
                 "runs": [record.as_dict() for record in self._ordered_records()],
-            }
-            temp_path = f"{self.catalog_path}.{os.getpid()}.tmp"
-            try:
-                with open(temp_path, "w", encoding="utf-8") as handle:
-                    json.dump(data, handle, indent=1)
-                os.replace(temp_path, self.catalog_path)
-            except BaseException:
-                if os.path.exists(temp_path):
-                    os.unlink(temp_path)
-                raise
+            }, indent=1)
 
     @property
     def catalog_generation(self) -> int:
@@ -626,6 +632,7 @@ class ProfileStore:
                     TELEMETRY.count("fleet.ingest_dedup")
                 return existing
             relative = os.path.join(PROFILE_DIR, f"{run_id}{PROFILE_SUFFIX}")
+            # repro-lint: disable=RL002 the final name is the digest of the staged bytes, known only once save_binary wrote them
             os.replace(temp_path, os.path.join(self.root, relative))
         finally:
             if os.path.exists(temp_path):

@@ -19,11 +19,11 @@ a single dependency-free page that a browser re-polls on its own (a
 from __future__ import annotations
 
 import json
-import os
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from xml.sax.saxutils import escape
 
 from ..core import metrics as M
+from ..durable import atomic_write
 from .flamegraph import FlameGraphBuilder
 from .svg_export import render_svg
 
@@ -285,8 +285,6 @@ def save_dashboard(path: str, **kwargs) -> str:
     half-written page, no matter when the watcher's render job lands.
     """
     page = render_dashboard(**kwargs)
-    temp_path = f"{path}.{os.getpid()}.tmp"
-    with open(temp_path, "w", encoding="utf-8") as handle:
+    with atomic_write(path, "w") as handle:
         handle.write(page)
-    os.replace(temp_path, path)
     return path

@@ -1,10 +1,10 @@
 """repro.lint — an AST-based invariant checker for this repository.
 
 The durability, caching and concurrency contracts the profiler's correctness
-rests on — blessed block emitters, temp-file-then-``os.replace`` durable
-writes, generation-counter cache invalidation, wrapped storage exceptions,
-catalog-lock discipline — are stated once here as checkable rules instead
-of being re-litigated in every review.  Each rule
+rests on — one block emitter, one durable-write helper, generation-counter
+cache invalidation, wrapped storage exceptions, bounded polls — are stated
+once here as checkable rules instead of being re-litigated in every review.
+Each rule
 has a stable id (``RL001``…), a severity, documentation (``docs/LINT.md``)
 and precise ``file:line`` findings.
 

@@ -176,10 +176,9 @@ class ModuleInfo:
         SealWriter`` (in ``repro.core.streaming``) maps ``SealWriter →
         repro.core.storage.SealWriter``.  Relative imports resolve against
         the module's own package path so repo-internal provenance — "was this
-        name imported from the blessed emitter module?" — is exact.
+        name imported from the storage engine?" — is exact.
         """
         mapping: Dict[str, str] = {}
-        package = self.module_name.rsplit(".", 1)[0] if self.module_name else ""
         for node in ast.walk(self.tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
@@ -187,24 +186,29 @@ class ModuleInfo:
                     target = alias.name if alias.asname else alias.name.split(".")[0]
                     mapping[local] = target
             elif isinstance(node, ast.ImportFrom):
-                if node.level:
-                    base_parts = self.module_name.split(".")
-                    # level=1 strips the module segment, each extra level one
-                    # package more.
-                    base_parts = base_parts[:len(base_parts) - node.level]
-                    base = ".".join(base_parts)
-                else:
-                    base = ""
-                prefix = ".".join(part for part in (base, node.module or "")
-                                  if part)
+                prefix = self.import_source(node)
                 for alias in node.names:
                     if alias.name == "*":
                         continue
                     local = alias.asname or alias.name
                     mapping[local] = ".".join(
                         part for part in (prefix, alias.name) if part)
-        _ = package
         return mapping
+
+    def import_source(self, node: ast.ImportFrom) -> str:
+        """The absolute module a ``from ... import`` reads from.
+
+        A relative level counts from this module's package: level 1 is the
+        package itself (a package's ``__init__`` is its own package), each
+        extra level one package up.
+        """
+        base = ""
+        if node.level:
+            parts = self.module_name.split(".")
+            if os.path.basename(self.path) != "__init__.py":
+                parts = parts[:-1]
+            base = ".".join(parts[:len(parts) - node.level + 1])
+        return ".".join(part for part in (base, node.module or "") if part)
 
     def resolve(self, node: ast.AST) -> Optional[str]:
         """Dotted name of an expression, import-aware, or None.

@@ -14,16 +14,11 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from .engine import Finding, ModuleInfo, Rule, Severity, register_rule
 
-#: The only modules allowed to assemble or write binary profile blocks.
-BLESSED_EMITTER_MODULES = ("repro.core.storage",)
+#: The storage engine: the one module that packs binary profile blocks.
+STORAGE_MODULE = "repro.core.storage"
 
-#: Private storage symbols that constitute the block-emission machinery.
-PRIVATE_EMITTER_SYMBOLS = ("_encode_frames_block", "_encode_column_block",
-                           "_TAIL")
-
-#: The raw block encoders; calling one outside the blessed module bypasses
-#: ``SealWriter``, which stamps every descriptor.
-RAW_EMITTERS = ("_encode_frames_block", "_encode_column_block")
+#: Packages whose files are written only through ``repro.durable``.
+DURABLE_PACKAGES = ("repro.core", "repro.fleet", "repro.obs")
 
 #: Raw exception types that must not cross the storage/fleet API boundary.
 RAW_EXCEPTION_NAMES = {"OSError", "IOError", "struct.error",
@@ -35,9 +30,7 @@ _JSON_GUARDS = {"ValueError", "json.JSONDecodeError", "Exception",
                 "repro.core.storage.ProfileFormatError"}
 
 #: ``MetricSet`` mutators (``node.exclusive.add(...)`` and friends).
-METRIC_MUTATORS = {"add", "add_many", "merge", "put", "zero"}
-
-_TEMP_MARKERS = ("tmp", "temp", "pending")
+METRIC_MUTATORS = {"add", "add_many", "merge", "put"}
 
 
 def _call_name(module: ModuleInfo, node: ast.Call) -> Optional[str]:
@@ -60,17 +53,9 @@ def _open_mode(node: ast.Call) -> str:
     return ""
 
 
-def _is_write_mode(mode: str) -> bool:
-    return any(flag in mode for flag in ("w", "a", "x", "+"))
-
-
-def _function_statements(function: ast.AST) -> Iterator[ast.AST]:
-    for statement in ast.walk(function):
-        yield statement
-
-
-def _first_arg(node: ast.Call) -> Optional[ast.AST]:
-    return node.args[0] if node.args else None
+def _may_write(mode: str) -> bool:
+    """Whether an ``open()`` mode can write (a dynamic mode "" can)."""
+    return not mode or any(flag in mode for flag in "wax+")
 
 
 # ---------------------------------------------------------------------------
@@ -79,128 +64,49 @@ def _first_arg(node: ast.Call) -> Optional[ast.AST]:
 
 @register_rule
 class DescriptorEmissionRule(Rule):
-    """Block bytes are emitted only by the one seal writer in storage.
+    """Only the storage engine can pack binary block bytes.
 
     ``repro.core.storage.SealWriter`` writes every block of one-shot saves,
     streamed checkpoints and compactions, stamping each descriptor with its
-    CRC-32.  A raw ``struct.pack`` + ``handle.write`` of block bytes
-    anywhere else produces unchecksummed blocks the lazy reader cannot
-    verify — exactly the silent-rot class PR 6 closed.
+    CRC-32.  Packing block bytes anywhere else needs ``struct`` or one of
+    storage's private encoders (``_encode_frames_block``,
+    ``_encode_column_block``, ``_TAIL``), so neither may be imported or
+    reached outside storage: unchecksummed blocks the lazy reader cannot
+    verify are exactly the silent-rot class PR 6 closed.
     """
 
     id = "RL001"
     name = "descriptor-emission"
     severity = Severity.ERROR
-    contract = ("Binary profile blocks (struct-packed bytes) may only be "
-                "assembled and written inside repro.core.storage, by its "
-                "SealWriter, so every descriptor carries its checksum.")
+    contract = ("Only repro.core.storage imports struct or reaches a private "
+                "name of repro.core.storage, so its SealWriter stays the one "
+                "writer of binary blocks and every descriptor carries its "
+                "checksum.")
 
     def applies_to(self, module: ModuleInfo) -> bool:
-        return (module.is_production
-                and not module.in_packages(*BLESSED_EMITTER_MODULES))
+        return module.is_production and module.module_name != STORAGE_MODULE
 
     def check(self, module: ModuleInfo) -> Iterator[Finding]:
-        struct_instances = self._struct_instances(module)
-        pack_calls: List[ast.Call] = []
-        emitter_calls: List[ast.Call] = []
         for node in ast.walk(module.tree):
-            if isinstance(node, ast.ImportFrom):
-                yield from self._check_import(module, node)
-            if not isinstance(node, ast.Call):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                source = module.import_source(node)
+                names = [f"{source}.{alias.name}" for alias in node.names]
+            elif (isinstance(node, ast.Attribute)
+                  and module.resolve(node.value) == STORAGE_MODULE):
+                names = [f"{STORAGE_MODULE}.{node.attr}"]
+            else:
                 continue
-            if self._is_pack_call(module, node, struct_instances):
-                pack_calls.append(node)
-            elif self._is_emitter_call(module, node):
-                emitter_calls.append(node)
-
-        flagged_inner: Set[int] = set()
-        for node in ast.walk(module.tree):
-            if not (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "write"):
-                continue
-            inner = [call for call in pack_calls + emitter_calls
-                     if self._contains(node, call)]
-            if inner:
-                flagged_inner.update(id(call) for call in inner)
+            reached = [name for name in names
+                       if name.split(".")[0] == "struct"
+                       or name.startswith(STORAGE_MODULE + "._")]
+            if reached:
                 yield self.finding(
                     module, node,
-                    "raw write of struct-packed block bytes outside the "
-                    "blessed emitters; route block emission through "
-                    "repro.core.storage.SealWriter so the descriptor carries "
-                    "its checksum")
-        for call in pack_calls:
-            if id(call) in flagged_inner:
-                continue
-            yield self.finding(
-                module, call,
-                f"{module.text_of(call.func)}(...) assembles struct-packed "
-                f"bytes outside {', '.join(BLESSED_EMITTER_MODULES)}; block "
-                f"encoding belongs behind the blessed emitters")
-        for call in emitter_calls:
-            if id(call) in flagged_inner:
-                continue
-            yield self.finding(
-                module, call,
-                f"call to block emitter {module.text_of(call.func)!r} "
-                f"outside the blessed writer module")
-
-    @staticmethod
-    def _struct_instances(module: ModuleInfo) -> Set[str]:
-        instances: Set[str] = set()
-        for node in ast.walk(module.tree):
-            if (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
-                    and module.resolve(node.value.func) == "struct.Struct"):
-                for target in node.targets:
-                    if isinstance(target, ast.Name):
-                        instances.add(target.id)
-        return instances
-
-    def _check_import(self, module: ModuleInfo,
-                      node: ast.ImportFrom) -> Iterator[Finding]:
-        base = module.module_name.rsplit(".", 1)[0] if node.level else ""
-        prefix = ".".join(part for part in (base, node.module or "") if part)
-        if not prefix.endswith("storage"):
-            return
-        for alias in node.names:
-            if alias.name in PRIVATE_EMITTER_SYMBOLS:
-                yield self.finding(
-                    module, node,
-                    f"import of private block-emission symbol "
-                    f"{alias.name!r} from the storage engine; only the "
-                    f"blessed writer module may touch the raw encoders")
-
-    def _is_pack_call(self, module: ModuleInfo, node: ast.Call,
-                      struct_instances: Set[str]) -> bool:
-        resolved = _call_name(module, node)
-        if resolved in ("struct.pack", "struct.pack_into"):
-            return True
-        func = node.func
-        if isinstance(func, ast.Attribute) and func.attr in ("pack",
-                                                             "pack_into"):
-            if isinstance(func.value, ast.Name):
-                if func.value.id in struct_instances:
-                    return True
-                origin = module.imports.get(func.value.id, "")
-                if origin.endswith("._TAIL"):
-                    return True
-        return False
-
-    @staticmethod
-    def _is_emitter_call(module: ModuleInfo, node: ast.Call) -> bool:
-        resolved = _call_name(module, node)
-        if resolved is None:
-            return False
-        tail = resolved.rsplit(".", 1)[-1]
-        if tail not in RAW_EMITTERS:
-            return False
-        # Only flag names that actually originate in the storage engine (or
-        # unqualified local spellings of the same names).
-        return resolved == tail or "storage" in resolved
-
-    @staticmethod
-    def _contains(outer: ast.AST, inner: ast.AST) -> bool:
-        return any(child is inner for child in ast.walk(outer))
+                    f"{', '.join(reached)} outside {STORAGE_MODULE}: binary "
+                    f"blocks are packed only by its SealWriter, which stamps "
+                    f"every descriptor with its checksum")
 
 
 # ---------------------------------------------------------------------------
@@ -209,75 +115,39 @@ class DescriptorEmissionRule(Rule):
 
 @register_rule
 class DurableWriteRule(Rule):
-    """Durable files are written temp-file-then-``os.replace``, never in place.
+    """Files are written only through the durable-write helper.
 
-    Every catalog/profile writer since PR 4 stages into a sibling temp file
-    and promotes it atomically, so a crash or ENOSPC mid-write can never
-    truncate the previous good artifact.  An in-place write-mode ``open`` of
-    a final path reopens that failure mode.
+    A crash or ENOSPC mid-write must never truncate the previous good file
+    (PRs 4–6), so every profile, catalog, index and telemetry writer stages
+    into a sibling temp file and renames it over the target.  That protocol
+    is written once, in :func:`repro.durable.atomic_write`; any other
+    write-mode ``open()`` or ``os.replace()`` in these packages is an
+    in-place write or a second copy of the protocol.
     """
 
     id = "RL002"
     name = "durable-write"
     severity = Severity.ERROR
-    contract = ("In repro.core/repro.fleet, write-mode open() must target a "
-                "staging path (named *tmp*/*temp*/*pending*, or promoted via "
-                "os.replace in the same function); final paths are never "
-                "written in place.")
+    contract = ("In repro.core, repro.fleet and repro.obs, no code opens a "
+                "file for writing or calls os.replace(): durable files are "
+                "written through repro.durable.atomic_write.  A write that is "
+                "correct by design carries an inline suppression saying why.")
 
     def applies_to(self, module: ModuleInfo) -> bool:
-        return module.is_production and module.in_packages("repro.core",
-                                                           "repro.fleet")
+        return module.is_production and module.in_packages(*DURABLE_PACKAGES)
 
     def check(self, module: ModuleInfo) -> Iterator[Finding]:
         for node in ast.walk(module.tree):
-            if not (isinstance(node, ast.Call)
-                    and _call_name(module, node) == "open"):
+            if not isinstance(node, ast.Call):
                 continue
-            mode = _open_mode(node)
-            if not mode or not _is_write_mode(mode):
-                continue
-            target = _first_arg(node)
-            if target is None or self._is_staging_path(module, node, target):
-                continue
-            yield self.finding(
-                module, node,
-                f"open({module.text_of(target)}, {mode!r}) writes a final "
-                f"path in place; durable writes must stage into a sibling "
-                f"temp file and promote it with os.replace")
-
-    def _is_staging_path(self, module: ModuleInfo, call: ast.Call,
-                         target: ast.AST) -> bool:
-        text = module.text_of(target).lower()
-        if any(marker in text for marker in _TEMP_MARKERS):
-            return True
-        function = module.enclosing_function(call)
-        if function is None or not isinstance(target, ast.Name):
-            return False
-        name = target.id
-        for statement in _function_statements(function):
-            # The variable was assigned a temp-marked expression earlier...
-            if isinstance(statement, ast.Assign) and any(
-                    isinstance(assigned, ast.Name) and assigned.id == name
-                    for assigned in statement.targets):
-                if any(marker in module.text_of(statement.value).lower()
-                       for marker in _TEMP_MARKERS):
-                    return True
-            # ...or it is promoted over a final path in this same function.
-            if (isinstance(statement, ast.Call)
-                    and module.resolve(statement.func) == "os.replace"
-                    and statement.args
-                    and isinstance(statement.args[0], ast.Name)
-                    and statement.args[0].id == name):
-                return True
-        # Parameters whose very name marks them as staging paths.
-        args = getattr(function, "args", None)
-        if args is not None:
-            for arg in list(args.args) + list(args.kwonlyargs):
-                if arg.arg == name and any(marker in name.lower()
-                                           for marker in _TEMP_MARKERS):
-                    return True
-        return False
+            name = _call_name(module, node)
+            if name == "os.replace" or (name == "open"
+                                        and _may_write(_open_mode(node))):
+                yield self.finding(
+                    module, node,
+                    f"{module.text_of(node)} writes outside "
+                    f"repro.durable.atomic_write; write durable files with "
+                    f"`with atomic_write(path, mode) as handle:`")
 
 
 # ---------------------------------------------------------------------------
@@ -290,8 +160,8 @@ class GenerationCounterRule(Rule):
 
     ``name_rows``/``total_metric``/``approximate_size_bytes`` (and
     every cache layered above them) validate against ``self._generation``;
-    a mutation path that touches exclusive metrics, the dirty set or the
-    node registry without bumping serves stale query results silently.
+    a mutation path that touches exclusive metrics or the node registry
+    without bumping serves stale query results silently.
     """
 
     id = "RL003"
@@ -299,9 +169,9 @@ class GenerationCounterRule(Rule):
     severity = Severity.ERROR
     contract = ("In a class with a generation-stamped cache (any comparison "
                 "against self._generation), every method that mutates "
-                "exclusive metrics, the dirty set or the node registry must "
-                "bump self._generation in the same body or call a sibling "
-                "method that does.")
+                "exclusive metrics or the node registry must bump "
+                "self._generation in the same body or call a sibling method "
+                "that does.")
 
     def applies_to(self, module: ModuleInfo) -> bool:
         return module.is_production
@@ -374,41 +244,29 @@ class GenerationCounterRule(Rule):
     def _mutation_evidence(
             self, module: ModuleInfo,
             method: ast.FunctionDef) -> Optional[Tuple[ast.AST, str]]:
-        aliases = {"_dirty": set(), "_registry": set()}
-        for node in ast.walk(method):
-            if (isinstance(node, ast.Assign)
-                    and isinstance(node.value, ast.Attribute)
-                    and node.value.attr in aliases
-                    and isinstance(node.value.value, ast.Name)
-                    and node.value.value.id == "self"):
-                for target in node.targets:
-                    if isinstance(target, ast.Name):
-                        aliases[node.value.attr].add(target.id)
-
-        def refers_to(node: ast.AST, attr: str) -> bool:
-            if (isinstance(node, ast.Attribute) and node.attr == attr
+        def is_registry(node: ast.AST) -> bool:
+            return (isinstance(node, ast.Attribute) and node.attr == "_registry"
                     and isinstance(node.value, ast.Name)
-                    and node.value.id == "self"):
-                return True
-            return isinstance(node, ast.Name) and node.id in aliases[attr]
+                    and node.value.id == "self")
 
+        aliases = {target.id for node in ast.walk(method)
+                   if isinstance(node, ast.Assign) and is_registry(node.value)
+                   for target in node.targets if isinstance(target, ast.Name)}
         for node in ast.walk(method):
-            if isinstance(node, ast.Assign):
-                for target in node.targets:
-                    if (isinstance(target, ast.Subscript)
-                            and refers_to(target.value, "_dirty")):
-                        return node, "writes the dirty set"
-            if (isinstance(node, ast.Call)
+            if not (isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Attribute)):
-                func = node.func
-                if (func.attr == "append"
-                        and refers_to(func.value, "_registry")):
-                    return node, "appends to the node registry"
-                if (func.attr in METRIC_MUTATORS
-                        and isinstance(func.value, ast.Attribute)
-                        and func.value.attr == "exclusive"):
-                    return node, (f"mutates exclusive metrics via "
-                                  f".exclusive.{func.attr}()")
+                continue
+            func = node.func
+            if func.attr == "append" and (
+                    is_registry(func.value)
+                    or (isinstance(func.value, ast.Name)
+                        and func.value.id in aliases)):
+                return node, "appends to the node registry"
+            if (func.attr in METRIC_MUTATORS
+                    and isinstance(func.value, ast.Attribute)
+                    and func.value.attr == "exclusive"):
+                return node, (f"mutates exclusive metrics via "
+                              f".exclusive.{func.attr}()")
         return None
 
 
@@ -521,101 +379,6 @@ class ExceptionContractRule(Rule):
 
 
 # ---------------------------------------------------------------------------
-# RL005 — catalog lock discipline
-# ---------------------------------------------------------------------------
-
-@register_rule
-class CatalogLockRule(Rule):
-    """Catalog writes happen only under the advisory catalog lock.
-
-    The catalog's read-merge-write cycle is what lets two processes ingest
-    into one store without losing each other's rows (PR 6); a catalog write
-    outside ``with _CatalogLock(...)`` reopens the lost-update race.
-    """
-
-    id = "RL005"
-    name = "catalog-lock"
-    severity = Severity.ERROR
-    contract = ("Any write-mode open() or os.replace() whose target derives "
-                "from the catalog path must be lexically inside a `with "
-                "_CatalogLock(...)` block.")
-
-    #: The noun that marks a write target as belonging to this rule's
-    #: protected structure; subclasses (RL008) retarget the same machinery.
-    target_noun = "catalog"
-
-    def applies_to(self, module: ModuleInfo) -> bool:
-        return module.is_production
-
-    def check(self, module: ModuleInfo) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            description = self._catalog_write(module, node)
-            if description is None:
-                continue
-            if not self._under_lock(module, node):
-                yield self.finding(
-                    module, node,
-                    f"{description} outside the catalog lock; "
-                    f"{self.target_noun} mutations must run inside `with "
-                    f"_CatalogLock(...)` so concurrent writers serialize "
-                    f"their read-merge-write cycles")
-
-    def _catalog_write(self, module: ModuleInfo,
-                       node: ast.AST) -> Optional[str]:
-        if not isinstance(node, ast.Call):
-            return None
-        resolved = _call_name(module, node)
-        if resolved == "open":
-            mode = _open_mode(node)
-            target = _first_arg(node)
-            if (mode and _is_write_mode(mode) and target is not None
-                    and self._is_catalogish(module, node, target)):
-                return (f"write-mode open of {self.target_noun} path "
-                        f"{module.text_of(target)}")
-        elif resolved == "os.replace" and len(node.args) >= 2:
-            destination = node.args[1]
-            if self._is_catalogish(module, node, destination):
-                return (f"os.replace onto {self.target_noun} path "
-                        f"{module.text_of(destination)}")
-        return None
-
-    def _is_catalogish(self, module: ModuleInfo, call: ast.Call,
-                       target: ast.AST) -> bool:
-        if self._text_is_catalogish(module.text_of(target)):
-            return True
-        function = module.enclosing_function(call)
-        if function is None or not isinstance(target, ast.Name):
-            return False
-        # One level of local dataflow: a variable assigned from a
-        # catalog-flavoured expression carries the taint.
-        for statement in _function_statements(function):
-            if isinstance(statement, ast.Assign) and any(
-                    isinstance(assigned, ast.Name)
-                    and assigned.id == target.id
-                    for assigned in statement.targets):
-                if self._text_is_catalogish(module.text_of(statement.value)):
-                    return True
-        return False
-
-    @classmethod
-    def _text_is_catalogish(cls, text: str) -> bool:
-        lowered = text.lower()
-        return (cls.target_noun in lowered
-                and "cataloglock" not in lowered.replace("_", ""))
-
-    @staticmethod
-    def _under_lock(module: ModuleInfo, node: ast.AST) -> bool:
-        for ancestor in module.ancestors(node):
-            if isinstance(ancestor, ast.With):
-                for item in ancestor.items:
-                    text = module.text_of(item.context_expr).lower()
-                    if ("cataloglock" in text.replace("_", "")
-                            or "catalog_lock" in text):
-                        return True
-        return False
-
-
-# ---------------------------------------------------------------------------
 # RL007 — no global monkeypatching in production code
 # ---------------------------------------------------------------------------
 
@@ -671,31 +434,6 @@ class MonkeypatchRule(Rule):
                     f"setattr on imported module "
                     f"{node.args[0].id!r}: monkeypatching is forbidden in "
                     f"production code")
-
-
-# ---------------------------------------------------------------------------
-# RL008 — fleet-index lock discipline
-# ---------------------------------------------------------------------------
-
-@register_rule
-class IndexLockRule(CatalogLockRule):
-    """Fleet-index writes happen only under the advisory catalog lock.
-
-    The index's name dictionary is a read-intern-append cycle shared by
-    every ingesting process (PR 8): a dictionary or summary write outside
-    ``with _CatalogLock(...)`` can drop another writer's interned names,
-    leaving summaries whose ids resolve to the wrong strings.  Same taint
-    machinery as RL005, retargeted at index-flavoured paths.
-    """
-
-    id = "RL008"
-    name = "index-lock"
-    severity = Severity.ERROR
-    contract = ("Any write-mode open() or os.replace() whose target derives "
-                "from the fleet-index path must be lexically inside a `with "
-                "_CatalogLock(...)` block.")
-
-    target_noun = "index"
 
 
 # ---------------------------------------------------------------------------

@@ -28,9 +28,10 @@ Exports: :meth:`Telemetry.snapshot` (flat JSON metrics),
 :meth:`Telemetry.chrome_trace` (Chrome ``trace_event`` JSON — loads in
 Perfetto / ``chrome://tracing``), and atomic file writers for both.
 
-This module deliberately imports nothing from the rest of ``repro`` —
-every instrumented layer (``repro.core.storage`` downward) imports it,
-so it must sit at the bottom of the dependency graph.
+This module deliberately imports nothing from the rest of ``repro`` but
+the leaf :mod:`repro.durable` — every instrumented layer
+(``repro.core.storage`` downward) imports it, so it must sit at the bottom
+of the dependency graph.
 """
 
 from __future__ import annotations
@@ -42,6 +43,8 @@ import threading
 import time
 from collections import deque
 from typing import Dict, Iterator, List, Optional, Tuple
+
+from ..durable import atomic_write
 
 #: Snapshot schema version; bump on any layout change.
 SNAPSHOT_VERSION = 1
@@ -369,17 +372,9 @@ class Telemetry:
 
 
 def _atomic_json_dump(payload: Dict, path: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    temp_path = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(temp_path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle)
-        os.replace(temp_path, path)
-    except BaseException:
-        if os.path.exists(temp_path):
-            os.unlink(temp_path)
-        raise
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    with atomic_write(path, "w") as handle:
+        json.dump(payload, handle)
 
 
 def diff_snapshots(baseline: Dict, candidate: Dict) -> Dict:

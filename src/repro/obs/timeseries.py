@@ -11,13 +11,14 @@ durability discipline adapted to an append-only log:
   never raised, so the series stays readable across the crash that produced
   it;
 * retention is bounded: once the record count passes ``max_records`` the file
-  is rewritten keeping the newest records — staged in a sibling temp file and
-  promoted with ``os.replace``, the same atomic-rename discipline every other
-  writer in the tree uses.
+  is rewritten keeping the newest records through
+  :func:`repro.durable.atomic_write`, the atomic rename every other writer in
+  the tree uses.
 
 Like the rest of :mod:`repro.obs` this module imports nothing from the rest
-of ``repro`` — it sits at the bottom of the dependency graph so any layer
-(the watcher, the experiment runner, tests) can log health records.
+of ``repro`` but the leaf :mod:`repro.durable` — it sits at the bottom of the
+dependency graph so any layer (the watcher, the experiment runner, tests) can
+log health records.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ import json
 import os
 import time
 from typing import Dict, List, Optional, Tuple
+
+from ..durable import atomic_write
 
 #: Default retention bound: ~4k records keeps a 5s-interval watcher's series
 #: under a day of history and the file in the low megabytes.
@@ -63,6 +66,7 @@ class HealthTimeSeries:
         os.makedirs(directory, exist_ok=True)
         if self._count is None:
             self._count = self._count_on_disk()
+        # repro-lint: disable=RL002 append-only log: a crash tears at most the last line, which records() skips
         with open(self.path, "a", encoding="utf-8") as handle:
             handle.write(line + "\n")
             handle.flush()
@@ -84,19 +88,12 @@ class HealthTimeSeries:
         """Rewrite the file keeping only the newest ``max_records`` rows."""
         rows = self.records()
         keep = rows[-self.max_records:]
-        temp_path = f"{self.path}.{os.getpid()}.tmp"
-        try:
-            with open(temp_path, "w", encoding="utf-8") as handle:
-                for row in keep:
-                    handle.write(json.dumps(row, separators=(",", ":")) + "\n")
-                handle.flush()
-                if self._fsync:
-                    os.fsync(handle.fileno())
-            os.replace(temp_path, self.path)
-        except BaseException:
-            if os.path.exists(temp_path):
-                os.unlink(temp_path)
-            raise
+        with atomic_write(self.path, "w") as handle:
+            for row in keep:
+                handle.write(json.dumps(row, separators=(",", ":")) + "\n")
+            handle.flush()
+            if self._fsync:
+                os.fsync(handle.fileno())
         self._count = len(keep)
 
     # -- reading --------------------------------------------------------------------

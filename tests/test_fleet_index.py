@@ -23,9 +23,13 @@ Pins the index subsystem's contracts:
   different ``k`` reuse one pass);
 * **the satellites**: the catalog generation counter behind ``find`` /
   ``latest``, parallel fallback decode parity, and the index-served
-  ``name_drift`` scan.
+  ``name_drift`` scan;
+* **locked writes**: every catalog and index file a store's lifecycle
+  writes is written while the catalog lock is held, and
+  ``_CatalogLock.write_json`` refuses to write without it.
 """
 
+import builtins
 import json
 import os
 import shutil
@@ -55,6 +59,7 @@ from repro.fleet import (
     ProfileStore,
     name_drift,
 )
+from repro.fleet.store import _CatalogLock
 
 
 def _path(workload: str, op: str, kernel: str, line: int = 10) -> CallPath:
@@ -509,6 +514,62 @@ class TestNameDrift:
             deltas = name_drift(b, c, kind=FrameKind.GPU_KERNEL)
         assert deltas[0].name == "k_gemm"
         assert deltas[0].delta_sum > 0
+
+
+# ---------------------------------------------------------------------------
+# Locked writes: every catalog and index file is written under the lock
+# ---------------------------------------------------------------------------
+
+class TestLockedWrites:
+    def test_catalog_and_index_writes_hold_the_lock(self, tmp_path,
+                                                    monkeypatch):
+        store = ProfileStore(tmp_path / "store")
+        real_open = builtins.open
+        writes = []
+
+        def spy(file, mode="r", *args, **kwargs):
+            if any(flag in mode for flag in "wax+"):
+                writes.append((os.path.relpath(os.fspath(file), store.root),
+                               os.path.exists(store.lock_path)))
+            return real_open(file, mode, *args, **kwargs)
+
+        def observations(scale):
+            return [(op, kernel, value * scale)
+                    for op, kernel, value in BASE_OBSERVATIONS]
+
+        monkeypatch.setattr(builtins, "open", spy)
+        records = [store.ingest(make_database("wl", observations(scale)))
+                   for scale in (1, 2, 3)]
+        store.ingest(make_database("wl", observations(1)),
+                     labels={"team": "perf"})
+        store.quarantine(records[1].run_id, "operator says so")
+        store.restore(records[1].run_id)
+        store.reindex()
+        assert store.scrub().clean
+        assert len(store.prune(max_runs=1).pruned) == 2
+        monkeypatch.undo()
+
+        kinds = {"catalog.json": 0, os.path.join("index", "names.json"): 0,
+                 os.path.join("index", "runs", ""): 0}
+        for relative, locked in writes:
+            for prefix in kinds:
+                if relative.startswith(prefix):
+                    assert locked, f"{relative} written without the lock"
+                    kinds[prefix] += 1
+        assert all(kinds.values()), kinds
+
+    def test_write_json_refuses_without_the_lock(self, tmp_path):
+        lock = _CatalogLock(str(tmp_path / "catalog.lock"))
+        target = str(tmp_path / "catalog.json")
+        with pytest.raises(RuntimeError, match="not held"):
+            lock.write_json(target, {"runs": []})
+        with lock:
+            lock.write_json(target, {"runs": []}, indent=1)
+        with pytest.raises(RuntimeError, match="not held"):
+            lock.write_json(target, {"runs": ["late"]})
+        with open(target, encoding="utf-8") as handle:
+            assert json.load(handle) == {"runs": []}
+        assert os.listdir(tmp_path) == ["catalog.json"]
 
 
 # ---------------------------------------------------------------------------

@@ -275,3 +275,15 @@ class TestDashboard:
         assert "second" in page and "first" not in page
         assert not [name for name in os.listdir(tmp_path)
                     if name.endswith(".tmp")]
+
+    def test_failed_dashboard_write_keeps_the_old_page(self, tmp_path):
+        from repro.core.faultfs import FaultInjector, FaultPlan, enospc_at_write
+        from repro.gui import save_dashboard
+        target = str(tmp_path / "dash.html")
+        save_dashboard(target, title="first")
+        with FaultInjector(tmp_path, FaultPlan([enospc_at_write(1)])):
+            with pytest.raises(OSError):
+                save_dashboard(target, title="second")
+        page = open(target, encoding="utf-8").read()
+        assert "first" in page and "second" not in page
+        assert os.listdir(tmp_path) == ["dash.html"]

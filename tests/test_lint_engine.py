@@ -23,8 +23,8 @@ PROD_PATH = "src/repro/core/synthetic.py"
 LINT_DOC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                         "docs", "LINT.md")
 
-EXPECTED_RULE_IDS = ["RL001", "RL002", "RL003", "RL004", "RL005", "RL007",
-                     "RL008", "RL009", "RL010"]
+EXPECTED_RULE_IDS = ["RL001", "RL002", "RL003", "RL004", "RL007", "RL009",
+                     "RL010"]
 
 
 def lint(source, path=PROD_PATH):
@@ -123,22 +123,22 @@ class TestSuppressions:
 
     def test_suppression_only_covers_listed_rules(self):
         findings = lint("""\
-            import struct
+            import struct  # repro-lint: disable=RL007 wrong rule id
 
             def rogue(handle, a):
-                handle.write(struct.pack("<I", a))  # repro-lint: disable=RL007 wrong rule id
+                handle.write(struct.pack("<I", a))
             """)
         (finding,) = [f for f in findings if f.rule == "RL001"]
         assert finding.status == STATUS_NEW
 
     def test_multiple_ids_in_one_comment(self):
         findings = lint("""\
-            def save(root, data):
-                catalog = root + "/catalog.json"
-                with open(catalog, "w") as handle:  # repro-lint: disable=RL002,RL005 recovery tool runs single-process
-                    handle.write(data)
+            import json
+
+            def repair(path, payload):
+                json.dump(json.loads(payload), open(path, "w"))  # repro-lint: disable=RL002,RL004 offline repair tool; the caller validated the payload
             """)
-        assert {finding.rule for finding in findings} == {"RL002", "RL005"}
+        assert {finding.rule for finding in findings} == {"RL002", "RL004"}
         assert all(finding.status == STATUS_SUPPRESSED
                    for finding in findings)
 
@@ -300,29 +300,35 @@ class TestCli:
 # Hypothesis: seeded synthetic modules report exactly the seeded findings
 # ---------------------------------------------------------------------------
 
-_HEADER = ("import builtins\nimport json\nimport os\nimport struct\n"
-           "import time\n\nfrom repro.obs import TELEMETRY\n\n")
+_HEADER = ("import builtins\nimport json\nimport os\nimport time\n\n"
+           "from repro.durable import atomic_write\n"
+           "from repro.obs import TELEMETRY\n\n")
 _HEADER_LINES = _HEADER.count("\n")
 
 # Each fragment: (template keyed on {i}, [(rule, line offset within the
 # fragment)]).  Offsets are 1-based from the fragment's first line.
 VIOLATING_FRAGMENTS = [
-    ("def leak_{i}(handle, a, b):\n"
+    ("import struct\n"
+     "def leak_{i}(handle, a, b):\n"
      "    handle.write(struct.pack(\"<II\", a, b))\n",
-     [("RL001", 2)]),
+     [("RL001", 1)]),
     ("def save_{i}(path, data):\n"
      "    with open(path, \"w\") as fh:\n"
      "        fh.write(data)\n",
      [("RL002", 2)]),
+    ("def promote_{i}(tmp_path, root):\n"
+     "    os.replace(tmp_path, root + \"/catalog.json\")\n",
+     [("RL002", 2)]),
     ("class Tree_{i}:\n"
      "    def __init__(self):\n"
      "        self._generation = 0\n"
-     "        self._dirty = {{}}\n"
+     "        self._registry = []\n"
      "    def cached_{i}(self):\n"
      "        return self._cache[0] == self._generation\n"
      "    def mutate_{i}(self, node):\n"
-     "        self._dirty[id(node)] = node\n",
-     [("RL003", 8)]),
+     "        registry = self._registry\n"
+     "        registry.append(node)\n",
+     [("RL003", 9)]),
     ("def load_{i}(path):\n"
      "    try:\n"
      "        return path.read()\n"
@@ -332,15 +338,9 @@ VIOLATING_FRAGMENTS = [
     ("def parse_{i}(payload):\n"
      "    return json.loads(payload)\n",
      [("RL004", 2)]),
-    ("def promote_{i}(tmp_path, root):\n"
-     "    os.replace(tmp_path, root + \"/catalog.json\")\n",
-     [("RL005", 2)]),
     ("def patch_{i}(fake):\n"
      "    builtins.open = fake\n",
      [("RL007", 2)]),
-    ("def publish_{i}(tmp_path, root):\n"
-     "    os.replace(tmp_path, root + \"/index/names.json\")\n",
-     [("RL008", 2)]),
     ("def lap_{i}(work):\n"
      "    start = time.monotonic()\n"
      "    work()\n"
@@ -356,26 +356,27 @@ CONFORMING_FRAGMENTS = [
     "def ok_{i}(values):\n"
     "    return [value * 2 for value in values]\n",
     "def ok_{i}(path, data):\n"
-    "    tmp = path + \".tmp\"\n"
-    "    with open(tmp, \"w\") as fh:\n"
-    "        fh.write(data)\n"
-    "    os.replace(tmp, path)\n",
+    "    with atomic_write(path, \"w\") as fh:\n"
+    "        fh.write(data)\n",
     "def ok_{i}(payload):\n"
     "    try:\n"
     "        return json.loads(payload)\n"
     "    except ValueError as error:\n"
     "        raise RuntimeError(str(error)) from None\n",
-    "def ok_{i}(lock, tmp, root):\n"
-    "    with lock.catalog_lock():\n"
-    "        os.replace(tmp, root + \"/index/names.json\")\n",
+    "def ok_{i}(lock, root, names):\n"
+    "    with lock:\n"
+    "        lock.write_json(root + \"/index/names.json\", names)\n",
+    "def ok_{i}(path):\n"
+    "    with open(path, \"rb\") as fh:\n"
+    "        return fh.read()\n",
     "class Good_{i}:\n"
     "    def __init__(self):\n"
     "        self._generation = 0\n"
-    "        self._dirty = {{}}\n"
+    "        self._registry = []\n"
     "    def cached_{i}(self):\n"
     "        return self._cache[0] == self._generation\n"
     "    def mutate_{i}(self, node):\n"
-    "        self._dirty[id(node)] = node\n"
+    "        self._registry.append(node)\n"
     "        self._generation += 1\n",
     "def ok_{i}(work):\n"
     "    start = time.monotonic()\n"

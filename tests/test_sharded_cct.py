@@ -293,13 +293,19 @@ class TestShardLifecycle:
             lambda: view.install_exclusive_column(
                 [kernel], M.METRIC_GPU_TIME, [0], [1], [1.0], [1.0], [1.0],
                 [1.0], [0.0]),
+            # The union root is the view's own node: a child or a value
+            # written there would vanish at the next rebuild.
+            lambda: view.root.child_for(gpu_kernel_frame("k9")),
+            lambda: view.root.exclusive.add(M.METRIC_GPU_TIME, 5.0),
         ]
         for mutate in mutations:
             with pytest.raises(ValueError, match="read-only view"):
                 mutate()
         assert tree.merged() is view
+        assert len(view.root.children) == 2
         assert tree.node_count() == 9
         assert tree.total_metric(M.METRIC_GPU_TIME) == pytest.approx(3.0)
+        assert view.root.inclusive.sum(M.METRIC_GPU_TIME) == pytest.approx(3.0)
 
     def test_metric_only_changes_rebuild_the_view(self):
         # Attribution into already-unioned contexts makes the next query
