@@ -13,9 +13,7 @@ valid stored summary pays on its first query.
 The fixture is a store of 64 ingested runs (~122k stored nodes fleet-wide).
 Each trial builds a fresh aggregator, so both gears pay their real
 end-to-end cost: the fallback opens 64 mmaps and rebuilds 64 summaries; the
-indexed path reads 64 small JSON summaries.  The parallel rebuild
-(``max_workers=4``) is timed as well, for reference — it bounds what the
-fallback path can recover when the index is absent.  In the printed report,
+indexed path reads 64 small JSON summaries.  In the printed report,
 ``lazy_views_s`` is the ``use_index=False`` arm.
 
 Run standalone with::
@@ -131,8 +129,6 @@ class TestFleetIndexQueries:
         try:
             lazy_seconds, (lazy_top, lazy_by_name, lazy_indexed) = best_of(
                 3, lambda: fleet_queries(use_index=False))
-            parallel_seconds, _ = best_of(
-                3, lambda: fleet_queries(use_index=False, max_workers=4))
             indexed_seconds, (top, by_name, indexed) = best_of(
                 3, fleet_queries)
         finally:
@@ -157,7 +153,6 @@ class TestFleetIndexQueries:
                 "stored_nodes": stored_nodes,
                 "indexed_s": indexed_seconds,
                 "lazy_views_s": lazy_seconds,
-                "lazy_views_parallel4_s": parallel_seconds,
                 "speedup_indexed_vs_lazy": speedup,
             }, indent=2))
 

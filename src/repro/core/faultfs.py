@@ -282,15 +282,17 @@ class FaultInjector:
                 return _FaultyFile(handle, self.plan, path)
             return handle
 
-        # This is the canonical sanctioned monkeypatch (see docs/LINT.md):
-        # the injector is a scoped context manager that restores the real
-        # `open` in __exit__, and it is the only way to exercise I/O fault
-        # paths without a kernel-level fault filesystem.
-        builtins.open = faulted_open  # repro-lint: disable=RL007 scoped fault harness; restored in __exit__
+        # The one sanctioned monkeypatch (see `no_monkeypatching` in
+        # tests/test_invariants.py): the injector is a scoped context
+        # manager that restores the real `open` in __exit__, and it is the
+        # only way to exercise I/O fault paths without a kernel-level fault
+        # filesystem.
+        builtins.open = faulted_open
         return self
 
     def __exit__(self, *exc_info) -> None:
-        builtins.open = self._real_open  # repro-lint: disable=RL007 restores the real open patched in __enter__
+        # Undoes the scoped patch of __enter__ (also allowed by the check).
+        builtins.open = self._real_open
         self._real_open = None
 
 
@@ -303,8 +305,8 @@ def flip_bit(path: str, byte_offset: int, bit: int = 0) -> None:
     if not 0 <= bit <= 7:
         raise ValueError(f"bit must be 0..7, got {bit}")
     # In-place mutation is the whole point: tests corrupt an already-sealed
-    # artifact to prove the readers detect it.  Grandfathered in
-    # lint-baseline.json rather than fixed.
+    # artifact to prove the readers detect it, so this write does not go
+    # through atomic_write.
     with open(path, "r+b") as handle:
         handle.seek(byte_offset)
         original = handle.read(1)

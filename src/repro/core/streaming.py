@@ -114,7 +114,8 @@ class StreamingProfileWriter:
         #: existing (recoverable) profile at ``path`` intact; the first
         #: ``checkpoint`` promotes it with ``os.replace``.
         self._pending_path: Optional[str] = f"{path}.stream.tmp"
-        # repro-lint: disable=RL002 the stream is staged here and promoted at its first seal; every seal leaves a valid prefix
+        # Not atomic_write: the stream is staged here and promoted at its
+        # first seal, and every seal leaves a valid prefix.
         self._handle = open(self._pending_path, "wb")
         try:
             self._writer = SealWriter(self._handle, self.compression)
@@ -225,7 +226,7 @@ class StreamingProfileWriter:
             # First complete seal: promote the staged stream over ``path``.
             # The open handle follows the inode, so appends continue
             # seamlessly; a crash before this point left ``path`` untouched.
-            # repro-lint: disable=RL002 promotes a stream whose first seal just landed; later seals append to a valid prefix
+            # Not atomic_write: later seals append to this valid prefix.
             os.replace(self._pending_path, self.path)
             self._pending_path = None
         self._last_toc, self._shard_states = toc, states

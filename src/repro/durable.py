@@ -9,9 +9,10 @@ A crash, a full disk or an encoding error mid-write leaves the previous file
 intact.
 
 This module imports nothing from the rest of ``repro``, so every layer uses
-it: ``repro.obs`` sits below ``repro.core``.  Lint rule RL002
-(``docs/LINT.md``) keeps it the only code in ``repro.core``, ``repro.fleet``
-and ``repro.obs`` that opens a file for writing or calls ``os.replace``.
+it: ``repro.obs`` sits below ``repro.core``.  The
+``writes_only_through_atomic_write`` check in ``tests/test_invariants.py``
+keeps it the only code in ``repro.core``, ``repro.fleet`` and ``repro.obs``
+that opens a file for writing or calls ``os.replace``.
 """
 
 from __future__ import annotations

@@ -13,9 +13,8 @@ go?" in two gears:
   profile is opened at all*.  Every other run — no valid stored summary,
   ``use_index=False``, or a view handed to the constructor — builds the
   same summary from its view with ``RunSummary.from_view`` on its first
-  query, reading every column block once; with ``max_workers > 1`` those
-  builds run on a thread pool (zlib and struct release the GIL).  Stored
-  and rebuilt rows are identical, so the two answer bit for bit alike;
+  query, reading every column block once.  Stored and rebuilt rows are
+  identical, so the two answer bit for bit alike;
 * **the fleet CCT** — :meth:`merged_tree` unions every run's shards with
   ``CallingContextTree.merge_from`` (parallel Welford ``MetricSet.merge``
   per aligned context), in run order then shard order — the identical merge
@@ -33,7 +32,6 @@ summary — drops whenever an underlying view moves (live attach/refresh).
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Tuple
@@ -109,8 +107,7 @@ class FleetAggregator:
                  owns_views: bool = False,
                  program_name: str = "fleet",
                  store: Optional["ProfileStore"] = None,
-                 degraded: Optional[List[DegradedRun]] = None,
-                 max_workers: Optional[int] = None) -> None:
+                 degraded: Optional[List[DegradedRun]] = None) -> None:
         #: ``run id → _RunSource`` in run order (run order is the merge
         #: order, so it is part of the aggregator's contract).
         self._sources: Dict[str, _RunSource] = {
@@ -119,7 +116,6 @@ class FleetAggregator:
         self._owns_views = owns_views
         self.program_name = program_name
         self._store = store
-        self._max_workers = max_workers
         self._degraded: Dict[str, DegradedRun] = {
             entry.run_id: entry for entry in (degraded or [])}
         #: ``run id → why its index summary was unusable`` (fallback runs).
@@ -140,7 +136,6 @@ class FleetAggregator:
     @classmethod
     def from_store(cls, store: "ProfileStore",
                    run_ids: Optional[List[str]] = None,
-                   max_workers: Optional[int] = None,
                    use_index: bool = True,
                    **filters) -> "FleetAggregator":
         """Open an aggregator over a store's runs (explicit ids or filters).
@@ -152,10 +147,9 @@ class FleetAggregator:
         query; open failures are skipped into the degradation report and
         quarantined instead of raising, and an explicit ``run_ids``
         selection that names a quarantined run degrades it the same way
-        rather than resurrecting it.  ``max_workers`` sets the thread-pool
-        width for those summary builds (``None``/``1`` = sequential).  The
-        returned aggregator owns any views it opens: ``close()`` (or the
-        context manager) releases every mapping.
+        rather than resurrecting it.  The returned aggregator owns any views
+        it opens: ``close()`` (or the context manager) releases every
+        mapping.
         """
         if run_ids is not None:
             records = [store.get(run_id) for run_id in run_ids]
@@ -196,8 +190,7 @@ class FleetAggregator:
                 if source.view is not None:
                     source.view.close()
             raise
-        aggregator = cls({}, owns_views=True, store=store, degraded=degraded,
-                         max_workers=max_workers)
+        aggregator = cls({}, owns_views=True, store=store, degraded=degraded)
         aggregator._sources = sources
         aggregator._index_problems = problems
         aggregator._requested = len(sources) + len(degraded)
@@ -374,34 +367,16 @@ class FleetAggregator:
 
         Corruption (``ProfileCorruptionError``/``ProfileFormatError``) and
         OS-level read failures degrade the run; any other exception — a bug,
-        a bad argument — propagates untouched.  With ``max_workers > 1`` the
-        thunks run on a thread pool: each touches only its own run's view,
-        and zlib decompression / struct decoding release the GIL, so
-        decode work over many runs genuinely overlaps.  Results
-        keep task order; demotion happens on the calling thread afterwards.
+        a bad argument — propagates untouched.  Results keep task order;
+        demotion happens after every thunk ran.
         """
         results: Dict[str, object] = {}
         failures: Dict[str, str] = {}
-        workers = self._max_workers or 0
-        if workers > 1 and len(tasks) > 1:
-            with ThreadPoolExecutor(
-                    max_workers=min(workers, len(tasks))) as pool:
-                futures = [(run_id, pool.submit(thunk))
-                           for run_id, thunk in tasks]
-            for run_id, future in futures:
-                error = future.exception()
-                if error is None:
-                    results[run_id] = future.result()
-                elif isinstance(error, (ProfileFormatError, OSError)):
-                    failures[run_id] = str(error)
-                else:
-                    raise error
-        else:
-            for run_id, thunk in tasks:
-                try:
-                    results[run_id] = thunk()
-                except (ProfileFormatError, OSError) as error:
-                    failures[run_id] = str(error)
+        for run_id, thunk in tasks:
+            try:
+                results[run_id] = thunk()
+            except (ProfileFormatError, OSError) as error:
+                failures[run_id] = str(error)
         for run_id, reason in failures.items():
             self._demote(run_id, reason)
         return results

@@ -24,10 +24,6 @@ Layout::
       profiles/<run_id>.cctb # canonical sealed cct-binary-v1 profiles
       index/names.json       # fleet query index: global name dictionary
       index/runs/<id>.json   # fleet query index: per-run columnar summaries
-
-The store is the plug-in point the ROADMAP's remote-backend item attaches
-to: a remote implementation ships the same canonical seals and catalog rows
-over the wire instead of a local directory.
 """
 
 from __future__ import annotations
@@ -161,26 +157,32 @@ class _CatalogLock:
                     try:
                         age = time.time() - os.stat(self.path).st_mtime
                     except OSError:
-                        continue  # released between open and stat: retry now
-                    if age > self.stale_s:
+                        # Released since the open, or unreadable (a
+                        # dangling symlink): back off like any other wait.
+                        age = None
+                    if age is not None and age > self.stale_s:
                         # Break the abandoned lock; the O_EXCL retry
-                        # arbitrates between several breakers.
+                        # arbitrates between several breakers.  Only a
+                        # break that succeeded retries at once: a lock we
+                        # may not remove is waited on like a live one.
                         try:
                             os.unlink(self.path)
                         except OSError:
                             pass
                         else:
                             stale_breaks += 1
-                        continue
+                            continue
                     if time.monotonic() >= deadline:
                         waited = time.monotonic() - started
                         _note_lock_wait(waited, contended, stale_breaks,
                                         timed_out=True)
+                        holder = ("lock file unreadable" if age is None else
+                                  f"held by another ingest/scrub for "
+                                  f"{age:.1f}s")
                         raise CatalogLockTimeout(
                             f"could not acquire catalog lock {self.path!r} "
                             f"within {self.timeout_s}s (waited {waited:.2f}s; "
-                            f"held by another ingest/scrub for "
-                            f"{age:.1f}s)") from None
+                            f"{holder})") from None
                     time.sleep(delay)
                     delay = min(delay * 2, 0.1)
                 else:
@@ -632,7 +634,8 @@ class ProfileStore:
                     TELEMETRY.count("fleet.ingest_dedup")
                 return existing
             relative = os.path.join(PROFILE_DIR, f"{run_id}{PROFILE_SUFFIX}")
-            # repro-lint: disable=RL002 the final name is the digest of the staged bytes, known only once save_binary wrote them
+            # Not atomic_write: the final name is the digest of the staged
+            # bytes, known only once save_binary wrote them.
             os.replace(temp_path, os.path.join(self.root, relative))
         finally:
             if os.path.exists(temp_path):
@@ -1010,7 +1013,7 @@ class ProfileStore:
 
         ``run_ids`` selects explicit runs; otherwise ``filters`` (workload /
         device / config_hash / labels) select from the catalog.
-        ``use_index=False`` and ``max_workers=N`` pass through to
+        ``use_index=False`` passes through to
         :meth:`~repro.fleet.aggregate.FleetAggregator.from_store`.
         """
         from .aggregate import FleetAggregator

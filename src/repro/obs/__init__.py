@@ -1,8 +1,9 @@
 """Self-telemetry for the profiler's own machinery (see docs/OBSERVABILITY.md).
 
 ``TELEMETRY`` is the process-wide registry; instrumented layers import
-it directly (``from ..obs import TELEMETRY``) so the repo lint's
-span-discipline rule (RL009) can resolve the calls.  This package sits
+it directly (``from ..obs import TELEMETRY``) so the
+``durations_reported_through_obs`` check in ``tests/test_invariants.py``
+can resolve the calls.  This package sits
 at the bottom of the dependency graph and imports nothing from the rest
 of ``repro``.
 """

@@ -66,7 +66,8 @@ class HealthTimeSeries:
         os.makedirs(directory, exist_ok=True)
         if self._count is None:
             self._count = self._count_on_disk()
-        # repro-lint: disable=RL002 append-only log: a crash tears at most the last line, which records() skips
+        # Not atomic_write: an append-only log, where a crash tears at most
+        # the last line, which records() skips.
         with open(self.path, "a", encoding="utf-8") as handle:
             handle.write(line + "\n")
             handle.flush()

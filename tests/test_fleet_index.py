@@ -461,19 +461,6 @@ class TestCatalogGeneration:
         assert reopened.get(record.run_id).run_id == record.run_id
 
 
-class TestParallelDecode:
-    def test_parallel_fallback_matches_sequential_bitwise(self, tmp_path):
-        store, _records = make_store(tmp_path, runs=4)
-        with store.aggregator(use_index=False) as sequential, \
-                store.aggregator(use_index=False, max_workers=4) as parallel:
-            assert query_snapshot(parallel) == query_snapshot(sequential)
-
-    def test_max_workers_passes_through_store_aggregator(self, tmp_path):
-        store, _records = make_store(tmp_path, runs=2)
-        with store.aggregator(max_workers=2, use_index=False) as aggregator:
-            assert aggregator.total_metric(M.METRIC_GPU_TIME) > 0.0
-
-
 class TestNameDrift:
     def test_indexed_drift_opens_no_views_and_matches_lazy(self, tmp_path):
         store = ProfileStore(tmp_path / "store")

@@ -20,6 +20,9 @@ Pins the hardening contracts:
 
 import os
 import struct
+import subprocess
+import sys
+import textwrap
 import threading
 
 import pytest
@@ -487,6 +490,63 @@ class TestConcurrentIngest:
         lock.acquire()  # breaks the abandoned lock instead of timing out
         lock.release()
         assert not os.path.exists(lock_path)
+
+    _ACQUIRE = textwrap.dedent("""\
+        import errno
+        import os
+        import sys
+
+        from repro.fleet.store import CatalogLockTimeout, _CatalogLock
+
+        lock_path = sys.argv[1]
+        if sys.argv[2] == "refuse-unlink":
+            # Another user's lock in a shared sticky directory; a root
+            # process may remove anything, so the refusal is simulated.
+            real_unlink = os.unlink
+
+            def unlink(path, *args, **kwargs):
+                if path == lock_path:
+                    raise PermissionError(errno.EPERM, "not permitted", path)
+                return real_unlink(path, *args, **kwargs)
+
+            os.unlink = unlink
+        try:
+            _CatalogLock(lock_path, timeout_s=0.2, stale_s=30.0).acquire()
+        except CatalogLockTimeout as error:
+            print("timed out:", error)
+        """)
+
+    def _acquire_in_child(self, lock_path, mode):
+        """Acquire in a child process, killed after 10 s, so a lock wait
+        that never ends fails the test instead of hanging it."""
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        try:
+            result = subprocess.run(
+                [sys.executable, "-c", self._ACQUIRE, lock_path, mode],
+                capture_output=True, text=True, timeout=10, env=env)
+        except subprocess.TimeoutExpired:
+            pytest.fail("catalog lock acquire spun past its timeout")
+        assert result.returncode == 0, result.stderr
+        return result.stdout
+
+    def test_unremovable_stale_lock_times_out(self, tmp_path):
+        lock_path = str(tmp_path / "catalog.lock")
+        with open(lock_path, "w") as handle:
+            handle.write("12345\n")
+        stale = os.path.getmtime(lock_path) - 120
+        os.utime(lock_path, (stale, stale))
+        out = self._acquire_in_child(lock_path, "refuse-unlink")
+        assert out.startswith("timed out:") and "catalog.lock" in out
+        assert os.path.exists(lock_path)
+
+    def test_unreadable_lock_path_times_out(self, tmp_path):
+        lock_path = str(tmp_path / "catalog.lock")
+        os.symlink(str(tmp_path / "missing"), lock_path)  # dangling
+        out = self._acquire_in_child(lock_path, "plain")
+        assert out.startswith("timed out:") and "unreadable" in out
 
     def test_crashed_peer_temp_files_are_ignored(self, tmp_path):
         root = tmp_path / "store"
