@@ -1,96 +1,115 @@
-"""Per-rule tests for repro.lint: every rule catches its seeded violation
-and stays quiet on the conforming pattern — including the real repo code
-each rule was written to protect.
+"""Seeded violations and conforming cases for the source invariants checked
+in ``test_invariants.py``: every check flags exactly its seeded lines and
+stays quiet on the conforming pattern, including the real modules it was
+written to protect.  One class per check, named for the rule id the check
+had in the retired linter (RL001 ... RL010).
 """
 
-import json
-import os
-import subprocess
-import sys
 import textwrap
 
-from repro.lint import lint_source, rule_by_id
-from repro.lint.engine import STATUS_SUPPRESSED
-
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+from test_invariants import (
+    ALLOWED,
+    CHECKS,
+    Module,
+    durations_reported_through_obs,
+    gate,
+    mutators_bump_generation,
+    no_monkeypatching,
+    parsed,
+    polls_are_bounded,
+    storage_errors_are_wrapped,
+    struct_only_in_storage,
+    writes_only_through_atomic_write,
+)
 
 PROD_PATH = "src/repro/core/synthetic.py"
 FLEET_PATH = "src/repro/fleet/synthetic.py"
 
 
-def run_rule(rule_id, source, path=PROD_PATH):
-    findings = lint_source(textwrap.dedent(source), path,
-                           rules=[rule_by_id(rule_id)])
-    return [f for f in findings if f.rule == rule_id]
+def flagged(check, source, path=PROD_PATH):
+    """The line numbers ``check`` flags in the dedented ``source``."""
+    module = Module(textwrap.dedent(source), path)
+    return sorted(node.lineno for node in check(module))
 
 
-def run_rule_on_file(rule_id, relpath):
-    full = os.path.join(REPO_ROOT, relpath)
-    with open(full, "r", encoding="utf-8") as handle:
-        source = handle.read()
-    findings = lint_source(source, relpath, rules=[rule_by_id(rule_id)])
-    return [f for f in findings if f.rule == rule_id]
+def report(check, source, path=PROD_PATH):
+    """What the tree gate reports for ``source`` when nothing is allowed."""
+    violations, _ = gate(check, [Module(textwrap.dedent(source), path)],
+                         allowed={})
+    return violations
+
+
+def symbols_in_file(check, relpath):
+    """The enclosing symbols of ``check``'s findings in a repository file."""
+    module = parsed(relpath)
+    return sorted(module.enclosing_symbol(node) for node in check(module))
+
+
+def assert_allowed_with_reason(check, relpaths):
+    """Every finding of ``check`` in ``relpaths`` is an ``ALLOWED`` site
+    with a reason, and its source line is the one the entry names."""
+    for relpath in relpaths:
+        for symbol in symbols_in_file(check, relpath):
+            _, reason = ALLOWED[(check.__name__, relpath, symbol)]
+            assert reason
+    violations, _ = gate(check, map(parsed, relpaths))
+    assert violations == []
 
 
 # ---------------------------------------------------------------------------
-# RL001 — descriptor emission
+# RL001: struct_only_in_storage
 # ---------------------------------------------------------------------------
 
 class TestRL001:
     def test_raw_struct_pack_write_outside_emitters(self):
-        findings = run_rule("RL001", """\
+        assert report(struct_only_in_storage, """\
             import struct
 
             def rogue_save(handle, a, b):
                 handle.write(struct.pack("<II", a, b))
-            """)
-        assert [f.line for f in findings] == [1]
-        assert "SealWriter" in findings[0].message
+            """) == [f"{PROD_PATH}:1 (module level): import struct"]
+        assert "SealWriter" in struct_only_in_storage.__doc__
 
     def test_struct_instance_pack_is_flagged(self):
-        findings = run_rule("RL001", """\
+        assert flagged(struct_only_in_storage, """\
             import struct as s
 
             _DESC = s.Struct("<QQ8s")
 
             def encode(a, b, c):
                 return _DESC.pack(a, b, c)
-            """)
-        assert [f.line for f in findings] == [1]
+            """) == [1]
 
     def test_from_struct_import_is_flagged(self):
-        findings = run_rule("RL001", """\
+        assert report(struct_only_in_storage, """\
             from struct import pack
-            """, path=FLEET_PATH)
-        assert [f.line for f in findings] == [1]
-        assert "struct.pack" in findings[0].message
+            """, path=FLEET_PATH) == [
+                f"{FLEET_PATH}:1 (module level): from struct import pack"]
 
     def test_private_emitter_import_is_flagged(self):
-        findings = run_rule("RL001", """\
+        assert report(struct_only_in_storage, """\
             from repro.core.storage import SealWriter, _encode_frames_block
-            """, path=FLEET_PATH)
-        assert [f.line for f in findings] == [1]
-        assert findings[0].message.startswith(
-            "repro.core.storage._encode_frames_block outside")
+            """, path=FLEET_PATH) == [
+                f"{FLEET_PATH}:1 (module level): from repro.core.storage "
+                "import SealWriter, _encode_frames_block"]
         for source, path in (("from .storage import _TAIL\n",
                               "src/repro/core/streaming.py"),
                              ("from ..core.storage import _encode_column_block\n",
                               FLEET_PATH),
                              ("from .storage import _TAIL\n",
                               "src/repro/core/__init__.py")):
-            assert [f.line for f in run_rule("RL001", source, path=path)] == [1]
+            assert flagged(struct_only_in_storage, source, path=path) == [1]
 
     def test_private_name_through_the_module_is_flagged(self):
-        findings = run_rule("RL001", """\
+        assert flagged(struct_only_in_storage, """\
             from repro.core import storage
 
             def encode(tree):
                 return storage._encode_frames_block(tree)
-            """, path=FLEET_PATH)
-        assert [f.line for f in findings] == [4]
+            """, path=FLEET_PATH) == [4]
 
     def test_public_storage_names_are_conforming(self):
-        assert run_rule("RL001", """\
+        assert flagged(struct_only_in_storage, """\
             from repro.core import storage
             from .storage import SealWriter, save_binary
 
@@ -105,23 +124,21 @@ class TestRL001:
             def emit(handle, a, b):
                 handle.write(struct.pack("<II", a, b))
             """
-        assert run_rule("RL001", source,
-                        path="src/repro/core/storage.py") == []
+        assert flagged(struct_only_in_storage, source,
+                       path="src/repro/core/storage.py") == []
         # The streaming writer is policy only: its bytes go through the
         # storage module's seal writer, so importing struct there is a
-        # finding.
-        findings = run_rule("RL001", source,
-                            path="src/repro/core/streaming.py")
-        assert [f.line for f in findings] == [1]
+        # violation.
+        assert flagged(struct_only_in_storage, source,
+                       path="src/repro/core/streaming.py") == [1]
 
     def test_text_writes_are_not_flagged(self):
-        findings = run_rule("RL001", """\
+        assert flagged(struct_only_in_storage, """\
             def export(handle, rows):
                 handle.write("header\\n")
                 for row in rows:
                     handle.write(str(row))
-            """)
-        assert findings == []
+            """) == []
 
     def test_real_storage_and_streaming_are_clean(self):
         for relpath in ("src/repro/core/storage.py",
@@ -129,26 +146,26 @@ class TestRL001:
                         "src/repro/core/__init__.py",
                         "src/repro/fleet/store.py",
                         "src/repro/fleet/index.py"):
-            assert run_rule_on_file("RL001", relpath) == []
+            assert symbols_in_file(struct_only_in_storage, relpath) == []
 
 
 # ---------------------------------------------------------------------------
-# RL002 — durable writes
+# RL002: writes_only_through_atomic_write
 # ---------------------------------------------------------------------------
 
 class TestRL002:
     def test_in_place_write_of_final_path(self):
         for path in (PROD_PATH, FLEET_PATH, "src/repro/obs/synthetic.py"):
-            findings = run_rule("RL002", """\
+            assert report(writes_only_through_atomic_write, """\
                 def save(path, data):
                     with open(path, "w") as handle:
                         handle.write(data)
-                """, path=path)
-            assert [f.line for f in findings] == [2]
-            assert "atomic_write" in findings[0].message
+                """, path=path) == [
+                    f'{path}:2 (save): with open(path, "w") as handle:']
+        assert "atomic_write" in writes_only_through_atomic_write.__doc__
 
     def test_hand_rolled_temp_then_replace_is_flagged(self):
-        findings = run_rule("RL002", """\
+        assert flagged(writes_only_through_atomic_write, """\
             import os
 
             def save(path, data):
@@ -156,47 +173,51 @@ class TestRL002:
                 with open(tmp, "w") as handle:
                     handle.write(data)
                 os.replace(tmp, path)
-            """)
-        assert [f.line for f in findings] == [5, 7]
+            """) == [5, 7]
 
     def test_bare_replace_is_flagged(self):
-        findings = run_rule("RL002", """\
+        assert flagged(writes_only_through_atomic_write, """\
             from os import replace
 
             def promote(staged, root):
                 replace(staged, root + "/catalog.json")
-            """, path=FLEET_PATH)
-        assert [f.line for f in findings] == [4]
+            """, path=FLEET_PATH) == [4]
 
     def test_dynamic_mode_is_flagged(self):
-        findings = run_rule("RL002", """\
+        assert flagged(writes_only_through_atomic_write, """\
             def reopen(path, mode):
                 return open(path, mode)
-            """)
-        assert [f.line for f in findings] == [2]
+            """) == [2]
 
     def test_temp_then_replace_is_conforming(self):
-        findings = run_rule("RL002", """\
+        assert flagged(writes_only_through_atomic_write, """\
             from repro.durable import atomic_write
 
             def save(path, data):
                 with atomic_write(path, "w") as handle:
                     handle.write(data)
-            """)
-        assert findings == []
+            """) == []
 
     def test_replace_promotion_without_temp_name_is_conforming(self):
-        # A write that is correct by design says why, in place.
-        findings = run_rule("RL002", """\
+        # A write that is correct by design is listed in ALLOWED with its
+        # reason; without the entry the same site is a violation.
+        module = Module(textwrap.dedent("""\
             import os
 
             def promote(staged, digest):
-                os.replace(staged, digest)  # repro-lint: disable=RL002 the name is the staged bytes' digest
-            """)
-        assert [f.status for f in findings] == [STATUS_SUPPRESSED]
+                os.replace(staged, digest)
+            """), PROD_PATH)
+        allowed = {
+            ("writes_only_through_atomic_write", PROD_PATH, "promote"): (
+                "os.replace(staged, digest)",
+                "the name is the staged bytes' digest")}
+        assert gate(writes_only_through_atomic_write, [module],
+                    allowed) == ([], [])
+        assert gate(writes_only_through_atomic_write, [module], {}) == (
+            [f"{PROD_PATH}:4 (promote): os.replace(staged, digest)"], [])
 
     def test_read_mode_is_ignored(self):
-        assert run_rule("RL002", """\
+        assert flagged(writes_only_through_atomic_write, """\
             def load(path):
                 with open(path, "rb") as handle:
                     return handle.read()
@@ -213,36 +234,38 @@ class TestRL002:
             """
         for path in ("src/repro/gui/export.py", "src/repro/durable.py",
                      "tests/test_synthetic.py"):
-            assert run_rule("RL002", source, path=path) == []
+            assert flagged(writes_only_through_atomic_write, source,
+                           path=path) == []
 
     def test_real_writers_are_clean(self):
         for relpath in ("src/repro/core/storage.py",
                         "src/repro/fleet/index.py",
                         "src/repro/obs/telemetry.py"):
-            assert run_rule_on_file("RL002", relpath) == []
+            assert symbols_in_file(writes_only_through_atomic_write,
+                                   relpath) == []
 
     def test_writes_correct_by_design_carry_their_reason(self):
-        suppressed = []
-        for relpath in ("src/repro/core/streaming.py",
-                        "src/repro/fleet/store.py",
-                        "src/repro/obs/timeseries.py"):
-            findings = run_rule_on_file("RL002", relpath)
-            assert all(f.status == STATUS_SUPPRESSED and f.justification
-                       for f in findings)
-            suppressed.extend(f.symbol for f in findings)
-        assert sorted(suppressed) == ["HealthTimeSeries.append",
-                                      "ProfileStore._ingest",
-                                      "StreamingProfileWriter.__init__",
-                                      "StreamingProfileWriter._checkpoint"]
+        relpaths = ("src/repro/core/streaming.py",
+                    "src/repro/fleet/store.py",
+                    "src/repro/obs/timeseries.py")
+        assert_allowed_with_reason(writes_only_through_atomic_write, relpaths)
+        assert sorted(
+            symbol for relpath in relpaths
+            for symbol in symbols_in_file(writes_only_through_atomic_write,
+                                          relpath)) == [
+            "HealthTimeSeries.append",
+            "ProfileStore._ingest",
+            "StreamingProfileWriter.__init__",
+            "StreamingProfileWriter._checkpoint"]
 
     def test_faultfs_corruption_helpers_are_the_known_findings(self):
-        findings = run_rule_on_file("RL002", "src/repro/core/faultfs.py")
-        assert sorted(f.symbol for f in findings) == ["flip_bit",
-                                                      "truncate_file"]
+        assert symbols_in_file(writes_only_through_atomic_write,
+                               "src/repro/core/faultfs.py") == [
+            "flip_bit", "truncate_file"]
 
 
 # ---------------------------------------------------------------------------
-# RL003 — generation counter
+# RL003: mutators_bump_generation
 # ---------------------------------------------------------------------------
 
 _RL003_HEADER = textwrap.dedent("""\
@@ -266,83 +289,77 @@ def rl003_class(mutator):
 
 class TestRL003:
     def test_unbumped_dirty_write(self):
-        findings = run_rule("RL003", rl003_class("""\
+        assert report(mutators_bump_generation, rl003_class("""\
             def register(self, node):
                 self._registry.append(node)
-            """))
-        assert len(findings) == 1
-        assert "Tree.register" in findings[0].message
-        assert "registry" in findings[0].message
+            """)) == [
+                f"{PROD_PATH}:13 (Tree.register): self._registry.append(node)"]
 
     def test_unbumped_alias_write(self):
-        findings = run_rule("RL003", rl003_class("""\
+        assert flagged(mutators_bump_generation, rl003_class("""\
             def register(self, node):
                 registry = self._registry
                 registry.append(node)
-            """))
-        assert len(findings) == 1
+            """)) == [14]
 
     def test_unbumped_exclusive_mutation(self):
-        findings = run_rule("RL003", rl003_class("""\
+        assert report(mutators_bump_generation, rl003_class("""\
             def attribute(self, node, value):
                 node.exclusive.add("time", value)
-            """))
-        assert len(findings) == 1
-        assert "exclusive" in findings[0].message
+            """)) == [f'{PROD_PATH}:13 (Tree.attribute): '
+                      'node.exclusive.add("time", value)']
 
     def test_direct_bump_is_conforming(self):
-        findings = run_rule("RL003", rl003_class("""\
+        assert flagged(mutators_bump_generation, rl003_class("""\
             def register(self, node):
                 self._registry.append(node)
                 self._generation += 1
-            """))
-        assert findings == []
+            """)) == []
 
     def test_transitive_bump_via_sibling_is_conforming(self):
-        findings = run_rule("RL003", rl003_class("""\
+        assert flagged(mutators_bump_generation, rl003_class("""\
             def register(self, node):
                 self._registry.append(node)
                 self._bump()
 
             def _bump(self):
                 self._generation += 1
-            """))
-        assert findings == []
+            """)) == []
 
     def test_class_without_generation_cache_is_out_of_scope(self):
-        findings = run_rule("RL003", """\
+        assert flagged(mutators_bump_generation, """\
             class Plain:
                 def __init__(self):
                     self._registry = []
 
                 def register(self, node):
                     self._registry.append(node)
-            """)
-        assert findings == []
+            """) == []
 
     def test_real_cct_is_clean(self):
-        assert run_rule_on_file("RL003", "src/repro/core/cct.py") == []
-        assert run_rule_on_file("RL003", "src/repro/core/database.py") == []
+        assert symbols_in_file(mutators_bump_generation,
+                               "src/repro/core/cct.py") == []
+        assert symbols_in_file(mutators_bump_generation,
+                               "src/repro/core/database.py") == []
 
 
 # ---------------------------------------------------------------------------
-# RL004 — exception contract
+# RL004: storage_errors_are_wrapped
 # ---------------------------------------------------------------------------
 
 class TestRL004:
     def test_raw_oserror_reraise(self):
-        findings = run_rule("RL004", """\
+        assert flagged(storage_errors_are_wrapped, """\
             def load(path):
                 try:
                     return path.read()
                 except OSError:
                     raise
-            """)
-        assert [f.line for f in findings] == [5]
-        assert "ProfileFormatError" in findings[0].message
+            """) == [5]
+        assert "ProfileFormatError" in storage_errors_are_wrapped.__doc__
 
     def test_raw_struct_error_in_tuple_rebound_and_reraised(self):
-        findings = run_rule("RL004", """\
+        assert flagged(storage_errors_are_wrapped, """\
             import struct
 
             def decode(payload):
@@ -350,11 +367,10 @@ class TestRL004:
                     return struct.unpack("<I", payload)
                 except (ValueError, struct.error) as error:
                     raise error
-            """)
-        assert [f.line for f in findings] == [7]
+            """) == [7]
 
     def test_wrapping_is_conforming(self):
-        findings = run_rule("RL004", """\
+        assert flagged(storage_errors_are_wrapped, """\
             from .storage import ProfileFormatError
 
             def load(path):
@@ -362,20 +378,18 @@ class TestRL004:
                     return path.read()
                 except OSError as error:
                     raise ProfileFormatError(f"{path}: {error}") from error
-            """)
-        assert findings == []
+            """) == []
 
     def test_unguarded_json_load(self):
-        findings = run_rule("RL004", """\
+        assert flagged(storage_errors_are_wrapped, """\
             import json
 
             def load(handle):
                 return json.load(handle)
-            """)
-        assert [f.line for f in findings] == [4]
+            """) == [4]
 
     def test_guarded_json_load_is_conforming(self):
-        findings = run_rule("RL004", """\
+        assert flagged(storage_errors_are_wrapped, """\
             import json
 
             def load(handle, path):
@@ -383,11 +397,10 @@ class TestRL004:
                     return json.load(handle)
                 except ValueError as error:
                     raise RuntimeError(f"{path}: {error}") from None
-            """)
-        assert findings == []
+            """) == []
 
     def test_outside_core_and_fleet_is_out_of_scope(self):
-        assert run_rule("RL004", """\
+        assert flagged(storage_errors_are_wrapped, """\
             def load(path):
                 try:
                     return path.read()
@@ -396,72 +409,68 @@ class TestRL004:
             """, path="src/repro/gui/export.py") == []
 
     def test_real_storage_and_store_are_clean(self):
-        assert run_rule_on_file("RL004", "src/repro/core/storage.py") == []
-        assert run_rule_on_file("RL004", "src/repro/fleet/store.py") == []
-        assert run_rule_on_file("RL004", "src/repro/fleet/aggregate.py") == []
+        for relpath in ("src/repro/core/storage.py",
+                        "src/repro/fleet/store.py",
+                        "src/repro/fleet/aggregate.py"):
+            assert symbols_in_file(storage_errors_are_wrapped, relpath) == []
 
 
 # ---------------------------------------------------------------------------
-# RL007 — monkeypatching
+# RL007: no_monkeypatching
 # ---------------------------------------------------------------------------
 
 class TestRL007:
     def test_module_attribute_assignment(self):
-        findings = run_rule("RL007", """\
+        assert report(no_monkeypatching, """\
             import builtins
 
             def patch(fake):
                 builtins.open = fake
-            """)
-        assert [f.line for f in findings] == [4]
-        assert "builtins.open" in findings[0].message
+            """) == [f"{PROD_PATH}:4 (patch): builtins.open = fake"]
 
     def test_setattr_on_module(self):
-        findings = run_rule("RL007", """\
+        assert flagged(no_monkeypatching, """\
             import os
 
             def patch(fake):
                 setattr(os, "replace", fake)
-            """)
-        assert [f.line for f in findings] == [4]
+            """) == [4]
 
     def test_instance_attributes_are_conforming(self):
-        findings = run_rule("RL007", """\
+        assert flagged(no_monkeypatching, """\
             import os
 
             class Holder:
                 def __init__(self, fake):
                     self.replace = fake
                     self.os = None
-            """)
-        assert findings == []
+            """) == []
 
     def test_faultfs_patch_is_suppressed_not_new(self):
-        findings = run_rule_on_file("RL007", "src/repro/core/faultfs.py")
-        assert len(findings) == 2
-        assert all(f.status == STATUS_SUPPRESSED for f in findings)
-        assert all(f.justification for f in findings)
+        relpath = "src/repro/core/faultfs.py"
+        assert symbols_in_file(no_monkeypatching, relpath) == [
+            "FaultInjector.__enter__", "FaultInjector.__exit__"]
+        assert_allowed_with_reason(no_monkeypatching, [relpath])
 
 
 # ---------------------------------------------------------------------------
-# RL009 — span discipline
+# RL009: durations_reported_through_obs
 # ---------------------------------------------------------------------------
 
 class TestRL009:
     def test_unreported_clock_delta(self):
-        findings = run_rule("RL009", """\
+        assert flagged(durations_reported_through_obs, """\
             import time
 
             def lap(work):
                 start = time.monotonic()
                 work()
                 return time.monotonic() - start
-            """)
-        assert [f.line for f in findings] == [6]
-        assert "repro.obs" in findings[0].message
+            """) == [6]
+        assert "repro.obs" in durations_reported_through_obs.__doc__
 
     def test_delta_of_clock_assigned_names(self):
-        findings = run_rule("RL009", """\
+        assert flagged(durations_reported_through_obs, """\
             import time
 
             def lap(work):
@@ -469,11 +478,10 @@ class TestRL009:
                 work()
                 end = time.perf_counter()
                 return end - start
-            """)
-        assert [f.line for f in findings] == [7]
+            """) == [7]
 
     def test_observed_delta_is_conforming(self):
-        assert run_rule("RL009", """\
+        assert flagged(durations_reported_through_obs, """\
             import time
 
             from repro.obs import TELEMETRY
@@ -487,7 +495,7 @@ class TestRL009:
             """) == []
 
     def test_relative_obs_import_is_conforming(self):
-        assert run_rule("RL009", """\
+        assert flagged(durations_reported_through_obs, """\
             import time
 
             from ..obs import TELEMETRY
@@ -499,7 +507,7 @@ class TestRL009:
             """, path=FLEET_PATH) == []
 
     def test_span_in_same_function_is_conforming(self):
-        assert run_rule("RL009", """\
+        assert flagged(durations_reported_through_obs, """\
             import time
 
             from repro.obs import TELEMETRY
@@ -512,7 +520,7 @@ class TestRL009:
             """) == []
 
     def test_deadline_comparison_is_out_of_scope(self):
-        assert run_rule("RL009", """\
+        assert flagged(durations_reported_through_obs, """\
             import time
 
             def expired(deadline):
@@ -520,13 +528,13 @@ class TestRL009:
             """) == []
 
     def test_non_clock_subtraction_is_out_of_scope(self):
-        assert run_rule("RL009", """\
+        assert flagged(durations_reported_through_obs, """\
             def width(lo, hi):
                 return hi - lo
             """) == []
 
     def test_outside_instrumented_packages_is_out_of_scope(self):
-        assert run_rule("RL009", """\
+        assert flagged(durations_reported_through_obs, """\
             import time
 
             def lap(work):
@@ -539,44 +547,44 @@ class TestRL009:
         for relpath in ("src/repro/core/streaming.py",
                         "src/repro/fleet/store.py",
                         "src/repro/experiments/runner.py"):
-            assert run_rule_on_file("RL009", relpath) == []
+            assert symbols_in_file(durations_reported_through_obs,
+                                   relpath) == []
 
     def test_profiler_carries_exactly_the_baselined_findings(self):
-        findings = run_rule_on_file("RL009", "src/repro/core/profiler.py")
-        assert sorted(f.symbol for f in findings) == [
+        relpath = "src/repro/core/profiler.py"
+        assert symbols_in_file(durations_reported_through_obs, relpath) == [
             "DeepContextProfiler._metadata_snapshot",
             "DeepContextProfiler.maybe_checkpoint",
         ]
+        assert_allowed_with_reason(durations_reported_through_obs, [relpath])
 
 
 # ---------------------------------------------------------------------------
-# RL010 — bounded poll
+# RL010: polls_are_bounded
 # ---------------------------------------------------------------------------
 
 class TestRL010:
     def test_unbounded_sleep_loop_is_flagged(self):
-        findings = run_rule("RL010", """\
+        assert report(polls_are_bounded, """\
             import os
             import time
 
             def wait_for(path):
                 while not os.path.exists(path):
                     time.sleep(0.1)
-            """, path=FLEET_PATH)
-        assert [f.line for f in findings] == [5]
-        assert "unbounded polling loop" in findings[0].message
+            """, path=FLEET_PATH) == [
+                f"{FLEET_PATH}:5 (wait_for): while not os.path.exists(path):"]
 
     def test_unbounded_event_wait_loop_is_flagged(self):
-        findings = run_rule("RL010", """\
+        assert flagged(polls_are_bounded, """\
             def pump(stop, work):
                 while True:
                     work()
                     stop.wait(1.0)
-            """, path=FLEET_PATH)
-        assert [f.line for f in findings] == [2]
+            """, path=FLEET_PATH) == [2]
 
     def test_infinite_generator_with_sleep_is_flagged(self):
-        findings = run_rule("RL010", """\
+        assert flagged(polls_are_bounded, """\
             import itertools
             import time
 
@@ -584,11 +592,10 @@ class TestRL010:
                 for tick in itertools.count():
                     work(tick)
                     time.sleep(0.5)
-            """, path=FLEET_PATH)
-        assert [f.line for f in findings] == [5]
+            """, path=FLEET_PATH) == [5]
 
     def test_deadline_comparison_bounds_the_loop(self):
-        assert run_rule("RL010", """\
+        assert flagged(polls_are_bounded, """\
             import os
             import time
 
@@ -602,8 +609,8 @@ class TestRL010:
 
     def test_derived_deadline_name_bounds_the_loop(self):
         # ``deadline`` is arithmetic on a clock-derived local, compared
-        # against a plain name inside the loop — still a deadline check.
-        assert run_rule("RL010", """\
+        # against a plain name inside the loop: still a deadline check.
+        assert flagged(polls_are_bounded, """\
             import time
 
             def wait_for(ready, timeout_s):
@@ -618,7 +625,7 @@ class TestRL010:
             """, path=FLEET_PATH) == []
 
     def test_counter_comparison_bounds_the_loop(self):
-        assert run_rule("RL010", """\
+        assert flagged(polls_are_bounded, """\
             import time
 
             def wait_for(ready, attempts_max):
@@ -632,7 +639,7 @@ class TestRL010:
             """, path=FLEET_PATH) == []
 
     def test_finite_for_loop_with_sleep_is_fine(self):
-        assert run_rule("RL010", """\
+        assert flagged(polls_are_bounded, """\
             import time
 
             def wait_for(ready):
@@ -644,14 +651,14 @@ class TestRL010:
             """, path=FLEET_PATH) == []
 
     def test_loop_without_blocking_is_out_of_scope(self):
-        assert run_rule("RL010", """\
+        assert flagged(polls_are_bounded, """\
             def drain(queue):
                 while queue:
                     queue.pop()
             """, path=FLEET_PATH) == []
 
     def test_outside_instrumented_packages_is_out_of_scope(self):
-        assert run_rule("RL010", """\
+        assert flagged(polls_are_bounded, """\
             import time
 
             def wait_forever(ready):
@@ -661,8 +668,8 @@ class TestRL010:
 
     def test_nested_function_does_not_bound_the_outer_loop(self):
         # The deadline comparison lives in a callback defined inside the
-        # loop, not in the loop's own control flow — still unbounded.
-        findings = run_rule("RL010", """\
+        # loop, not in the loop's own control flow: still unbounded.
+        assert flagged(polls_are_bounded, """\
             import time
 
             def pump(work, deadline):
@@ -671,67 +678,41 @@ class TestRL010:
                         return time.monotonic() >= deadline
                     work(check)
                     time.sleep(0.5)
-            """, path=FLEET_PATH)
-        assert [f.line for f in findings] == [4]
+            """, path=FLEET_PATH) == [4]
 
     def test_real_poll_loops_are_clean(self):
         for relpath in ("src/repro/fleet/store.py",
                         "src/repro/fleet/watcher.py",
                         "src/repro/obs/timeseries.py"):
-            assert run_rule_on_file("RL010", relpath) == []
+            assert symbols_in_file(polls_are_bounded, relpath) == []
 
 
 # ---------------------------------------------------------------------------
-# The real gate: the repo itself, against the committed baseline
+# The gate itself: the tree against ALLOWED
 # ---------------------------------------------------------------------------
 
 class TestRepoGate:
-    def test_repo_lints_clean_against_committed_baseline(self, monkeypatch,
-                                                         capsys):
-        from repro.lint.cli import main
-        monkeypatch.chdir(REPO_ROOT)
-        assert main(["src", "tests", "--baseline",
-                     "lint-baseline.json"]) == 0
-        out = capsys.readouterr().out
-        assert "0 new finding(s)" in out
-
-    def test_seeded_violation_fails_with_rule_id_and_location(self, tmp_path):
-        rogue_dir = tmp_path / "src" / "repro" / "fleet"
-        rogue_dir.mkdir(parents=True)
-        rogue = rogue_dir / "rogue.py"
-        rogue.write_text(textwrap.dedent("""\
+    def test_seeded_violation_fails_with_rule_id_and_location(self):
+        rogue = Module(textwrap.dedent("""\
             import struct
 
             def leak(handle, offset, length):
                 handle.write(struct.pack("<QQ8s", offset, length, b"x" * 8))
-            """))
-        result = subprocess.run(
-            [sys.executable, "-m", "repro.lint", str(tmp_path / "src"),
-             "--no-baseline", "--format", "json"],
-            capture_output=True, text=True,
-            env={**os.environ,
-                 "PYTHONPATH": os.path.join(REPO_ROOT, "src")})
-        assert result.returncode == 1
-        payload = json.loads(result.stdout)
-        assert payload["summary"]["new"] == 1
-        (finding,) = payload["findings"]
-        assert finding["rule"] == "RL001"
-        assert finding["path"].endswith("src/repro/fleet/rogue.py")
-        assert finding["line"] == 1
+            """), "src/repro/fleet/rogue.py")
+        reports = {check.__name__: gate(check, [rogue])[0]
+                   for check in CHECKS}
+        assert {name: violations for name, violations in reports.items()
+                if violations} == {"struct_only_in_storage": [
+                    "src/repro/fleet/rogue.py:1 (module level): import struct"]}
 
-    def test_deleting_a_baseline_entry_fails_the_gate(self, tmp_path,
-                                                      monkeypatch, capsys):
-        from repro.lint.cli import main
-        monkeypatch.chdir(REPO_ROOT)
-        with open("lint-baseline.json", "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-        assert payload["entries"], "baseline must not be empty"
-        trimmed = {"version": payload["version"],
-                   "entries": payload["entries"][1:]}
-        baseline = tmp_path / "trimmed.json"
-        baseline.write_text(json.dumps(trimmed))
-        assert main(["src", "tests", "--baseline", str(baseline)]) == 1
-        out = capsys.readouterr().out
-        dropped = payload["entries"][0]
-        assert dropped["rule"] in out
-        assert dropped["path"] in out
+    def test_deleting_a_baseline_entry_fails_the_gate(self):
+        checks = {check.__name__: check for check in CHECKS}
+        for key, (line, _) in ALLOWED.items():
+            trimmed = {other: entry for other, entry in ALLOWED.items()
+                       if other[1] == key[1] and other != key}
+            violations, stale = gate(checks[key[0]], [parsed(key[1])],
+                                     trimmed)
+            assert stale == []
+            (violation,) = violations
+            assert violation.startswith(f"{key[1]}:")
+            assert violation.endswith(f" ({key[2]}): {line}")
