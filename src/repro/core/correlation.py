@@ -27,15 +27,12 @@ from typing import Dict, Optional
 from .cct import CCTNode
 
 
-@dataclass
+@dataclass(slots=True)
 class PendingCorrelation:
     """What was known at launch time about a correlation ID."""
 
     correlation_id: int
     node: CCTNode
-    kernel_name: str = ""
-    api_name: str = ""
-    is_backward: bool = False
     #: Set once the activity record for this correlation was attributed.
     activity_attributed: bool = False
     #: Set once instruction samples for this correlation were attributed.
@@ -62,17 +59,9 @@ class CorrelationRegistry:
         #: Attributed tombstones freed by ``sweep_attributed`` (end of session).
         self.swept = 0
 
-    def register(self, correlation_id: int, node: CCTNode, kernel_name: str = "",
-                 api_name: str = "", is_backward: bool = False) -> PendingCorrelation:
+    def register(self, correlation_id: int, node: CCTNode) -> PendingCorrelation:
         """Associate a freshly issued correlation ID with its launch-site node."""
-        pending = PendingCorrelation(
-            correlation_id=correlation_id,
-            node=node,
-            kernel_name=kernel_name,
-            api_name=api_name,
-            is_backward=is_backward,
-        )
-        self._pending[correlation_id] = pending
+        pending = self._pending[correlation_id] = PendingCorrelation(correlation_id, node)
         self.registered += 1
         return pending
 

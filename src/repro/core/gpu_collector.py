@@ -10,7 +10,13 @@ back to their nodes through the correlation registry (paper §4.2).
 While the call-path cache is on, the first launch in an operator memoizes,
 on the entry the cache returns, the node its path reached before its GPU API
 and kernel frames; later launches in it walk only those frames from there.
-With the cache off every launch inserts its full path: the reference.
+Each thread also keeps a launch-context table from ``DLMonitor.launch_context``
+keys to those nodes, so the first launch of an invocation whose context was
+seen before (the same Python path, operator stack and forward record) finds
+its node with one probe instead of building and inserting a call path; only
+the operator's Python walk is left.  With native frames on there is no key
+and every invocation's first launch builds its path.  With the cache off
+every launch inserts its full path: the reference.
 
 With a :class:`~repro.core.cct.ShardedCallingContextTree` the collector
 attributes into the private shard of the *launching* thread: the call path is
@@ -32,10 +38,10 @@ dropping late samples as "unresolved".
 
 from __future__ import annotations
 
-from typing import List, Optional, Union
+from typing import Dict, List, Optional, Union
 
 from ..dlmonitor.api import DLMonitor
-from ..dlmonitor.callpath import FrameKind, gpu_instruction_frame
+from ..dlmonitor.callpath import FrameKind, gpu_instruction_frame, gpu_instruction_identity
 from ..dlmonitor.integration import gpu_leaf_frames
 from ..gpu.activity import ActivityKind, ActivityRecord
 from ..gpu.runtime import ApiCallbackData
@@ -61,6 +67,8 @@ class GpuMetricCollector:
         self.config = config
         self._sources = config.callpath_sources()
         self._threads = monitor.engine.threads
+        #: Per tid, the launching thread's ``_thread_state``.
+        self._states: Dict[int, tuple] = {}
         #: Kernel correlations whose activity arrived mid-launch (before the
         #: exit-time sample delivery); drained at the next GPU API callback.
         self._awaiting_samples: set = set()
@@ -99,23 +107,26 @@ class GpuMetricCollector:
         # Final flush done: free every correlation that was attributed but
         # kept alive for a counterpart delivery that can no longer arrive.
         self._awaiting_samples.clear()
+        self._states.clear()
         self.correlations.sweep_attributed()
         if self._saved_buffer_size is not None:
             self.monitor.tracing_api.runtime.activity.buffer_size = self._saved_buffer_size
             self._saved_buffer_size = None
         self._running = False
 
-    # -- shard routing ----------------------------------------------------------
+    # -- per-thread state -------------------------------------------------------
 
-    def _shard_for_tid(self, tid: int) -> CallingContextTree:
-        """The launching thread's shard (the tree itself when unsharded)."""
-        tree = self.tree
-        if not isinstance(tree, ShardedCallingContextTree):
-            return tree
+    def _thread_state(self, tid: int) -> tuple:
+        """Resolve, once per thread, its shard (the tree itself when
+        unsharded), shadow stack, context and launch-context table: a dict
+        from ``DLMonitor.launch_context`` keys to CCT nodes."""
         thread = self._threads.find(tid)
-        if thread is not None:
-            return tree.shard_for(thread)
-        return tree.shard_for_tid(tid)
+        shard = self.tree
+        if isinstance(shard, ShardedCallingContextTree):
+            shard = shard.shard_for(thread) if thread is not None else shard.shard_for_tid(tid)
+        state = self._states[tid] = (
+            shard, self.monitor.shadow_stacks.for_thread(tid), thread, {})
+        return state
 
     # -- callbacks ------------------------------------------------------------------
 
@@ -146,25 +157,29 @@ class GpuMetricCollector:
             self._drain_awaiting_samples()
         self.launches_seen += 1
         monitor = self.monitor
-        shard = self._shard_for_tid(tid)
-        top = monitor.shadow_stacks.for_thread(tid).top()
+        state = self._states.get(tid)
+        shard, stack, thread, contexts = state if state is not None else self._thread_state(tid)
+        top = stack.top()
         # A memo holds only while its entry is both cached and on top.
         entry = top if top is not None and monitor.cache.peek(tid) is top else None
+        key = None
+        if entry is not None and entry.launch_node is None and thread is not None:
+            key = monitor.launch_context(self._sources, thread, entry)
+            if key is not None:
+                entry.launch_node = contexts.get(key)
         if entry is not None and entry.launch_node is not None:
             node = shard.insert_below(
                 entry.launch_node, gpu_leaf_frames(data) if self._sources.gpu else ())
         else:
-            node = shard.insert(monitor.callpath_get(sources=self._sources))
+            node = shard.insert(monitor.callpath_get(sources=self._sources, thread=thread))
             if entry is not None:
                 prefix = node
                 while prefix.frame.kind in _LEAF_KINDS:
                     prefix = prefix.parent
                 entry.launch_node = prefix
-        kernel = data.kernel_function
-        self.correlations.register(
-            data.correlation_id, node, kernel_name=kernel.name if kernel is not None else "",
-            api_name=data.api_name, is_backward=top is not None and top.is_backward,
-        )
+                if key is not None:
+                    contexts[key] = prefix
+        self.correlations.register(data.correlation_id, node)
         if data.api_name.endswith("Malloc") and data.bytes:
             shard.attribute(node, M.METRIC_ALLOCATED_BYTES, data.bytes)
 
@@ -224,8 +239,14 @@ class GpuMetricCollector:
             node = pending.node if pending is not None else None
             if node is None:
                 continue
-            instruction_node = node.child_for(
-                gpu_instruction_frame(sample.kernel_name, sample.pc_offset, sample.stall_reason))
+            # Most samples land on an instruction already seen: probe by
+            # identity, and build the frame only for a new node, whose stall
+            # reason tag is its first sample's.
+            instruction_node = node.children.get(
+                gpu_instruction_identity(sample.kernel_name, sample.pc_offset))
+            if instruction_node is None:
+                instruction_node = node.child_for(gpu_instruction_frame(
+                    sample.kernel_name, sample.pc_offset, sample.stall_reason))
             tree = node.tree if node.tree is not None else self.tree
             metrics = {M.METRIC_INSTRUCTION_SAMPLES: sample.samples}
             if sample.is_stalled:

@@ -14,6 +14,13 @@ backward pass reads those frames after that stack is gone.  Any other
 operator walks it at the first call-path request inside it, from the frame
 that entered it.  Events are built only for registered callbacks; the GPU
 collector gets the raw ``ApiCallbackData`` (see ``gpu_api_register``).
+
+The call-path cache spans invocations: ``launch_context`` keys the operator
+on top of a thread's shadow stack by everything its call path holds above
+the GPU leaf (the Python path, each stacked operator's name, direction and
+scope, a backward thread's forward record), so a profiler can reuse the CCT
+node of a context it has seen.  Walked Python paths and scope tuples are
+interned per monitor, so equal keys and forward records share their parts.
 """
 
 from __future__ import annotations
@@ -101,6 +108,10 @@ class DLMonitor:
         self._gpu_exit: Optional[GpuApiHandler] = None
         #: Per tid, the enter data of the GPU API call in progress.
         self._gpu_leaf: Dict[int, ApiCallbackData] = {}
+        #: Interned Python paths and scope tuples: equal ones are one object,
+        #: so launch-context keys and forward records share them.
+        self._python_paths: Dict[Tuple[PyFrame, ...], Tuple[PyFrame, ...]] = {}
+        self._scopes: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
         self._initialized = False
         self._custom_interceptor: Optional[CustomDriverInterceptor] = None
         if interception_config:
@@ -137,6 +148,8 @@ class DLMonitor:
         self.gpu_api_unregister()
         self._gpu_leaf.clear()
         self.cache.clear()
+        self._python_paths.clear()
+        self._scopes.clear()
         self._initialized = False
 
     @property
@@ -217,6 +230,38 @@ class DLMonitor:
         self.stats.callpaths_built += 1
         return path
 
+    def launch_context(self, sources: CallPathSources, thread: ThreadContext,
+                       entry: ShadowEntry) -> Optional[tuple]:
+        """A key for the frames ``callpath_get`` builds above a launch's GPU leaf.
+
+        ``entry`` must be the cached operator on top of ``thread``'s shadow
+        stack.  On one thread, equal keys give equal frames above the leaf,
+        so a profiler can map a key to the CCT node those frames reach.  The
+        key is ``(python, forward)``, then ``(op_name, is_backward, scope)``
+        of each shadow-stack entry, outermost first, when framework frames
+        are on: ``python`` is ``entry``'s Python path (walked once per
+        operator) and ``forward`` the backward thread's forward record as
+        ``(op_name, scope, python_callpath)``, each ``None`` where it has no
+        part in the path.  ``None`` with native frames on: they depend on
+        the native stack, which the key does not hold.
+        """
+        if sources.native:
+            return None
+        python = None
+        if sources.python and thread.has_python_context:
+            python = self._python_callpath(entry)
+        forward = None
+        if thread.kind == THREAD_BACKWARD:
+            record = self.associator.lookup(entry.sequence_id)
+            if record is not None:
+                forward = (record.op_name, record.scope, record.python_callpath)
+        operators = self.shadow_stacks.for_thread(thread.tid).entries if sources.framework else ()
+        # Unpacking a list builds the key at its final size; ``tuple()`` of
+        # a generator would free a resized one-element tuple per call, and
+        # those pile up in CPython's tuple free list.
+        return (python, forward, *[
+            (operator.op_name, operator.is_backward, operator.scope) for operator in operators])
+
     # ------------------------------------------------------------------ framework interception
 
     def _on_framework_event(self, info: CallbackInfo) -> None:
@@ -238,13 +283,14 @@ class DLMonitor:
             else:
                 dispatch_pc = 0
             entry_frame = sys._getframe(1) if thread.has_python_context else None
+            scope = tuple(info.scope)
             entry = ShadowEntry(
                 op_name=info.op_name,
                 is_backward=info.is_backward,
                 sequence_id=info.sequence_id,
                 dispatch_pc=dispatch_pc,
                 python_callpath=() if entry_frame is None else None,
-                scope=tuple(info.scope),
+                scope=self._scopes.setdefault(scope, scope),
                 entry_frame=entry_frame,
             )
             stack.push(entry)
@@ -268,7 +314,8 @@ class DLMonitor:
         """``entry``'s user frames, walked once from the frame that entered it
         (the user frames above it stay at the same lines while it runs)."""
         if entry.python_callpath is None:
-            entry.python_callpath = tuple(capture_user_frames(start=entry.entry_frame))
+            path = tuple(capture_user_frames(start=entry.entry_frame))
+            entry.python_callpath = self._python_paths.setdefault(path, path)
             entry.entry_frame = None
             self.stats.python_captures += 1
         return entry.python_callpath

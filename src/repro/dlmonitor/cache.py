@@ -11,6 +11,13 @@ operator, then reused by every later one.  Two modes exist:
   with the shadow operator stack and the GPU API/kernel frames directly;
 * with native collection, unwinding proceeds bottom-up only until the cached
   operator's dispatch frame is reached, then the cached prefix is reused.
+
+Without native collection the cache also spans invocations.  The entry on
+top is keyed by ``DLMonitor.launch_context``: its Python path, each
+shadow-stack operator's name, direction and scope, and on a backward thread
+the forward record.  The GPU collector keeps, per thread, a table from those
+keys to the CCT node above the launch leaves, so an operator called again
+from a context seen before reaches that node without a new call path.
 """
 
 from __future__ import annotations

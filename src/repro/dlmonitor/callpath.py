@@ -64,7 +64,7 @@ class Frame:
         if self.kind in (FrameKind.NATIVE, FrameKind.GPU_API):
             return (self.kind.value, self.library, self.pc or self.name)
         if self.kind == FrameKind.GPU_INSTRUCTION:
-            return (self.kind.value, self.name, self.pc)
+            return gpu_instruction_identity(self.name, self.pc)
         return (self.kind.value, self.name)
 
     def label(self) -> str:
@@ -230,6 +230,15 @@ def gpu_instruction_frame(kernel_name: str, pc_offset: int, stall_reason: str) -
     # frame space (one entry per sampled instruction), so pinning them in the
     # process-global table would dwarf the code-location-bounded entries.
     return Frame(kind=FrameKind.GPU_INSTRUCTION, name=kernel_name, pc=pc_offset, tag=stall_reason)
+
+
+def gpu_instruction_identity(kernel_name: str, pc_offset: int) -> Tuple:
+    """The identity of ``gpu_instruction_frame(kernel_name, pc_offset, ...)``.
+
+    The stall reason is only a tag, so a sample can find the instruction's
+    existing node without building its frame.
+    """
+    return ("gpu_instruction", kernel_name, pc_offset)
 
 
 def thread_frame(thread_name: str, tid: int) -> Frame:

@@ -29,6 +29,8 @@ from repro.dlmonitor import (
 from repro.dlmonitor.callpath import (
     clear_frame_intern,
     frame_intern_size,
+    gpu_instruction_frame,
+    gpu_instruction_identity,
     intern_frame,
     scope_frame,
 )
@@ -57,6 +59,13 @@ class TestFrameIdentity:
 
     def test_kernel_frames_compare_by_name(self):
         assert gpu_kernel_frame("k", "a100").identity() == gpu_kernel_frame("k", "mi250").identity()
+
+    @given(st.text(max_size=8), st.integers(min_value=0, max_value=2**32),
+           st.sampled_from(["", "none", "long_scoreboard", "memory_throttle"]))
+    def test_instruction_identity_helper_matches_the_frame(self, kernel, pc_offset, stall):
+        """A sample probes its instruction's node by this key; the stall reason is no part of it."""
+        assert (gpu_instruction_identity(kernel, pc_offset)
+                == gpu_instruction_frame(kernel, pc_offset, stall).identity())
 
     def test_labels_are_human_readable(self):
         assert "model.py:3" in python_frame("/x/model.py", 3, "f").label()

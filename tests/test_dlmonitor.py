@@ -276,6 +276,39 @@ class TestCallPathGet:
                    for frame in path.frames_of_kind(FrameKind.FRAMEWORK))
 
 
+class TestLaunchContext:
+    def _launches(self, engine, sources):
+        """(key, frames above the GPU leaf) of every launch of three relus."""
+        monitor = dlmonitor_init(engine)
+        launches = []
+
+        def on_gpu(event):
+            if event.phase != "enter":
+                return
+            thread = engine.threads.current
+            key = monitor.launch_context(sources, thread, monitor.cache.peek(thread.tid))
+            path = monitor.callpath_get(sources, thread)
+            launches.append((key, path.frames[:-2]))
+
+        monitor.callback_register(DLMONITOR_GPU, on_gpu)
+        with engine:
+            x = tensor((8, 8))
+            for _ in range(2):
+                F.relu(x)
+            F.relu(x)
+        return launches
+
+    def test_same_operator_from_two_lines_gets_two_keys(self, engine):
+        (first, above), (again, above_again), (other, _) = self._launches(
+            engine, CallPathSources.without_native())
+        assert first is not None
+        assert first == again and above == above_again
+        assert other != first
+
+    def test_native_frames_have_no_key(self, engine):
+        assert [key for key, _ in self._launches(engine, CallPathSources.all())] == [None] * 3
+
+
 class TestJitInterception:
     def test_fusion_map_populated_from_compilation_callbacks(self, engine):
         compiler = JitCompiler(engine)

@@ -28,7 +28,7 @@ from repro.framework import functional as F
 def _registry_with(node, *correlation_ids):
     registry = CorrelationRegistry()
     for correlation_id in correlation_ids:
-        registry.register(correlation_id, node, kernel_name=f"k{correlation_id}")
+        registry.register(correlation_id, node)
     return registry
 
 

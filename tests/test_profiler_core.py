@@ -45,7 +45,7 @@ class TestCorrelationRegistry:
         tree = CallingContextTree()
         registry = CorrelationRegistry()
         node = tree.root
-        registry.register(7, node, kernel_name="k")
+        registry.register(7, node)
         assert registry.resolve(7).node is node
         registry.release(7)
         assert registry.pending_count == 0
@@ -167,15 +167,40 @@ class TestCollectionPaths:
         ("gnn", "eager", ProfilerConfig.without_native),
         ("unet", "jit", ProfilerConfig.without_native),
         ("resnet", "eager", ProfilerConfig.full),  # native frames and PC sampling
+        ("llama3", "eager", ProfilerConfig.without_native),
+        ("gnn", "jit", ProfilerConfig.without_native),
     ])
     def test_callpath_cache_on_and_off_build_the_same_profile(self, model, mode, preset):
-        """With the cache off every launch inserts its full path: the reference."""
+        """With the cache off every launch inserts its full path: the reference.
+
+        The first iteration fills the launch-context tables, the second
+        reaches its nodes through them.
+        """
         cached, uncached = preset(), preset()
         uncached.callpath_cache = False
         # One call site for both runs: the profile records this test's line.
         columns, reference = (_profile_columns(model, mode, config)
                               for config in (cached, uncached))
         assert columns == reference
+
+    def test_steady_iterations_build_call_paths_only_for_cpu_samples(self):
+        """Once every launch context has been seen, launches build no call path."""
+        engine = EagerEngine("a100")
+        profiler = DeepContextProfiler(engine, ProfilerConfig.without_native())
+        workload = create_workload("gnn", small=True)
+        deltas = []
+        with engine, profiler.profile():
+            workload.build(engine)
+            stats, cpu = profiler.monitor.stats, profiler.cpu_collector
+            for iteration in range(4):
+                built, sampled = stats.callpaths_built, cpu.samples_attributed
+                workload.run_iteration(engine, iteration)
+                deltas.append((stats.callpaths_built - built,
+                               cpu.samples_attributed - sampled))
+        assert any(thread.kind == "backward" for thread in engine.threads)
+        assert deltas[0][0] > deltas[0][1]
+        for built, sampled in deltas[1:]:
+            assert built == sampled, deltas
 
     def test_live_memory_stays_flat_across_iterations(self):
         """Live memory is bounded by distinct contexts, not by iterations run."""
