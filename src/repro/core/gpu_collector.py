@@ -7,14 +7,17 @@ it inserts the call path into the CCT and registers the correlation ID.
 Device-side measurements arrive later in activity buffers and are linked
 back to their nodes through the correlation registry (paper §4.2).
 
-While the call-path cache is on, the first launch in an operator memoizes,
-on the entry the cache returns, the node its path reached before its GPU API
-and kernel frames; later launches in it walk only those frames from there.
-Each thread also keeps a launch-context table from ``DLMonitor.launch_context``
-keys to those nodes, so the first launch of an invocation whose context was
-seen before (the same Python path, operator stack and forward record) finds
-its node with one probe instead of building and inserting a call path; only
-the operator's Python walk is left.  With native frames on there is no key
+DLMonitor hands each handler the launching thread's ``ThreadState`` record,
+which holds the thread's shard (resolved at its first launch) and its
+launch-context table.  While the call-path cache is on, the first launch in
+an operator memoizes, on the entry the cache returns (the top of the
+thread's shadow stack), the node its path reached before its GPU API and
+kernel frames; later launches in it walk only those frames from there.  The
+launch-context table maps ``DLMonitor.launch_context`` keys to those nodes,
+so the first launch of an invocation whose context was seen before (the same
+Python path, operator stack and forward record) finds its node with one
+probe instead of building and inserting a call path; only the operator's
+Python walk is left.  With native frames on there is no key
 and every invocation's first launch builds its path.  With the cache off
 every launch inserts its full path: the reference.
 
@@ -38,11 +41,12 @@ dropping late samples as "unresolved".
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Union
+from typing import List, Optional, Union
 
 from ..dlmonitor.api import DLMonitor
 from ..dlmonitor.callpath import FrameKind, gpu_instruction_frame, gpu_instruction_identity
 from ..dlmonitor.integration import gpu_leaf_frames
+from ..dlmonitor.shadow_stack import ThreadState
 from ..gpu.activity import ActivityKind, ActivityRecord
 from ..gpu.runtime import ApiCallbackData
 from ..gpu.sampling import InstructionSample
@@ -66,9 +70,6 @@ class GpuMetricCollector:
         self.correlations = correlations
         self.config = config
         self._sources = config.callpath_sources()
-        self._threads = monitor.engine.threads
-        #: Per tid, the launching thread's ``_thread_state``.
-        self._states: Dict[int, tuple] = {}
         #: Kernel correlations whose activity arrived mid-launch (before the
         #: exit-time sample delivery); drained at the next GPU API callback.
         self._awaiting_samples: set = set()
@@ -107,26 +108,11 @@ class GpuMetricCollector:
         # Final flush done: free every correlation that was attributed but
         # kept alive for a counterpart delivery that can no longer arrive.
         self._awaiting_samples.clear()
-        self._states.clear()
         self.correlations.sweep_attributed()
         if self._saved_buffer_size is not None:
             self.monitor.tracing_api.runtime.activity.buffer_size = self._saved_buffer_size
             self._saved_buffer_size = None
         self._running = False
-
-    # -- per-thread state -------------------------------------------------------
-
-    def _thread_state(self, tid: int) -> tuple:
-        """Resolve, once per thread, its shard (the tree itself when
-        unsharded), shadow stack, context and launch-context table: a dict
-        from ``DLMonitor.launch_context`` keys to CCT nodes."""
-        thread = self._threads.find(tid)
-        shard = self.tree
-        if isinstance(shard, ShardedCallingContextTree):
-            shard = shard.shard_for(thread) if thread is not None else shard.shard_for_tid(tid)
-        state = self._states[tid] = (
-            shard, self.monitor.shadow_stacks.for_thread(tid), thread, {})
-        return state
 
     # -- callbacks ------------------------------------------------------------------
 
@@ -145,40 +131,43 @@ class GpuMetricCollector:
                     self.correlations.release(correlation_id)
                 self._awaiting_samples.discard(correlation_id)
 
-    def _on_exit(self, data: ApiCallbackData, tid: int) -> None:
+    def _on_exit(self, data: ApiCallbackData, state: ThreadState) -> None:
         """API exit (PC sampling only): the launch's sample batch comes next."""
         pending = self.correlations.peek(data.correlation_id)
         if pending is not None:
             pending.launch_exited = True
 
-    def _on_enter(self, data: ApiCallbackData, tid: int) -> None:
+    def _on_enter(self, data: ApiCallbackData, state: ThreadState) -> None:
         """Kernel-launch / memcpy / malloc callback on the launching CPU thread."""
         if self._awaiting_samples:
             self._drain_awaiting_samples()
         self.launches_seen += 1
         monitor = self.monitor
-        state = self._states.get(tid)
-        shard, stack, thread, contexts = state if state is not None else self._thread_state(tid)
-        top = stack.top()
-        # A memo holds only while its entry is both cached and on top.
-        entry = top if top is not None and monitor.cache.peek(tid) is top else None
+        shard = state.shard
+        if shard is None:
+            shard = self.tree
+            if isinstance(shard, ShardedCallingContextTree):
+                shard = shard.shard_for(state.thread)
+            state.shard = shard
+        stack = state.stack
+        entry = stack[-1] if stack and monitor.enable_callpath_cache else None
         key = None
-        if entry is not None and entry.launch_node is None and thread is not None:
-            key = monitor.launch_context(self._sources, thread, entry)
+        if entry is not None and entry.launch_node is None:
+            key = monitor.launch_context(self._sources, state)
             if key is not None:
-                entry.launch_node = contexts.get(key)
+                entry.launch_node = state.launch_nodes.get(key)
         if entry is not None and entry.launch_node is not None:
             node = shard.insert_below(
                 entry.launch_node, gpu_leaf_frames(data) if self._sources.gpu else ())
         else:
-            node = shard.insert(monitor.callpath_get(sources=self._sources, thread=thread))
+            node = shard.insert(monitor.callpath_get(sources=self._sources, thread=state.thread))
             if entry is not None:
                 prefix = node
                 while prefix.frame.kind in _LEAF_KINDS:
                     prefix = prefix.parent
                 entry.launch_node = prefix
                 if key is not None:
-                    contexts[key] = prefix
+                    state.launch_nodes[key] = prefix
         self.correlations.register(data.correlation_id, node)
         if data.api_name.endswith("Malloc") and data.bytes:
             shard.attribute(node, M.METRIC_ALLOCATED_BYTES, data.bytes)

@@ -232,7 +232,7 @@ class DeepContextProfiler:
                 "cct_size_bytes": float(tree.approximate_size_bytes()),
             }
         if self.monitor is not None:
-            stats["cache_hit_rate"] = self.monitor.cache.hit_rate
+            stats["cache_hit_rate"] = self.monitor.cache_hit_rate
             stats["unwind_steps"] = float(self.monitor.unwinder.steps)
         if self.stream_writer is not None:
             stats["profile_checkpoints"] = float(self.stream_writer.checkpoints)

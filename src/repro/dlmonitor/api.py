@@ -13,14 +13,33 @@ forward operator with a sequence ID walks the Python stack at entry: the
 backward pass reads those frames after that stack is gone.  Any other
 operator walks it at the first call-path request inside it, from the frame
 that entered it.  Events are built only for registered callbacks; the GPU
-collector gets the raw ``ApiCallbackData`` (see ``gpu_api_register``).
+collector gets the raw ``ApiCallbackData`` and the calling thread's
+:class:`ThreadState` record (see ``gpu_api_register``).  Each event resolves
+that record once: the thread's shadow stack, its GPU API call in progress,
+and the GPU collector's shard and launch-context table.
 
-The call-path cache spans invocations: ``launch_context`` keys the operator
-on top of a thread's shadow stack by everything its call path holds above
-the GPU leaf (the Python path, each stacked operator's name, direction and
-scope, a backward thread's forward record), so a profiler can reuse the CCT
-node of a context it has seen.  Walked Python paths and scope tuples are
-interned per monitor, so equal keys and forward records share their parts.
+Call-path caching (paper §4.1, "Optimizations").  Many deep-learning
+operators launch several GPU kernels that share the same Python and operator
+call path.  The top of a thread's shadow stack is the cache: the entry pushed
+when the innermost running operator was entered.  It holds the operator's
+dispatch address, the GPU collector's launch-node memo and the Python call
+path: walked at entry or at the first request inside the operator, then
+reused by every later one.  Two modes exist:
+
+* without native call-path collection, the cached Python path is concatenated
+  with the shadow operator stack and the GPU API/kernel frames directly;
+* with native collection, unwinding proceeds bottom-up only until the cached
+  operator's dispatch frame is reached, then the cached prefix is reused.
+
+Without native collection the cache also spans invocations:
+``launch_context`` keys the operator on top of a thread's shadow stack by
+everything its call path holds above the GPU leaf (the Python path, each
+stacked operator's name, direction and scope, a backward thread's forward
+record).  The GPU collector keeps, per thread, a table from those keys to the
+CCT node above the launch leaves, so an operator called again from a context
+seen before reaches that node without a new call path.  Walked Python paths
+and scope tuples are interned per monitor, so equal keys and forward records
+share their parts.
 """
 
 from __future__ import annotations
@@ -39,7 +58,6 @@ from ..native.unwinder import Unwinder
 from ..pycontext import PyFrame, capture_user_frames
 from .association import ForwardBackwardAssociator, ForwardRecord
 from .audit import CustomDriverInterceptor, LibraryAuditor, parse_interception_config
-from .cache import CallPathCache
 from .callpath import CallPath
 from .domains import (
     DLMONITOR_FRAMEWORK,
@@ -53,12 +71,12 @@ from .domains import (
 )
 from .fusion_map import FusionMap, OriginalOperator
 from .integration import CallPathBuilder, CallPathSources
-from .shadow_stack import ShadowEntry, ShadowStackRegistry
+from .shadow_stack import ShadowEntry, ThreadState
 
 FrameworkCallback = Callable[[FrameworkEvent], None]
 GpuCallback = Callable[[GpuEvent], None]
-#: A raw GPU API handler: the runtime's callback data and the calling thread's tid.
-GpuApiHandler = Callable[[ApiCallbackData, int], None]
+#: A raw GPU API handler: the runtime's callback data and the calling thread's record.
+GpuApiHandler = Callable[[ApiCallbackData, ThreadState], None]
 
 
 @dataclass
@@ -95,19 +113,20 @@ class DLMonitor:
         self.auditor = LibraryAuditor(engine.address_space)
         self.unwinder = Unwinder(engine.address_space)
         self.builder = CallPathBuilder(self.auditor, self.unwinder, program_name)
-        self.shadow_stacks = ShadowStackRegistry()
         self.associator = ForwardBackwardAssociator()
-        self.cache = CallPathCache()
         self.fusion_map = FusionMap()
         self.tracing_api: GpuTracingApi = tracing_api_for(engine.runtime)
         self.stats = DLMonitorStats()
+        #: Call-path requests the stack top served, and ones on an empty stack.
+        self.cache_hits = 0
+        self.cache_misses = 0
 
         self._framework_callbacks: List[FrameworkCallback] = []
         self._gpu_callbacks: List[GpuCallback] = []
         self._gpu_enter: Optional[GpuApiHandler] = None
         self._gpu_exit: Optional[GpuApiHandler] = None
-        #: Per tid, the enter data of the GPU API call in progress.
-        self._gpu_leaf: Dict[int, ApiCallbackData] = {}
+        #: Per tid, the thread's collection record.
+        self._states: Dict[int, ThreadState] = {}
         #: Interned Python paths and scope tuples: equal ones are one object,
         #: so launch-context keys and forward records share them.
         self._python_paths: Dict[Tuple[PyFrame, ...], Tuple[PyFrame, ...]] = {}
@@ -146,8 +165,7 @@ class DLMonitor:
         self._framework_callbacks.clear()
         self._gpu_callbacks.clear()
         self.gpu_api_unregister()
-        self._gpu_leaf.clear()
-        self.cache.clear()
+        self._states.clear()
         self._python_paths.clear()
         self._scopes.clear()
         self._initialized = False
@@ -155,6 +173,18 @@ class DLMonitor:
     @property
     def initialized(self) -> bool:
         return self._initialized
+
+    @property
+    def cache_hit_rate(self) -> float:
+        total = self.cache_hits + self.cache_misses
+        return self.cache_hits / total if total else 0.0
+
+    def thread_state(self, thread: ThreadContext) -> ThreadState:
+        """``thread``'s collection record, created at its first use."""
+        state = self._states.get(thread.tid)
+        if state is None:
+            state = self._states[thread.tid] = ThreadState(thread)
+        return state
 
     # ------------------------------------------------------------------ registration
 
@@ -195,12 +225,16 @@ class DLMonitor:
         """Construct the unified multi-layer call path for ``thread`` (default: current)."""
         sources = sources if sources is not None else CallPathSources.all()
         thread = thread if thread is not None else self.engine.threads.current
-        tid = thread.tid
-        stack = self.shadow_stacks.for_thread(tid)
+        state = self._states.get(thread.tid) or self.thread_state(thread)
+        stack = state.stack
 
         cached_prefix: Optional[ShadowEntry] = None
         if self.enable_callpath_cache:
-            cached_prefix = self.cache.lookup(tid)
+            if stack:
+                cached_prefix = stack[-1]
+                self.cache_hits += 1
+            else:
+                self.cache_misses += 1
 
         python_triples = ()
         if sources.python and thread.has_python_context:
@@ -211,42 +245,40 @@ class DLMonitor:
                 self.stats.python_captures += 1
 
         forward_record: Optional[ForwardRecord] = None
-        if thread.kind == THREAD_BACKWARD:
-            top = stack.top()
-            if top is not None:
-                forward_record = self.associator.lookup(top.sequence_id)
-
-        gpu_leaf = self._gpu_leaf.get(tid) if sources.gpu else None
+        if thread.kind == THREAD_BACKWARD and stack:
+            forward_record = self.associator.lookup(stack[-1].sequence_id)
 
         path = self.builder.build(
             thread=thread,
-            shadow_stack=stack,
+            stack=stack,
             python_triples=python_triples,
             sources=sources,
-            gpu_leaf=gpu_leaf,
+            gpu_leaf=state.gpu_call if sources.gpu else None,
             cached_prefix=cached_prefix,
             forward_record=forward_record,
         )
         self.stats.callpaths_built += 1
         return path
 
-    def launch_context(self, sources: CallPathSources, thread: ThreadContext,
-                       entry: ShadowEntry) -> Optional[tuple]:
+    def launch_context(self, sources: CallPathSources,
+                       state: ThreadState) -> Optional[tuple]:
         """A key for the frames ``callpath_get`` builds above a launch's GPU leaf.
 
-        ``entry`` must be the cached operator on top of ``thread``'s shadow
-        stack.  On one thread, equal keys give equal frames above the leaf,
-        so a profiler can map a key to the CCT node those frames reach.  The
-        key is ``(python, forward)``, then ``(op_name, is_backward, scope)``
-        of each shadow-stack entry, outermost first, when framework frames
-        are on: ``python`` is ``entry``'s Python path (walked once per
-        operator) and ``forward`` the backward thread's forward record as
-        ``(op_name, scope, python_callpath)``, each ``None`` where it has no
-        part in the path.  ``None`` with native frames on: they depend on
-        the native stack, which the key does not hold.
+        ``state`` is a thread's record with an operator on its shadow stack,
+        and the call-path cache is on.  On one thread, equal keys give equal
+        frames above the leaf, so a profiler can map a key to the CCT node
+        those frames reach.  The key is ``(python, forward)``, then
+        ``(op_name, is_backward, scope)`` of each shadow-stack entry,
+        outermost first, when framework frames are on: ``python`` is the top
+        entry's Python path (walked once per operator) and ``forward`` the
+        backward thread's forward record as ``(op_name, scope,
+        python_callpath)``, each ``None`` where it has no part in the path.
+        ``None`` with native frames on: they depend on the native stack,
+        which the key does not hold.
         """
         if sources.native:
             return None
+        thread, entry = state.thread, state.stack[-1]
         python = None
         if sources.python and thread.has_python_context:
             python = self._python_callpath(entry)
@@ -255,7 +287,7 @@ class DLMonitor:
             record = self.associator.lookup(entry.sequence_id)
             if record is not None:
                 forward = (record.op_name, record.scope, record.python_callpath)
-        operators = self.shadow_stacks.for_thread(thread.tid).entries if sources.framework else ()
+        operators = state.stack if sources.framework else ()
         # Unpacking a list builds the key at its final size; ``tuple()`` of
         # a generator would free a resized one-element tuple per call, and
         # those pile up in CPython's tuple free list.
@@ -266,8 +298,8 @@ class DLMonitor:
 
     def _on_framework_event(self, info: CallbackInfo) -> None:
         thread = info.thread
-        tid = thread.tid
-        stack = self.shadow_stacks.for_thread(tid)
+        stack = (self._states.get(thread.tid) or self.thread_state(thread)).stack
+        self.stats.framework_events += 1
 
         if info.phase == PHASE_BEFORE:
             # The operator's dispatch frame is the outermost native frame the
@@ -293,22 +325,20 @@ class DLMonitor:
                 scope=self._scopes.setdefault(scope, scope),
                 entry_frame=entry_frame,
             )
-            stack.push(entry)
+            stack.append(entry)
             if not info.is_backward and info.sequence_id is not None:
                 # The backward pass reads these frames after this stack is gone.
-                self.associator.record_forward(info.sequence_id, info.op_name, tid,
+                self.associator.record_forward(info.sequence_id, info.op_name,
                                                self._python_callpath(entry), entry.scope)
-            if self.enable_callpath_cache:
-                self.cache.store(tid, entry)
-            self._dispatch_framework(info, PHASE_ENTER)
+            if self._framework_callbacks:
+                self._dispatch_framework(info, PHASE_ENTER)
         else:
-            self._dispatch_framework(info, PHASE_EXIT)
-            if stack.depth:
+            if self._framework_callbacks:
+                self._dispatch_framework(info, PHASE_EXIT)
+            if stack:
                 stack.pop()
             if info.is_backward:
                 self.associator.release(info.sequence_id)
-            if self.enable_callpath_cache and stack.depth == 0:
-                self.cache.invalidate(tid)
 
     def _python_callpath(self, entry: ShadowEntry) -> Tuple[PyFrame, ...]:
         """``entry``'s user frames, walked once from the frame that entered it
@@ -321,9 +351,6 @@ class DLMonitor:
         return entry.python_callpath
 
     def _dispatch_framework(self, info: CallbackInfo, phase: str) -> None:
-        self.stats.framework_events += 1
-        if not self._framework_callbacks:
-            return
         event = FrameworkEvent(
             kind=EVENT_OPERATOR,
             phase=phase,
@@ -343,14 +370,15 @@ class DLMonitor:
     # ------------------------------------------------------------------ GPU interception
 
     def _on_gpu_api(self, data: ApiCallbackData) -> None:
-        tid = self.engine.threads.current.tid
+        thread = self.engine.threads.current
+        state = self._states.get(thread.tid) or self.thread_state(thread)
         self.stats.gpu_events += 1
         enter = data.phase is ApiPhase.ENTER
         if enter:
-            self._gpu_leaf[tid] = data
+            state.gpu_call = data
         handler = self._gpu_enter if enter else self._gpu_exit
         if handler is not None:
-            handler(data, tid)
+            handler(data, state)
         if self._gpu_callbacks:
             kernel = data.kernel_function
             event = GpuEvent(
@@ -362,12 +390,12 @@ class DLMonitor:
                 stream=data.stream,
                 bytes=data.bytes,
                 kind=data.kind,
-                thread_tid=tid,
+                thread_tid=thread.tid,
             )
             for callback in list(self._gpu_callbacks):
                 callback(event)
         if not enter:
-            self._gpu_leaf.pop(tid, None)
+            state.gpu_call = None
 
     # ------------------------------------------------------------------ JIT interception
 

@@ -25,9 +25,7 @@ from ..pycontext import PyFrame
 class ForwardRecord:
     """Forward-side context stored per sequence ID."""
 
-    sequence_id: int
     op_name: str
-    thread_tid: int
     python_callpath: Tuple[PyFrame, ...]
     scope: Tuple[str, ...]
 
@@ -40,10 +38,8 @@ class ForwardBackwardAssociator:
         self._records: Dict[int, ForwardRecord] = {}
         #: A backward operator has exited since the last forward record.
         self._backward_ran = False
-        self.lookups = 0
-        self.hits = 0
 
-    def record_forward(self, sequence_id: Optional[int], op_name: str, thread_tid: int,
+    def record_forward(self, sequence_id: Optional[int], op_name: str,
                        python_callpath: Tuple[PyFrame, ...], scope: Tuple[str, ...]) -> None:
         """Store the forward context of an operator keyed by its sequence ID."""
         if sequence_id is None:
@@ -56,13 +52,7 @@ class ForwardBackwardAssociator:
         elif len(records) >= self.max_records:
             # Sequence IDs arrive in increasing order, so the first key is the oldest.
             del records[next(iter(records))]
-        records[sequence_id] = ForwardRecord(
-            sequence_id=sequence_id,
-            op_name=op_name,
-            thread_tid=thread_tid,
-            python_callpath=python_callpath,
-            scope=scope,
-        )
+        records[sequence_id] = ForwardRecord(op_name, python_callpath, scope)
 
     def release(self, sequence_id: Optional[int]) -> None:
         """Drop the record of a backward operator that has exited."""
@@ -71,21 +61,11 @@ class ForwardBackwardAssociator:
 
     def lookup(self, sequence_id: Optional[int]) -> Optional[ForwardRecord]:
         """Fetch the forward record for a backward operator's sequence ID."""
-        self.lookups += 1
-        if sequence_id is None:
-            return None
-        record = self._records.get(sequence_id)
-        if record is not None:
-            self.hits += 1
-        return record
+        return self._records.get(sequence_id)
 
     @property
     def size(self) -> int:
         return len(self._records)
-
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.lookups if self.lookups else 0.0
 
     def clear(self) -> None:
         self._records.clear()

@@ -42,7 +42,7 @@ from .callpath import (
     root_frame,
     thread_frame,
 )
-from .shadow_stack import ShadowEntry, ShadowStack
+from .shadow_stack import ShadowEntry
 
 
 @dataclass(frozen=True)
@@ -97,14 +97,17 @@ class CallPathBuilder:
     def build(
         self,
         thread: ThreadContext,
-        shadow_stack: ShadowStack,
+        stack: Sequence[ShadowEntry],
         python_triples: Sequence[PyFrame],
         sources: CallPathSources,
         gpu_leaf: Optional[ApiCallbackData] = None,
         cached_prefix: Optional[ShadowEntry] = None,
         forward_record: Optional[ForwardRecord] = None,
     ) -> CallPath:
-        """Assemble the unified call path for ``thread``, ending at ``gpu_leaf``'s frames."""
+        """Assemble the unified call path for ``thread``, ending at ``gpu_leaf``'s frames.
+
+        ``stack`` is the thread's shadow stack, outermost operator first.
+        """
         prefix = self._thread_prefixes.get(thread.tid)
         if prefix is None:
             prefix = (root_frame(self.program_name), thread_frame(thread.name, thread.tid))
@@ -113,10 +116,10 @@ class CallPathBuilder:
 
         python_part = self._python_part(thread, python_triples, sources,
                                          cached_prefix, forward_record)
-        framework_part = self._framework_part(shadow_stack, sources, forward_record)
+        framework_part = self._framework_part(stack, sources, forward_record)
 
         if sources.native and thread.native_stack.depth:
-            frames.extend(self._integrate_native(thread, shadow_stack, python_part,
+            frames.extend(self._integrate_native(thread, stack, python_part,
                                                  framework_part, cached_prefix,
                                                  include_operators=sources.framework))
         else:
@@ -144,7 +147,7 @@ class CallPathBuilder:
             return python_frames_from_triples(forward_record.python_callpath)
         return []
 
-    def _framework_part(self, shadow_stack: ShadowStack, sources: CallPathSources,
+    def _framework_part(self, stack: Sequence[ShadowEntry], sources: CallPathSources,
                         forward_record: Optional[ForwardRecord]) -> List[Frame]:
         if not sources.framework:
             return []
@@ -157,7 +160,7 @@ class CallPathBuilder:
                 frames.append(scope_frame(scope_name))
             scopes_seen.update(forward_record.scope)
             frames.append(framework_frame(forward_record.op_name, backward=False))
-        for entry in shadow_stack.entries:
+        for entry in stack:
             for scope_name in entry.scope:
                 if scope_name not in scopes_seen:
                     scopes_seen.add(scope_name)
@@ -165,7 +168,7 @@ class CallPathBuilder:
             frames.append(framework_frame(entry.op_name, backward=entry.is_backward))
         return frames
 
-    def _integrate_native(self, thread: ThreadContext, shadow_stack: ShadowStack,
+    def _integrate_native(self, thread: ThreadContext, stack: Sequence[ShadowEntry],
                           python_part: List[Frame], framework_part: List[Frame],
                           cached_prefix: Optional[ShadowEntry],
                           include_operators: bool = True) -> List[Frame]:
@@ -180,11 +183,13 @@ class CallPathBuilder:
         collected: List[Tuple[NativeFrame, Optional[Frame]]] = []
         stop_pc = cached_prefix.dispatch_pc if cached_prefix is not None else None
         reached_python_boundary = False
+        # Operators by dispatch pc: the innermost wins a pc several share.
+        operators = {entry.dispatch_pc: entry for entry in stack} if include_operators else {}
 
         for frame in cursor:
             operator_frame: Optional[Frame] = None
-            if include_operators:
-                entry = shadow_stack.find_by_pc(frame.pc)
+            if operators:
+                entry = operators.get(frame.pc)
                 if entry is not None:
                     operator_frame = framework_frame(entry.op_name, backward=entry.is_backward)
             if self.auditor.is_python_frame_pc(frame.pc):

@@ -1,19 +1,24 @@
-"""Per-thread shadow stacks of framework operators.
+"""Per-thread collection state: the shadow stack of framework operators.
 
-DLMonitor maintains, in each CPU thread, a stack of the deep-learning
-operators currently executing, together with the *memory location* of the
-operator's dispatch frame (here: the program counter of the native frame the
-framework pushed when entering the operator).  Call-path integration walks the
-native stack bottom-up and matches these addresses to decide where to insert
-operator frames.
+DLMonitor keeps one :class:`ThreadState` record per CPU thread, resolved once
+per event and handed to the GPU collector's handlers.  Its shadow stack holds
+the deep-learning operators currently executing, outermost first, together
+with the *memory location* of each operator's dispatch frame (here: the
+program counter of the native frame the framework pushed when entering the
+operator).  Call-path integration walks the native stack bottom-up and
+matches these addresses to decide where to insert operator frames.  The
+record also holds the GPU API call in progress and, for the GPU collector,
+the thread's CCT shard and launch-context table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import FrameType
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..framework.threads import ThreadContext
+from ..gpu.runtime import ApiCallbackData
 from ..pycontext import PyFrame
 
 
@@ -35,58 +40,16 @@ class ShadowEntry:
     launch_node: Any = None
 
 
-class ShadowStack:
-    """The operator shadow stack of a single CPU thread."""
+@dataclass(slots=True)
+class ThreadState:
+    """One thread's collection state under one DLMonitor."""
 
-    def __init__(self) -> None:
-        self._entries: List[ShadowEntry] = []
-        self.max_depth = 0
-
-    def push(self, entry: ShadowEntry) -> None:
-        self._entries.append(entry)
-        self.max_depth = max(self.max_depth, len(self._entries))
-
-    def pop(self) -> ShadowEntry:
-        if not self._entries:
-            raise IndexError("shadow stack is empty")
-        return self._entries.pop()
-
-    def top(self) -> Optional[ShadowEntry]:
-        return self._entries[-1] if self._entries else None
-
-    @property
-    def entries(self) -> List[ShadowEntry]:
-        """Entries ordered from the outermost operator to the innermost."""
-        return list(self._entries)
-
-    @property
-    def depth(self) -> int:
-        return len(self._entries)
-
-    def find_by_pc(self, pc: int) -> Optional[ShadowEntry]:
-        """Match a native-frame program counter against recorded dispatch PCs."""
-        for entry in reversed(self._entries):
-            if entry.dispatch_pc == pc:
-                return entry
-        return None
-
-    def clear(self) -> None:
-        self._entries.clear()
-
-
-class ShadowStackRegistry:
-    """Lazily creates one shadow stack per thread id."""
-
-    def __init__(self) -> None:
-        self._stacks: Dict[int, ShadowStack] = {}
-
-    def for_thread(self, tid: int) -> ShadowStack:
-        if tid not in self._stacks:
-            self._stacks[tid] = ShadowStack()
-        return self._stacks[tid]
-
-    def threads(self) -> List[int]:
-        return sorted(self._stacks)
-
-    def total_max_depth(self) -> int:
-        return max((stack.max_depth for stack in self._stacks.values()), default=0)
+    thread: ThreadContext
+    #: Operators currently executing, outermost first.
+    stack: List[ShadowEntry] = field(default_factory=list)
+    #: The enter data of the GPU API call in progress.
+    gpu_call: Optional[ApiCallbackData] = None
+    #: The GPU collector's CCT shard, resolved at the thread's first launch.
+    shard: Any = None
+    #: The GPU collector's ``DLMonitor.launch_context`` keys → CCT nodes.
+    launch_nodes: Dict[tuple, Any] = field(default_factory=dict)

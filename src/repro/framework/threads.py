@@ -3,9 +3,8 @@
 PyTorch creates dedicated *backward threads* per GPU device and *worker
 threads* for data loading; DeepContext's forward/backward association exists
 precisely because backward operators run on a different thread with no Python
-context.  This module models those threads: each has its own CPU_TIME clock,
-its own simulated native stack, and a scratch area where layers such as
-DLMonitor keep per-thread state (shadow stacks, call-path caches).
+context.  This module models those threads: each has its own CPU_TIME clock
+and its own simulated native stack.
 """
 
 from __future__ import annotations
@@ -31,8 +30,6 @@ class ThreadContext:
     kind: str
     cpu_clock: VirtualClock
     native_stack: NativeStack = field(default_factory=NativeStack)
-    #: Scratch storage for higher layers (DLMonitor shadow stacks, caches, ...).
-    local: Dict[str, object] = field(default_factory=dict)
     #: Backward and worker threads have no user Python frames on their stacks.
     has_python_context: bool = True
     #: Memoized (owner, shard) handle of this thread's private CCT shard —

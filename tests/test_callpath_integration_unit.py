@@ -13,7 +13,7 @@ from repro.dlmonitor.association import ForwardRecord
 from repro.dlmonitor.audit import LibraryAuditor
 from repro.dlmonitor.callpath import FrameKind
 from repro.dlmonitor.integration import CallPathBuilder, CallPathSources
-from repro.dlmonitor.shadow_stack import ShadowEntry, ShadowStack
+from repro.dlmonitor.shadow_stack import ShadowEntry
 from repro.framework.threads import THREAD_BACKWARD, THREAD_MAIN, ThreadRegistry
 from repro.gpu.runtime import ApiCallbackData, ApiPhase, KernelFunction
 from repro.native.symbols import LIBCUDART, LIBPYTHON, LIBTORCH_CPU, LIBTORCH_CUDA, standard_address_space
@@ -39,13 +39,11 @@ def setup():
 
 
 def _shadow_for(thread, op_name="aten::conv2d", backward=False, sequence_id=1):
-    stack = ShadowStack()
     dispatch_frame = thread.native_stack.frames[2]  # at::_ops::conv2d::call
-    stack.push(ShadowEntry(op_name=op_name, is_backward=backward, sequence_id=sequence_id,
-                           dispatch_pc=dispatch_frame.pc,
-                           python_callpath=(("model.py", 42, "forward"),),
-                           scope=("net", "conv1")))
-    return stack
+    return [ShadowEntry(op_name=op_name, is_backward=backward, sequence_id=sequence_id,
+                        dispatch_pc=dispatch_frame.pc,
+                        python_callpath=(("model.py", 42, "forward"),),
+                        scope=("net", "conv1"))]
 
 
 PYTHON_TRIPLES = (("train.py", 7, "train_step"), ("model.py", 42, "forward"))
@@ -87,6 +85,13 @@ class TestIntegrationRules:
         dispatch_index = labels.index("at::_ops::conv2d::call")
         assert op_index == dispatch_index - 1
 
+    def test_innermost_operator_wins_a_shared_dispatch_pc(self, setup):
+        _space, thread, builder = setup
+        shadow = _shadow_for(thread, op_name="outer") + _shadow_for(thread, op_name="inner")
+        path = builder.build(thread, shadow, PYTHON_TRIPLES, CallPathSources.all())
+        labels = [frame.name for frame in path]
+        assert labels[labels.index("at::_ops::conv2d::call") - 1] == "inner"
+
     def test_scope_frames_precede_operator(self, setup):
         _space, thread, builder = setup
         path = builder.build(thread, _shadow_for(thread), PYTHON_TRIPLES, CallPathSources.all())
@@ -120,7 +125,7 @@ class TestIntegrationRules:
         _space, thread, builder = setup
         shadow = _shadow_for(thread)
         cached = ShadowEntry(op_name="aten::conv2d", is_backward=False, sequence_id=None,
-                             dispatch_pc=shadow.top().dispatch_pc,
+                             dispatch_pc=shadow[-1].dispatch_pc,
                              python_callpath=PYTHON_TRIPLES, scope=("net",))
         path = builder.build(thread, shadow, (), CallPathSources.all(), cached_prefix=cached)
         python_files = [frame.file for frame in path.frames_of_kind(FrameKind.PYTHON)]
@@ -130,7 +135,7 @@ class TestIntegrationRules:
         space, thread, builder = setup
         shadow = _shadow_for(thread)
         cached = ShadowEntry(op_name="aten::conv2d", is_backward=False, sequence_id=None,
-                             dispatch_pc=shadow.top().dispatch_pc,
+                             dispatch_pc=shadow[-1].dispatch_pc,
                              python_callpath=PYTHON_TRIPLES, scope=())
         steps_before = builder.unwinder.steps
         builder.build(thread, shadow, (), CallPathSources.all(), cached_prefix=cached)
@@ -148,11 +153,10 @@ class TestIntegrationRules:
         for library, name in ((LIBTORCH_CUDA, "autograd::engine::evaluate_function"),
                               (LIBCUDART, "cudaLaunchKernel")):
             backward.native_stack.push(space.add_symbol(library, name))
-        shadow = ShadowStack()
-        shadow.push(ShadowEntry(op_name="aten::index", is_backward=True, sequence_id=9,
-                                dispatch_pc=backward.native_stack.frames[0].pc,
-                                python_callpath=(), scope=()))
-        record = ForwardRecord(sequence_id=9, op_name="aten::index", thread_tid=1,
+        shadow = [ShadowEntry(op_name="aten::index", is_backward=True, sequence_id=9,
+                              dispatch_pc=backward.native_stack.frames[0].pc,
+                              python_callpath=(), scope=())]
+        record = ForwardRecord(op_name="aten::index",
                                python_callpath=(("dlrm.py", 33, "forward"),),
                                scope=("table0",))
         path = builder.build(backward, shadow, (), CallPathSources.all(),
@@ -169,6 +173,6 @@ class TestIntegrationRules:
         registry = ThreadRegistry(MachineClock())
         backward = registry.create("backward-0", kind=THREAD_BACKWARD)
         backward.native_stack.push(space.add_symbol(LIBCUDART, "cudaLaunchKernel"))
-        path = builder.build(backward, ShadowStack(), (), CallPathSources.all())
+        path = builder.build(backward, [], (), CallPathSources.all())
         assert not path.has_kind(FrameKind.PYTHON)
         assert path.has_kind(FrameKind.NATIVE)

@@ -1,21 +1,16 @@
-"""Tests for the call-path model, shadow stacks, caches, association, fusion map."""
+"""Tests for the call-path model, forward/backward association and the fusion map."""
 
 import dataclasses
 
-import pytest
 from hypothesis import given, strategies as st
 
 from repro.dlmonitor import (
     CallPath,
-    CallPathCache,
     ForwardBackwardAssociator,
     Frame,
     FrameKind,
     FusionMap,
     OriginalOperator,
-    ShadowEntry,
-    ShadowStack,
-    ShadowStackRegistry,
     callpath,
     framework_frame,
     gpu_api_frame,
@@ -158,76 +153,25 @@ class TestCallPath:
         assert [frame.name for frame in path] == names
 
 
-class TestShadowStack:
-    def _entry(self, name="aten::relu", pc=0x10, backward=False, seq=None):
-        return ShadowEntry(op_name=name, is_backward=backward, sequence_id=seq,
-                           dispatch_pc=pc, python_callpath=(), scope=())
-
-    def test_push_pop_and_depth_tracking(self):
-        stack = ShadowStack()
-        stack.push(self._entry("a", 1))
-        stack.push(self._entry("b", 2))
-        assert stack.depth == 2 and stack.max_depth == 2
-        assert stack.top().op_name == "b"
-        assert stack.pop().op_name == "b"
-        assert stack.max_depth == 2
-        stack.pop()
-        with pytest.raises(IndexError):
-            stack.pop()
-
-    def test_find_by_pc_prefers_innermost(self):
-        stack = ShadowStack()
-        stack.push(self._entry("outer", 0x10))
-        stack.push(self._entry("inner", 0x10))
-        assert stack.find_by_pc(0x10).op_name == "inner"
-        assert stack.find_by_pc(0x99) is None
-
-    def test_registry_creates_per_thread_stacks(self):
-        registry = ShadowStackRegistry()
-        registry.for_thread(1).push(self._entry())
-        assert registry.for_thread(1).depth == 1
-        assert registry.for_thread(2).depth == 0
-        assert registry.threads() == [1, 2]
-        assert registry.total_max_depth() == 1
-
-
-class TestCallPathCache:
-    def test_hit_miss_and_invalidate(self):
-        cache = CallPathCache()
-        assert cache.lookup(1) is None
-        cache.store(1, ShadowEntry("aten::relu", False, None, 0x10))
-        assert cache.lookup(1).op_name == "aten::relu"
-        cache.invalidate(1)
-        assert cache.lookup(1) is None
-        assert cache.hits == 1 and cache.misses == 2 and cache.invalidations == 1
-        assert 0 < cache.hit_rate < 1
-
-    def test_peek_does_not_affect_stats(self):
-        cache = CallPathCache()
-        cache.peek(5)
-        assert cache.misses == 0
-
-
 class TestForwardBackwardAssociator:
     def test_record_and_lookup(self):
         associator = ForwardBackwardAssociator()
-        associator.record_forward(7, "aten::index", 1, (("dlrm.py", 42, "forward"),), ("table0",))
+        associator.record_forward(7, "aten::index", (("dlrm.py", 42, "forward"),), ("table0",))
         record = associator.lookup(7)
         assert record.op_name == "aten::index"
         assert record.python_callpath[0][2] == "forward"
         assert associator.lookup(99) is None
         assert associator.lookup(None) is None
-        assert 0 < associator.hit_rate < 1
 
     def test_none_sequence_id_not_recorded(self):
         associator = ForwardBackwardAssociator()
-        associator.record_forward(None, "aten::relu", 1, (), ())
+        associator.record_forward(None, "aten::relu", (), ())
         assert associator.size == 0
 
     def test_eviction_keeps_most_recent(self):
         associator = ForwardBackwardAssociator(max_records=4)
         for sequence_id in range(10):
-            associator.record_forward(sequence_id, "op", 1, (), ())
+            associator.record_forward(sequence_id, "op", (), ())
         assert associator.size == 4
         assert [sequence_id for sequence_id in range(10)
                 if associator.lookup(sequence_id) is not None] == [6, 7, 8, 9]
@@ -236,7 +180,7 @@ class TestForwardBackwardAssociator:
         associator = ForwardBackwardAssociator()
         python_callpath = (("model.py", 3, "forward"),)
         for sequence_id in (1, 2):
-            associator.record_forward(sequence_id, "aten::linear", 1, python_callpath, ())
+            associator.record_forward(sequence_id, "aten::linear", python_callpath, ())
         assert associator.lookup(2).python_callpath is python_callpath
         associator.release(2)
         assert associator.lookup(2) is None
@@ -245,10 +189,10 @@ class TestForwardBackwardAssociator:
     def test_records_skipped_by_the_backward_pass_dropped_at_next_forward(self):
         associator = ForwardBackwardAssociator()
         for sequence_id in (1, 2, 3):
-            associator.record_forward(sequence_id, "op", 1, (), ())
+            associator.record_forward(sequence_id, "op", (), ())
         associator.release(3)  # the backward pass skips 2 and 1
         assert associator.size == 2
-        associator.record_forward(4, "op", 1, (), ())
+        associator.record_forward(4, "op", (), ())
         assert associator.size == 1
         assert associator.lookup(4) is not None
         assert associator.lookup(1) is None and associator.lookup(2) is None

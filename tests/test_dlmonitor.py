@@ -15,10 +15,12 @@ from repro.dlmonitor import (
     parse_interception_config,
 )
 from repro.core import DeepContextProfiler, ProfilerConfig
+from repro.core.cct import CCTNode
 from repro.dlmonitor.audit import CustomDriverInterceptor, LibraryAuditor
 from repro.dlmonitor.domains import GpuEvent
 from repro.framework import EagerEngine, modules, tensor
 from repro.framework import functional as F
+from repro.framework.eager import PHASE_BEFORE
 from repro.framework.jit import JitCompiler, jit
 from repro.gpu.kernels import KernelSpec
 from repro.gpu.runtime import ApiPhase
@@ -75,7 +77,7 @@ class TestFrameworkDomain:
         monitor = dlmonitor_init(engine)
         with engine:
             F.relu(tensor((2, 2)))
-        assert monitor.shadow_stacks.for_thread(engine.threads.main.tid).depth == 0
+        assert monitor.thread_state(engine.threads.main).stack == []
 
     def test_backward_events_marked(self, engine):
         monitor = dlmonitor_init(engine)
@@ -254,7 +256,7 @@ class TestCallPathGet:
         with engine:
             layer = modules.Conv2d(3, 8, name="conv")
             layer(tensor((1, 3, 16, 16)))
-        assert cached_monitor.cache.hit_rate > 0
+        assert cached_monitor.cache_hit_rate > 0
         assert cached_monitor.stats.python_captures < uncached_monitor.stats.python_captures
 
     def test_backward_thread_paths_reuse_forward_python_context(self, engine):
@@ -286,7 +288,7 @@ class TestLaunchContext:
             if event.phase != "enter":
                 return
             thread = engine.threads.current
-            key = monitor.launch_context(sources, thread, monitor.cache.peek(thread.tid))
+            key = monitor.launch_context(sources, monitor.thread_state(thread))
             path = monitor.callpath_get(sources, thread)
             launches.append((key, path.frames[:-2]))
 
@@ -307,6 +309,97 @@ class TestLaunchContext:
 
     def test_native_frames_have_no_key(self, engine):
         assert [key for key, _ in self._launches(engine, CallPathSources.all())] == [None] * 3
+
+
+class TestThreadState:
+    def test_running_operator_is_the_stack_top(self, engine):
+        monitor = dlmonitor_init(engine)
+        state = monitor.thread_state(engine.threads.main)
+        tops = []
+        monitor.callback_register(
+            DLMONITOR_GPU,
+            lambda event: tops.append(state.stack[-1].op_name) if event.phase == "enter" else None)
+        with engine:
+            F.relu(tensor((8, 8)))
+        assert tops and set(tops) == {"aten::relu"}
+        assert state.stack == []
+
+    def test_callpath_outside_an_operator_misses_and_inside_hits(self, engine):
+        monitor = dlmonitor_init(engine)
+        monitor.callback_register(
+            DLMONITOR_GPU,
+            lambda event: monitor.callpath_get()
+            if event.phase == "enter" and not monitor.cache_hits else None)
+        with engine:
+            monitor.callpath_get()
+            assert (monitor.cache_hits, monitor.cache_misses) == (0, 1)
+            F.relu(tensor((8, 8)))
+        assert (monitor.cache_hits, monitor.cache_misses) == (1, 1)
+        assert monitor.cache_hit_rate == 0.5
+
+    def test_gpu_call_is_set_only_while_the_launch_runs(self, engine):
+        monitor = dlmonitor_init(engine)
+        state = monitor.thread_state(engine.threads.main)
+        calls = []
+        monitor.callback_register(
+            DLMONITOR_GPU,
+            lambda event: calls.append((event.correlation_id, state.gpu_call))
+            if event.phase == "enter" else None)
+        with engine:
+            F.relu(tensor((8, 8)))
+        assert calls
+        assert all(call is not None and call.correlation_id == correlation_id
+                   for correlation_id, call in calls)
+        assert state.gpu_call is None
+
+    def test_finalize_drops_every_thread_record(self):
+        engine = EagerEngine("a100")
+        profiler = DeepContextProfiler(engine, ProfilerConfig.without_native())
+        with engine, profiler.profile():
+            w = tensor((4, 8), requires_grad=True)
+            engine.backward(F.sum_(F.linear(tensor((2, 8)), w)))
+            monitor = profiler.monitor
+            states = {thread: monitor.thread_state(thread) for thread in engine.threads}
+        assert len(states) > 1
+        assert all(isinstance(node, CCTNode)
+                   for state in states.values() for node in state.launch_nodes.values())
+        assert any(state.launch_nodes for state in states.values())
+        assert all(monitor.thread_state(thread) is not state
+                   for thread, state in states.items())
+
+    def test_operator_entered_inside_another_does_not_leak_its_context(self):
+        """A hook runs sigmoid as relu enters; relu's kernel stays under relu's line."""
+        def relu_kernel_python_paths(preset, callpath_cache):
+            engine = EagerEngine("a100")
+            config = preset()
+            config.callpath_cache = callpath_cache
+            profiler = DeepContextProfiler(engine, config)
+            x = tensor((64, 64))
+
+            def run_sigmoid_in_relu(info):
+                if info.phase == PHASE_BEFORE and info.op_name == "aten::relu":
+                    F.sigmoid(x)
+
+            with engine, profiler.profile():
+                engine.add_global_callback(run_sigmoid_in_relu)
+                F.relu(x)
+                engine.synchronize()
+            paths = []
+            for kernel in profiler.database.tree.kernels:
+                path = kernel.callpath()
+                operators = [frame.name for frame in path.frames_of_kind(FrameKind.FRAMEWORK)]
+                if operators == ["aten::relu"]:
+                    paths.append([(frame.file, frame.line, frame.name)
+                                  for frame in path.frames_of_kind(FrameKind.PYTHON)])
+            return paths
+
+        for preset in (ProfilerConfig.without_native, ProfilerConfig.full):
+            # One call site for both runs: the profile records this test's line.
+            cached, reference = (relu_kernel_python_paths(preset, cache)
+                                 for cache in (True, False))
+            assert cached and cached == reference
+            assert all(name != "run_sigmoid_in_relu"
+                       for path in cached for _file, _line, name in path)
 
 
 class TestJitInterception:
