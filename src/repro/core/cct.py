@@ -815,8 +815,7 @@ class ShardForest(CallingContextTree):
     def _refuse(self, *args, **kwargs) -> None:
         raise ValueError(
             "the union of several shards is a read-only view; attribute "
-            "through a shard's own node (shard_for/shard_for_tid) or the "
-            "sharded tree")
+            "through a shard's own node, into its tree (node.tree)")
 
     insert_below = attribute = attribute_many = _refuse
     merge_from = install_exclusive_column = _refuse
@@ -896,7 +895,8 @@ class ProfileTree:
 # Per-thread shards, unioned at query time
 # ---------------------------------------------------------------------------
 
-#: Shard id used by the degenerate single-tree API (no thread routing).
+#: Shard id of a plain tree saved as one shard, and of a shard entry
+#: that records none.
 DEFAULT_SHARD_ID = 0
 
 SHARDED_TREE_FORMAT = "cct-columnar-sharded-v1"
@@ -909,9 +909,9 @@ class ShardedCallingContextTree(ProfileTree):
     :class:`CallingContextTree` (``shard_for`` / ``shard_for_tid``), so the
     hot attribution path touches only thread-local state — no cross-thread
     coordination, and per-observation cost independent of how many threads
-    are being profiled.  The handle is memoized on the ``ThreadContext``
-    itself (``thread.cct_shard``) so the per-event lookup is one attribute
-    read.
+    are being profiled.  This class holds no mutator of its own: collectors
+    keep a thread's shard on its DLMonitor ``ThreadState`` record, insert
+    into the shard and attribute into a node's own tree (``node.tree``).
 
     Query side: the structural read API (``root``, traversals, kind
     indexes) is served by :meth:`merged`, the union of the shards; per-name
@@ -922,13 +922,8 @@ class ShardedCallingContextTree(ProfileTree):
     between mutations reuse it, and any shard change makes the next query
     rebuild it in one pass.  Unless threads share a name, every node the
     read API returns, except the union's root, is a shard's own node, so
-    attribution through it lands in that shard.  Lists returned by queries
-    are snapshots; re-fetch them after structural changes.
-
-    The single-tree mutator API remains available: ``insert`` and
-    ``insert_and_attribute`` route to a default shard, and ``attribute``
-    and ``attribute_many`` to the node's own shard, making the unsharded
-    profiler the degenerate one-shard case of this class.
+    attribution into its ``node.tree`` lands in that shard.  Lists returned
+    by queries are snapshots; re-fetch them after structural changes.
     """
 
     def __init__(self, program_name: str = "program") -> None:
@@ -943,22 +938,8 @@ class ShardedCallingContextTree(ProfileTree):
     # -- shard management -----------------------------------------------------------
 
     def shard_for(self, thread) -> CallingContextTree:
-        """The shard owned by ``thread``, created on first use.
-
-        The (owner, shard) handle is cached on the thread context so repeated
-        per-event lookups cost one attribute read; the owner check keeps
-        handles from a previous profiling session from leaking into this one.
-        """
-        handle = getattr(thread, "cct_shard", None)
-        if handle is not None and handle[0] is self:
-            return handle[1]
-        shard = self.shard_for_tid(thread.tid, thread_name=thread.name,
-                                   thread_kind=thread.kind)
-        try:
-            thread.cct_shard = (self, shard)
-        except AttributeError:
-            pass  # duck-typed thread without assignable attributes
-        return shard
+        """The shard owned by ``thread``, created on first use."""
+        return self.shard_for_tid(thread.tid, thread.name, thread.kind)
 
     def shard_for_tid(self, tid: int, thread_name: str = "",
                       thread_kind: str = "") -> CallingContextTree:
@@ -974,11 +955,6 @@ class ShardedCallingContextTree(ProfileTree):
             }
         return shard
 
-    @property
-    def default_shard(self) -> CallingContextTree:
-        """The shard behind the degenerate single-tree mutator API."""
-        return self.shard_for_tid(DEFAULT_SHARD_ID, thread_name="unsharded")
-
     def shards(self) -> Dict[int, CallingContextTree]:
         return dict(self._shards)
 
@@ -988,40 +964,6 @@ class ShardedCallingContextTree(ProfileTree):
     def shard_provenance(self) -> List[Dict[str, object]]:
         """Per-shard origin records in shard creation order."""
         return [dict(self._provenance[tid]) for tid in self._shards]
-
-    # -- single-tree mutator API (degenerate one-shard case) --------------------------
-
-    def insert(self, callpath: CallPath) -> CCTNode:
-        return self.default_shard.insert(callpath)
-
-    def _owning_tree(self, node: CCTNode) -> CallingContextTree:
-        """The shard a mutation on ``node`` must target: the node's own tree.
-
-        A shard's own node, fetched before or after any rebuild of the
-        union, is a valid target; a node with no tree goes to the default
-        shard.  Any other node (the union's root, a copied union's node, a
-        node of another tree) is rejected: an observation attributed into it
-        would never show in this tree.
-        """
-        tree = node.tree
-        if tree is None:
-            return self.default_shard
-        if tree not in self._shards.values():
-            raise ValueError(
-                "node belongs to no shard of this tree; attribute through a "
-                "shard's own node (shard_for/shard_for_tid) or "
-                "insert_and_attribute")
-        return tree
-
-    def attribute(self, node: CCTNode, metric: str, value: float) -> None:
-        self._owning_tree(node).attribute(node, metric, value)
-
-    def attribute_many(self, node: CCTNode, metrics: Mapping[str, float]) -> None:
-        self._owning_tree(node).attribute_many(node, metrics)
-
-    def insert_and_attribute(self, callpath: CallPath,
-                             metrics: Mapping[str, float]) -> CCTNode:
-        return self.default_shard.insert_and_attribute(callpath, metrics)
 
     # -- union view ------------------------------------------------------------------
 

@@ -8,28 +8,30 @@ perf events / PAPI are derived from the same sampling stream.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional
 
 from ..cpu.perf_events import PerfEventGroup
 from ..cpu.sampler import CPU_TIME, REAL_TIME, IntervalSampler, Sample
 from ..dlmonitor.api import DLMonitor
 from ..framework.eager import EagerEngine
 from ..framework.threads import ThreadContext
-from .cct import CallingContextTree, ShardedCallingContextTree
+from .cct import ShardedCallingContextTree
 from .config import ProfilerConfig
 from . import metrics as M
 
 
 class CpuMetricCollector:
-    """Samples CPU_TIME / REAL_TIME on every thread and attributes the intervals.
+    """Samples CPU_TIME on every thread (REAL_TIME on the main thread) and
+    attributes the intervals.
 
-    With a :class:`~repro.core.cct.ShardedCallingContextTree` each sample is
-    attributed into the private shard of the thread whose timer fired, so
-    samplers on different threads never touch shared tree state.
+    Each sample is attributed into the private
+    :class:`~repro.core.cct.ShardedCallingContextTree` shard of the thread
+    it is charged to, so samplers on different threads never touch shared
+    tree state.  The shard is kept on the thread's DLMonitor ``ThreadState``
+    record, which the GPU collector reads as well.
     """
 
-    def __init__(self, monitor: DLMonitor,
-                 tree: Union[CallingContextTree, ShardedCallingContextTree],
+    def __init__(self, monitor: DLMonitor, tree: ShardedCallingContextTree,
                  engine: EagerEngine, config: ProfilerConfig) -> None:
         self.monitor = monitor
         self.tree = tree
@@ -89,10 +91,11 @@ class CpuMetricCollector:
         into the leaf with one ``attribute_many`` call.
         """
         callpath = self.monitor.callpath_get(sources=self._sources, thread=thread)
-        tree = self.tree
-        if isinstance(tree, ShardedCallingContextTree):
-            tree = tree.shard_for(thread)
-        node = tree.insert(callpath)
+        state = self.monitor.thread_state(thread)
+        shard = state.shard
+        if shard is None:
+            shard = state.shard = self.tree.shard_for(thread)
+        node = shard.insert(callpath)
         metric = M.METRIC_CPU_TIME if sample.event == CPU_TIME else M.METRIC_REAL_TIME
         metrics = {metric: sample.interval}
         if self.perf_group is not None and sample.event == CPU_TIME:
@@ -102,9 +105,5 @@ class CpuMetricCollector:
                 self._perf_last[name] = value
                 if delta:
                     metrics[f"perf::{name}"] = delta
-        tree.attribute_many(node, metrics)
+        shard.attribute_many(node, metrics)
         self.samples_attributed += 1
-
-    @property
-    def total_samples(self) -> int:
-        return sum(sampler.samples_fired for sampler in self._samplers)

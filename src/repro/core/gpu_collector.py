@@ -8,10 +8,10 @@ Device-side measurements arrive later in activity buffers and are linked
 back to their nodes through the correlation registry (paper §4.2).
 
 DLMonitor hands each handler the launching thread's ``ThreadState`` record,
-which holds the thread's shard (resolved at its first launch) and its
-launch-context table.  While the call-path cache is on, the first launch in
-an operator memoizes, on the entry the cache returns (the top of the
-thread's shadow stack), the node its path reached before its GPU API and
+which holds the thread's shard (resolved at its first launch or CPU sample)
+and its launch-context table.  While the call-path cache is on, the first
+launch in an operator memoizes, on the entry the cache returns (the top of
+the thread's shadow stack), the node its path reached before its GPU API and
 kernel frames; later launches in it walk only those frames from there.  The
 launch-context table maps ``DLMonitor.launch_context`` keys to those nodes,
 so the first launch of an invocation whose context was seen before (the same
@@ -21,12 +21,12 @@ Python walk is left.  With native frames on there is no key
 and every invocation's first launch builds its path.  With the cache off
 every launch inserts its full path: the reference.
 
-With a :class:`~repro.core.cct.ShardedCallingContextTree` the collector
-attributes into the private shard of the *launching* thread: the call path is
-inserted into that shard at the launch callback, and because every CCT node
-carries a back-reference to its owning tree, asynchronous deliveries
-(activity records, instruction samples) are folded into the correct shard
-without any lookup — contention-free multi-thread collection.
+The collector attributes into the *launching* thread's private shard of the
+:class:`~repro.core.cct.ShardedCallingContextTree`: the call path is inserted
+into that shard at the launch callback, and because every CCT node carries a
+back-reference to its owning tree, asynchronous deliveries (activity
+records, instruction samples) are folded into ``node.tree`` without any
+lookup — contention-free multi-thread collection.
 
 Correlation lifecycle: an activity record and the instruction-sample batch of
 the same correlation ID arrive independently and in either order (the
@@ -41,7 +41,7 @@ dropping late samples as "unresolved".
 
 from __future__ import annotations
 
-from typing import List, Optional, Union
+from typing import List, Optional
 
 from ..dlmonitor.api import DLMonitor
 from ..dlmonitor.callpath import FrameKind, gpu_instruction_frame, gpu_instruction_identity
@@ -50,7 +50,7 @@ from ..dlmonitor.shadow_stack import ThreadState
 from ..gpu.activity import ActivityKind, ActivityRecord
 from ..gpu.runtime import ApiCallbackData
 from ..gpu.sampling import InstructionSample
-from .cct import CallingContextTree, ShardedCallingContextTree
+from .cct import ShardedCallingContextTree
 from .config import ProfilerConfig
 from .correlation import CorrelationRegistry
 from . import metrics as M
@@ -62,8 +62,7 @@ _LEAF_KINDS = (FrameKind.GPU_API, FrameKind.GPU_KERNEL)
 class GpuMetricCollector:
     """Collects coarse and fine-grained GPU metrics into the CCT via raw GPU API handlers."""
 
-    def __init__(self, monitor: DLMonitor,
-                 tree: Union[CallingContextTree, ShardedCallingContextTree],
+    def __init__(self, monitor: DLMonitor, tree: ShardedCallingContextTree,
                  correlations: CorrelationRegistry, config: ProfilerConfig) -> None:
         self.monitor = monitor
         self.tree = tree
@@ -75,7 +74,6 @@ class GpuMetricCollector:
         self._awaiting_samples: set = set()
         self._saved_buffer_size: Optional[int] = None
         self._running = False
-        self.launches_seen = 0
         self.activities_attributed = 0
         self.samples_attributed = 0
 
@@ -141,14 +139,10 @@ class GpuMetricCollector:
         """Kernel-launch / memcpy / malloc callback on the launching CPU thread."""
         if self._awaiting_samples:
             self._drain_awaiting_samples()
-        self.launches_seen += 1
         monitor = self.monitor
         shard = state.shard
         if shard is None:
-            shard = self.tree
-            if isinstance(shard, ShardedCallingContextTree):
-                shard = shard.shard_for(state.thread)
-            state.shard = shard
+            shard = state.shard = self.tree.shard_for(state.thread)
         stack = state.stack
         entry = stack[-1] if stack and monitor.enable_callpath_cache else None
         key = None
@@ -177,26 +171,26 @@ class GpuMetricCollector:
 
         All metrics of one record are folded with a single ``attribute_many``
         call — one generation bump per record instead of one tree walk per
-        metric as in the eager-propagation model.  Attribution targets the
-        owning tree of the launch-site node, i.e. the launching thread's
-        shard when collection is sharded.
+        metric as in the eager-propagation model.  Attribution goes into the
+        launch-site node's own tree: the launching thread's shard.
         """
         for record in records:
             pending = self.correlations.resolve(record.correlation_id)
             if pending is None:
                 continue
             node = pending.node
-            tree = node.tree if node.tree is not None else self.tree
+            tree = node.tree
             expects_samples = False
             if record.kind == ActivityKind.KERNEL:
                 expects_samples = self.config.pc_sampling
-                metrics = {M.METRIC_GPU_TIME: record.duration, M.METRIC_KERNEL_COUNT: 1.0}
-                if self.config.gpu_launch_metrics:
-                    metrics[M.METRIC_BLOCKS] = record.grid_size
-                    metrics[M.METRIC_THREADS_PER_BLOCK] = record.block_size
-                    metrics[M.METRIC_REGISTERS] = record.registers_per_thread
-                    metrics[M.METRIC_SHARED_MEMORY] = record.shared_memory_bytes
-                tree.attribute_many(node, metrics)
+                tree.attribute_many(node, {
+                    M.METRIC_GPU_TIME: record.duration,
+                    M.METRIC_KERNEL_COUNT: 1.0,
+                    M.METRIC_BLOCKS: record.grid_size,
+                    M.METRIC_THREADS_PER_BLOCK: record.block_size,
+                    M.METRIC_REGISTERS: record.registers_per_thread,
+                    M.METRIC_SHARED_MEMORY: record.shared_memory_bytes,
+                })
             elif record.kind == ActivityKind.MEMCPY:
                 tree.attribute_many(node, {M.METRIC_GPU_TIME: record.duration,
                                            M.METRIC_MEMCPY_BYTES: record.bytes})
@@ -236,11 +230,10 @@ class GpuMetricCollector:
             if instruction_node is None:
                 instruction_node = node.child_for(gpu_instruction_frame(
                     sample.kernel_name, sample.pc_offset, sample.stall_reason))
-            tree = node.tree if node.tree is not None else self.tree
             metrics = {M.METRIC_INSTRUCTION_SAMPLES: sample.samples}
             if sample.is_stalled:
                 metrics[M.METRIC_STALL_SAMPLES] = sample.samples
-            tree.attribute_many(instruction_node, metrics)
+            node.tree.attribute_many(instruction_node, metrics)
             self.samples_attributed += 1
             pending.samples_attributed = True
             if pending.activity_attributed:

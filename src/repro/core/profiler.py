@@ -26,7 +26,7 @@ from typing import Dict, Optional
 from ..dlmonitor.api import DLMonitor, dlmonitor_init
 from ..framework.eager import EagerEngine
 from ..framework.jit import JitCompiler
-from .cct import CallingContextTree, ShardedCallingContextTree
+from .cct import ShardedCallingContextTree
 from .config import ProfilerConfig
 from .correlation import CorrelationRegistry
 from .cpu_collector import CpuMetricCollector
@@ -45,12 +45,10 @@ class DeepContextProfiler:
         self.config = config if config is not None else ProfilerConfig()
         self.jit_compiler = jit_compiler
         self.monitor: Optional[DLMonitor] = None
-        # Sharded collection (the default) gives every simulated thread its
-        # own contention-free CCT shard; queries and the profile database see
-        # the lazily merged union through the same tree API.
-        self.tree = (ShardedCallingContextTree(self.config.program_name)
-                     if self.config.sharded_cct
-                     else CallingContextTree(self.config.program_name))
+        # Every simulated thread collects into its own contention-free CCT
+        # shard; queries and the profile database see the lazily merged
+        # union through the same tree API.
+        self.tree = ShardedCallingContextTree(self.config.program_name)
         self.correlations = CorrelationRegistry()
         self.gpu_collector: Optional[GpuMetricCollector] = None
         self.cpu_collector: Optional[CpuMetricCollector] = None
@@ -215,22 +213,15 @@ class DeepContextProfiler:
 
     def overhead_statistics(self) -> Dict[str, float]:
         """Profiler-side bookkeeping used by the Figure-6 overhead harness."""
+        # Collection-side numbers: probing mid-run reads the shards and never
+        # builds a union view.
         tree = self.tree
-        if isinstance(tree, ShardedCallingContextTree):
-            # Collection-side numbers: probing mid-run reads the shards and
-            # never builds a union view.
-            stats: Dict[str, float] = {
-                "profiler_wall_seconds": self._wall_seconds,
-                "cct_nodes": float(tree.stored_node_count()),
-                "cct_size_bytes": float(tree.approximate_size_bytes()),
-                "cct_shards": float(tree.shard_count()),
-            }
-        else:
-            stats = {
-                "profiler_wall_seconds": self._wall_seconds,
-                "cct_nodes": float(tree.node_count()),
-                "cct_size_bytes": float(tree.approximate_size_bytes()),
-            }
+        stats: Dict[str, float] = {
+            "profiler_wall_seconds": self._wall_seconds,
+            "cct_nodes": float(tree.stored_node_count()),
+            "cct_size_bytes": float(tree.approximate_size_bytes()),
+            "cct_shards": float(tree.shard_count()),
+        }
         if self.monitor is not None:
             stats["cache_hit_rate"] = self.monitor.cache_hit_rate
             stats["unwind_steps"] = float(self.monitor.unwinder.steps)
@@ -257,6 +248,10 @@ class DeepContextProfiler:
         )
 
     def _config_snapshot(self) -> Dict[str, object]:
+        # Every run collects into shards, so the sharded flag is a constant.
+        # It stays recorded: each saved profile's meta block and each catalog
+        # config hash include it, and dropping it would stop equal
+        # configurations from matching earlier runs.
         return {
             "collect_python": self.config.collect_python,
             "collect_framework": self.config.collect_framework,
@@ -266,7 +261,7 @@ class DeepContextProfiler:
             "cpu_sample_period": self.config.cpu_sample_period,
             "pc_sampling": self.config.pc_sampling,
             "callpath_cache": self.config.callpath_cache,
-            "sharded_cct": self.config.sharded_cct,
+            "sharded_cct": True,
             "profile_compression": self.config.profile_compression,
             "checkpoint_interval_s": self.config.checkpoint_interval_s,
         }

@@ -16,7 +16,7 @@ that entered it.  Events are built only for registered callbacks; the GPU
 collector gets the raw ``ApiCallbackData`` and the calling thread's
 :class:`ThreadState` record (see ``gpu_api_register``).  Each event resolves
 that record once: the thread's shadow stack, its GPU API call in progress,
-and the GPU collector's shard and launch-context table.
+the collectors' shard and the GPU collector's launch-context table.
 
 Call-path caching (paper §4.1, "Optimizations").  Many deep-learning
 operators launch several GPU kernels that share the same Python and operator

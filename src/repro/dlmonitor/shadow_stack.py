@@ -7,8 +7,8 @@ with the *memory location* of each operator's dispatch frame (here: the
 program counter of the native frame the framework pushed when entering the
 operator).  Call-path integration walks the native stack bottom-up and
 matches these addresses to decide where to insert operator frames.  The
-record also holds the GPU API call in progress and, for the GPU collector,
-the thread's CCT shard and launch-context table.
+record also holds the GPU API call in progress, the thread's CCT shard that
+both collectors attribute into, and the GPU collector's launch-context table.
 """
 
 from __future__ import annotations
@@ -49,7 +49,8 @@ class ThreadState:
     stack: List[ShadowEntry] = field(default_factory=list)
     #: The enter data of the GPU API call in progress.
     gpu_call: Optional[ApiCallbackData] = None
-    #: The GPU collector's CCT shard, resolved at the thread's first launch.
+    #: The collectors' CCT shard for this thread, resolved at its first
+    #: launch or CPU sample.
     shard: Any = None
     #: The GPU collector's ``DLMonitor.launch_context`` keys → CCT nodes.
     launch_nodes: Dict[tuple, Any] = field(default_factory=dict)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional
 
 from ..cpu.clock import MachineClock, VirtualClock
 from ..native.unwinder import NativeStack
@@ -32,10 +32,6 @@ class ThreadContext:
     native_stack: NativeStack = field(default_factory=NativeStack)
     #: Backward and worker threads have no user Python frames on their stacks.
     has_python_context: bool = True
-    #: Memoized (owner, shard) handle of this thread's private CCT shard —
-    #: installed by ``ShardedCallingContextTree.shard_for`` so the per-event
-    #: attribution path resolves its shard with one attribute read.
-    cct_shard: Optional[Tuple[object, object]] = None
 
     def __hash__(self) -> int:
         return self.tid

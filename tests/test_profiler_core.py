@@ -108,6 +108,52 @@ class TestDeepContextProfiler:
         database = run_small_training(engine, profiler, iterations=2)
         assert database.total_cpu_time() > 0
 
+    def test_real_time_samples_land_in_the_main_thread_shard(self):
+        """The REAL_TIME timer runs off the machine clock and charges the main thread."""
+        for collect_real_time in (True, False):
+            engine = EagerEngine("a100")
+            config = ProfilerConfig.without_native()
+            config.collect_real_time = collect_real_time
+            profiler = DeepContextProfiler(engine, config)
+            workload = create_workload("gnn", small=True)
+            with engine, profiler.profile():
+                workload.build(engine)
+                for iteration in range(2):
+                    workload.run_iteration(engine, iteration)
+                    profiler.mark_iteration()
+                engine.synchronize()
+            tree = profiler.database.tree
+            assert tree.shard_count() >= 2
+            timed = [node for shard in tree.shards().values()
+                     for node in shard.all_nodes()
+                     if node.exclusive.count(M.METRIC_REAL_TIME)]
+            if collect_real_time:
+                assert tree.total_metric(M.METRIC_REAL_TIME) > 0
+                main = tree.shards()[engine.threads.main.tid]
+                assert timed and all(node.tree is main for node in timed)
+            else:
+                assert not timed
+
+    def test_sessions_on_one_engine_collect_into_their_own_trees(self):
+        """Both sessions run on the engine's main and backward threads; each
+        resolves those threads' shards from its own tree."""
+        engine = EagerEngine("a100")
+        sessions = []
+        for _ in range(2):
+            launches = engine.kernel_launches
+            profiler = DeepContextProfiler(engine, ProfilerConfig(cpu_sample_period=1e-5))
+            database = run_small_training(engine, profiler)
+            assert database.total_kernel_launches() == engine.kernel_launches - launches > 0
+            sessions.append(database)
+        first, second = sessions
+        assert not set(first.tree.shards().values()) & set(second.tree.shards().values())
+        assert second.tree.shard_count() == first.tree.shard_count() == 2
+        assert second.total_kernel_launches() == first.total_kernel_launches()
+        assert second.node_count() == first.node_count()
+        assert second.total_gpu_time() == pytest.approx(first.total_gpu_time(), rel=1e-9)
+        assert second.total_cpu_time() == pytest.approx(first.total_cpu_time(), rel=1e-9)
+        assert first.total_cpu_time() > 0
+
     def test_perf_events_collected_when_requested(self):
         engine = EagerEngine("a100")
         config = ProfilerConfig(cpu_sample_period=1e-5, perf_events=["instructions"])

@@ -4,10 +4,10 @@ The sharded tree's contract is equivalence: for *any* interleaving of
 per-thread observations, the merged view's structure, exclusive aggregates and
 lazily materialized inclusive view must match a single shared tree fed the
 same observations, to floating-point accuracy.  These tests pin that property
-(with hypothesis), the shard lifecycle (handles, caching behind generation
-counters), the multi-shard columnar persistence with provenance, and the
-zero-row regressions fixed alongside (``aggregate_by_name`` count gating,
-zombie count-0 entries in legacy files).
+(with hypothesis), the shard lifecycle (the union view cached behind
+generation counters), the multi-shard columnar persistence with provenance,
+and the zero-row regressions fixed alongside (``aggregate_by_name`` count
+gating, zombie count-0 entries in legacy files).
 """
 
 import copy
@@ -183,17 +183,6 @@ class TestMergeFrom:
 
 
 class TestShardLifecycle:
-    def test_shard_handle_memoized_on_thread(self):
-        registry = ThreadRegistry(MachineClock())
-        tree = ShardedCallingContextTree("handles")
-        shard = tree.shard_for(registry.main)
-        assert tree.shard_for(registry.main) is shard
-        assert registry.main.cct_shard == (tree, shard)
-        # A different owner tree must not reuse the stale handle.
-        other = ShardedCallingContextTree("handles")
-        assert other.shard_for(registry.main) is not shard
-        assert registry.main.cct_shard[0] is other
-
     def test_merged_view_cached_behind_generation(self):
         tree = _build_sharded([(1, "conv", "k0", 1.0), (2, "norm", "k1", 2.0)])
         merged = tree.merged()
@@ -210,29 +199,31 @@ class TestShardLifecycle:
     def test_mutating_a_merged_view_node_is_rejected(self):
         # With several shards the union view owns one node, its root; every
         # other node of the read API is a shard's own node, so attribution
-        # through it lands in that shard.
+        # into its tree lands in that shard.
         tree = _build_sharded([(1, "conv", "k0", 1.0), (2, "norm", "k1", 2.0)])
         kernel = tree.kernels[0]
         assert kernel.tree is tree.shard_for_tid(1)
-        tree.attribute(kernel, M.METRIC_GPU_TIME, 5.0)
-        tree.attribute_many(kernel, {M.METRIC_GPU_TIME: 2.0})
+        kernel.tree.attribute(kernel, M.METRIC_GPU_TIME, 5.0)
+        kernel.tree.attribute_many(kernel, {M.METRIC_GPU_TIME: 2.0})
         assert tree.shard_for_tid(1).kernels[0].exclusive.sum(
             M.METRIC_GPU_TIME) == pytest.approx(8.0)
         assert tree.root.inclusive.sum(M.METRIC_GPU_TIME) == pytest.approx(10.0)
-        # The union's root belongs to no shard: an observation there would
-        # vanish with the view, so it is rejected.
-        with pytest.raises(ValueError, match="no shard of this tree"):
-            tree.attribute(tree.root, M.METRIC_GPU_TIME, 5.0)
-        with pytest.raises(ValueError, match="no shard of this tree"):
-            tree.attribute_many(tree.root, {M.METRIC_GPU_TIME: 5.0})
+        # The union's root is the view's own node: an observation there
+        # would vanish with the view, so its tree rejects it.
+        root = tree.root
+        assert root.tree is tree.merged()
+        with pytest.raises(ValueError, match="read-only view"):
+            root.tree.attribute(root, M.METRIC_GPU_TIME, 5.0)
+        with pytest.raises(ValueError, match="read-only view"):
+            root.tree.attribute_many(root, {M.METRIC_GPU_TIME: 5.0})
         assert tree.root.inclusive.sum(M.METRIC_GPU_TIME) == pytest.approx(10.0)
         # A one-shard tree is its own union: its read API hands out the
         # shard's nodes, so attribution through them lands in the shard.
         single = _build_sharded([(1, "conv", "k0", 1.0)])
         kernel = single.kernels[0]
         assert kernel.tree is single.shard_for_tid(1)
-        single.attribute(kernel, M.METRIC_GPU_TIME, 5.0)
-        single.attribute_many(kernel, {M.METRIC_GPU_TIME: 2.0})
+        kernel.tree.attribute(kernel, M.METRIC_GPU_TIME, 5.0)
+        kernel.tree.attribute_many(kernel, {M.METRIC_GPU_TIME: 2.0})
         assert single.shard_for_tid(1).kernels[0].exclusive.sum(
             M.METRIC_GPU_TIME) == pytest.approx(8.0)
         assert single.root.inclusive.sum(M.METRIC_GPU_TIME) == pytest.approx(8.0)
@@ -248,34 +239,21 @@ class TestShardLifecycle:
         shard.insert(_path(1, "conv", "k9"))  # shard change → rebuild
         assert tree.root is not stale_root  # view was rebuilt
         assert tree.kernels[0] is early_node
-        tree.attribute(early_node, M.METRIC_GPU_TIME, 5.0)
+        assert early_node.tree is shard
+        early_node.tree.attribute(early_node, M.METRIC_GPU_TIME, 5.0)
         assert tree.root.inclusive.sum(M.METRIC_GPU_TIME) == pytest.approx(8.0)
-        with pytest.raises(ValueError, match="no shard of this tree"):
-            tree.attribute(stale_root, M.METRIC_GPU_TIME, 5.0)
+        with pytest.raises(ValueError, match="read-only view"):
+            stale_root.tree.attribute(stale_root, M.METRIC_GPU_TIME, 5.0)
+        assert tree.root.inclusive.sum(M.METRIC_GPU_TIME) == pytest.approx(8.0)
         # One shard: a node fetched before a structural change is still the
         # shard's own node, and attribution through it is kept.
         single = _build_sharded([(1, "conv", "k0", 1.0)])
         early_node = single.kernels[0]
         single.shard_for_tid(1).insert(_path(1, "conv", "k9"))
         assert single.kernels[0] is early_node
-        single.attribute(early_node, M.METRIC_GPU_TIME, 5.0)
+        assert early_node.tree is single.shard_for_tid(1)
+        early_node.tree.attribute(early_node, M.METRIC_GPU_TIME, 5.0)
         assert single.root.inclusive.sum(M.METRIC_GPU_TIME) == pytest.approx(6.0)
-
-    def test_node_of_another_tree_is_rejected(self):
-        # Attributing a foreign node used to write into that node's own
-        # tree, so the observation never showed in this one.
-        for observations in ([(1, "conv", "k0", 1.0)],
-                             [(1, "conv", "k0", 1.0), (2, "norm", "k1", 2.0)]):
-            tree = _build_sharded(observations)
-            other = _build_single([(1, "conv", "k0", 0.0)])
-            foreign = other.kernels[0]
-            with pytest.raises(ValueError, match="no shard of this tree"):
-                tree.attribute(foreign, M.METRIC_GPU_TIME, 5.0)
-            with pytest.raises(ValueError, match="no shard of this tree"):
-                tree.attribute_many(foreign, {M.METRIC_GPU_TIME: 5.0})
-            assert other.total_metric(M.METRIC_GPU_TIME) == 0.0
-            assert tree.total_metric(M.METRIC_GPU_TIME) == pytest.approx(
-                sum(gpu_time for *_, gpu_time in observations))
 
     def test_union_view_refuses_every_mutator(self):
         tree = _build_sharded([(1, "conv", "k0", 1.0), (2, "norm", "k1", 2.0)])
@@ -377,17 +355,6 @@ class TestShardLifecycle:
         # per-shard roots that the union replaces with one.
         assert tree.stored_node_count() == tree.node_count() + tree.shard_count() - 1
 
-    def test_degenerate_single_shard_api(self):
-        tree = ShardedCallingContextTree("degenerate")
-        node = tree.insert(_path(1, "conv", "k0"))
-        tree.attribute(node, M.METRIC_GPU_TIME, 0.5)
-        tree.attribute_many(node, {M.METRIC_KERNEL_COUNT: 1.0})
-        assert tree.shard_count() == 1
-        assert tree.root.inclusive.sum(M.METRIC_GPU_TIME) == pytest.approx(0.5)
-        assert tree.root.inclusive.sum(M.METRIC_KERNEL_COUNT) == 1.0
-        single = _build_single([(1, "conv", "k0", 0.5)])
-        assert tree.node_count() == single.node_count()
-
 
 class TestShardedPersistence:
     def _sharded(self):
@@ -457,33 +424,6 @@ class TestShardedProfiling:
         assert database.total_kernel_launches() == engine.kernel_launches
         assert database.total_gpu_time() > 0
 
-    def test_sharded_equals_unsharded_end_to_end(self):
-        sharded_engine = EagerEngine("a100")
-        sharded = DeepContextProfiler(
-            sharded_engine, ProfilerConfig(program_name="eq", sharded_cct=True))
-        sharded_db = _run_training(sharded_engine, sharded)
-
-        plain_engine = EagerEngine("a100")
-        plain = DeepContextProfiler(
-            plain_engine, ProfilerConfig(program_name="eq", sharded_cct=False))
-        plain_db = _run_training(plain_engine, plain)
-
-        assert isinstance(plain_db.tree, CallingContextTree)
-        assert sharded_db.node_count() == plain_db.node_count()
-        assert sharded_db.total_gpu_time() == pytest.approx(plain_db.total_gpu_time(),
-                                                            rel=1e-9)
-        assert sharded_db.total_cpu_time() == pytest.approx(plain_db.total_cpu_time(),
-                                                            rel=1e-9)
-        assert sharded_db.total_kernel_launches() == plain_db.total_kernel_launches()
-        sharded_top = sharded_db.top_kernels(5)
-        plain_top = plain_db.top_kernels(5)
-        assert [row["kernel"] for row in sharded_top] == \
-            [row["kernel"] for row in plain_top]
-        for sharded_row, plain_row in zip(sharded_top, plain_top):
-            assert sharded_row["gpu_time"] == pytest.approx(plain_row["gpu_time"],
-                                                            rel=1e-9)
-
-
     def test_same_named_threads_are_unioned_by_copying(self):
         # Two data loaders each start a "dataloader-worker-0" thread.  A
         # thread frame's identity is its name, so the two threads' shards
@@ -505,8 +445,6 @@ class TestShardedProfiling:
         assert _exact_states(view) == _exact_states(reference)
         assert PerformanceAnalyzer().analyze(database) is not None
         leaf = view.all_nodes()[-1]
-        with pytest.raises(ValueError, match="no shard of this tree"):
-            tree.attribute(leaf, M.METRIC_CPU_TIME, 1.0)
         with pytest.raises(ValueError, match="read-only view"):
             view.attribute(leaf, M.METRIC_CPU_TIME, 1.0)
 

@@ -19,7 +19,6 @@ Pins the watcher's contracts:
   regression issue in the persisted issue log.
 """
 
-import json
 import os
 import threading
 import time
@@ -43,7 +42,6 @@ from repro.fleet import (
     FleetWatcher,
     ProfileStore,
     RetentionPolicy,
-    WatchedRun,
 )
 from repro.fleet.store import PROFILE_SUFFIX
 from repro.obs import TELEMETRY, HealthTimeSeries
