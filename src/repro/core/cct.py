@@ -285,7 +285,6 @@ class CallingContextTree:
         self._operator_index: List[CCTNode] = []
         self._scope_index: List[CCTNode] = []
         self._max_depth = 0
-        self._size_cache: Tuple[Tuple[int, int], int] = ((-1, -1), 0)
         #: Memoized ``name_rows`` per metric (generation-stamped).
         self._rows_cache: Dict[str, Tuple[int, NameRows]] = {}
         #: Memoized ``total_metric`` sums (generation-stamped).
@@ -586,7 +585,6 @@ class CallingContextTree:
         self._operator_index.clear()
         self._scope_index.clear()
         self._max_depth = 0
-        self._size_cache = ((-1, -1), 0)
         self._rows_cache.clear()
         self._total_cache.clear()
 
@@ -736,19 +734,12 @@ class CallingContextTree:
         occupies (almost) nothing and is counted as such — deliberately not
         forcing materialization, so overhead probes taken mid-collection stay
         cheap and don't perturb the propagation counters they report next to.
-        Cached behind the generation counters so repeated overhead/summary
-        queries between mutations cost O(1).
         """
-        cache_key = (self._generation, self._inclusive_generation)
-        cached_key, cached_total = self._size_cache
-        if cached_key == cache_key:
-            return cached_total
         total = 0
         for node in self._registry:
             total += 160  # node object, frame, child-dict overhead
             total += node.exclusive.approximate_size_bytes()
             total += node._inclusive.approximate_size_bytes()
-        self._size_cache = (cache_key, total)
         return total
 
 
@@ -987,11 +978,6 @@ class ShardedCallingContextTree(ProfileTree):
             self._merged = ShardForest(self.program_name, self._shards.values())
             self._merged_key = key
         return self._merged
-
-    @property
-    def generation(self) -> int:
-        """Sum of shard generation counters (cache key, monotonic)."""
-        return sum(shard._generation for shard in self._shards.values())
 
     @property
     def insertions(self) -> int:

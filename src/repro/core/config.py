@@ -34,8 +34,6 @@ class ProfilerConfig:
     cpu_sample_period: float = 0.001
     #: Collect fine-grained instruction samples (stall reasons).
     pc_sampling: bool = False
-    #: Instruction-sampling period in microseconds.
-    pc_sample_period_us: float = 2.0
     #: Enable DLMonitor's call-path cache.
     callpath_cache: bool = True
     #: Perf-event counters to collect (names from :mod:`repro.cpu.perf_events`).

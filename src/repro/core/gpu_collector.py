@@ -92,8 +92,7 @@ class GpuMetricCollector:
             self._on_enter, self._on_exit if self.config.pc_sampling else None)
         self.monitor.tracing_api.activity_register_callbacks(self._on_activity)
         if self.config.pc_sampling:
-            self.monitor.tracing_api.enable_pc_sampling(
-                self._on_samples, sample_period_us=self.config.pc_sample_period_us)
+            self.monitor.tracing_api.enable_pc_sampling(self._on_samples)
         self._running = True
 
     def stop(self) -> None:

@@ -968,12 +968,6 @@ class LazyProfileView(ProfileTree):
             return hydrated.merged()
         return hydrated
 
-    @property
-    def generation(self) -> int:
-        """0 while the view is an immutable mapping; the hydrated tree's
-        counter afterwards (hydrated trees are mutable)."""
-        return self._hydrated.generation if self._hydrated is not None else 0
-
     def approximate_size_bytes(self) -> int:
         """Footprint of what has actually been decoded (the mapping itself is
         file-backed and pages in/out on demand)."""

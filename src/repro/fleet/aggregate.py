@@ -11,30 +11,29 @@ go?" in two gears:
   one profile (see ``repro.core.cct``).  A run carrying a valid
   fleet-index summary (see ``repro.fleet.index``) is served from it and *no
   profile is opened at all*.  Every other run — no valid stored summary,
-  ``use_index=False``, or a view handed to the constructor — builds the
-  same summary from its view with ``RunSummary.from_view`` on its first
-  query, reading every column block once.  Stored and rebuilt rows are
-  identical, so the two answer bit for bit alike;
+  or ``use_index=False`` — builds the same summary from its view with
+  ``RunSummary.from_view`` on its first query, reading every column block
+  once, and keeps it for the aggregator's life.  Stored and rebuilt rows
+  are identical, so the two answer bit for bit alike;
 * **the fleet CCT** — :meth:`merged_tree` unions every run's shards with
   ``CallingContextTree.merge_from`` (parallel Welford ``MetricSet.merge``
   per aligned context), in run order then shard order — the identical merge
   sequence a single profile holding all those shards would replay, which is
   what makes fleet-merging N single-run profiles bit-for-bit equivalent to
   one profile that collected all N runs (the property the fleet test suite
-  pins down).  Structure needs bytes, so this gear opens views on demand.
+  pins down).  Structure needs bytes, so this gear opens views on demand;
+  it is the only place a store's runs are hydrated and merged.
 
-Per-run passes are memoized per metric and fingerprint: every per-name query
-on a metric (``aggregate_by_name`` of any kind, ``name_states``,
-``top_kernels`` with any ``k``) reads one rows pass, ``total_metric`` and
-``per_run_totals`` share a totals pass, and the memo — with every rebuilt
-summary — drops whenever an underlying view moves (live attach/refresh).
+An aggregator is a view of a store's immutable runs, so nothing it answers
+can go stale: every query projects the runs' summaries afresh, with no memo
+between queries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from ..core import metrics as M
 from ..core.cct import (CallingContextTree, ShardedCallingContextTree,
@@ -77,10 +76,10 @@ class _RunSource:
 
     __slots__ = ("run_id", "record", "summary", "view", "indexed")
 
-    def __init__(self, run_id: str, record: Optional["RunRecord"] = None,
+    def __init__(self, record: "RunRecord",
                  summary: Optional[RunSummary] = None,
                  view: Optional[LazyProfileView] = None) -> None:
-        self.run_id = run_id
+        self.run_id = record.run_id
         self.record = record
         self.summary = summary
         self.view = view
@@ -88,50 +87,41 @@ class _RunSource:
 
 
 class FleetAggregator:
-    """Cross-run aggregation over an ordered set of stored runs.
+    """Cross-run aggregation over an ordered set of a store's runs.
+
+    Built by :meth:`from_store` (which ``ProfileStore.aggregator`` calls).
 
     **Graceful degradation**: a corrupt run never poisons a fleet answer and
     never turns one into an exception.  Runs already quarantined in the
     catalog are skipped at construction; a run that builds its summary
-    from its view reads every block on its first query, and a checksum
-    failure there demotes it on the spot: dropped from the healthy set,
-    quarantined back into the originating store (when known), and recorded
-    in :meth:`degradation_report`, while the query returns the aggregate
-    over every healthy run.  Index-served runs never read profile bytes, so
-    rot that postdates ingest cannot surface through them — detecting it is
+    from its view reads every block on its first query, and so does every
+    run :meth:`merged_tree` hydrates.  A checksum failure there demotes the
+    run on the spot: dropped from the healthy set, quarantined in the
+    store's catalog, and recorded in :meth:`degradation_report`, while the
+    query returns the answer over every healthy run.  Summary-row queries
+    over index-served runs never read profile bytes, so rot that postdates
+    ingest cannot surface through them — detecting it is
     ``ProfileStore.scrub``'s job (or pass ``use_index=False`` to force
     byte-touching queries).
     """
 
-    def __init__(self, views: Mapping[str, LazyProfileView],
-                 owns_views: bool = False,
-                 program_name: str = "fleet",
-                 store: Optional["ProfileStore"] = None,
-                 degraded: Optional[List[DegradedRun]] = None) -> None:
+    def __init__(self, store: "ProfileStore", sources: Dict[str, _RunSource],
+                 degraded: List[DegradedRun],
+                 index_problems: Dict[str, str]) -> None:
+        self._store = store
         #: ``run id → _RunSource`` in run order (run order is the merge
         #: order, so it is part of the aggregator's contract).
-        self._sources: Dict[str, _RunSource] = {
-            run_id: _RunSource(run_id, view=view)
-            for run_id, view in dict(views).items()}
-        self._owns_views = owns_views
-        self.program_name = program_name
-        self._store = store
+        self._sources = sources
         self._degraded: Dict[str, DegradedRun] = {
-            entry.run_id: entry for entry in (degraded or [])}
+            entry.run_id: entry for entry in degraded}
         #: ``run id → why its index summary was unusable`` (fallback runs).
-        self._index_problems: Dict[str, str] = {}
-        self._requested = len(self._sources) + len(self._degraded)
+        self._index_problems = index_problems
+        self._requested = len(sources) + len(degraded)
         self._merged: Optional[CallingContextTree] = None
-        #: Memoized per-run passes, keyed ``("total" | "rows", metric)`` —
-        #: valid for the stamped fingerprint only (cleared by
-        #: ``_ensure_fresh``).
-        self._per_run_cache: Dict[Tuple, Dict[str, object]] = {}
-        #: How many per-run aggregate passes have actually run (each one
-        #: reads every run's summary once, building missing ones) —
-        #: observable, so tests can pin that repeated queries reuse passes
-        #: instead of re-scanning.
+        #: How many query passes have run, each reading every run's summary
+        #: once (``top_kernels`` makes two) — observable, so tests and the
+        #: benchmark can pin what each query costs.
         self.aggregate_passes = 0
-        self._fingerprint: Optional[tuple] = None
 
     @classmethod
     def from_store(cls, store: "ProfileStore",
@@ -170,8 +160,8 @@ class FleetAggregator:
                 if index is not None:
                     summary, problem = index.summary_for(record)
                 if summary is not None:
-                    sources[record.run_id] = _RunSource(
-                        record.run_id, record=record, summary=summary)
+                    sources[record.run_id] = _RunSource(record,
+                                                        summary=summary)
                     continue
                 if problem is not None:
                     problems[record.run_id] = problem
@@ -183,28 +173,22 @@ class FleetAggregator:
                         reason=str(error)))
                     store.quarantine(record.run_id, str(error))
                     continue
-                sources[record.run_id] = _RunSource(
-                    record.run_id, record=record, view=view)
+                sources[record.run_id] = _RunSource(record, view=view)
         except BaseException:
             for source in sources.values():
                 if source.view is not None:
                     source.view.close()
             raise
-        aggregator = cls({}, owns_views=True, store=store, degraded=degraded)
-        aggregator._sources = sources
-        aggregator._index_problems = problems
-        aggregator._requested = len(sources) + len(degraded)
         if degraded and TELEMETRY.enabled:
             TELEMETRY.count("fleet.degraded_runs", len(degraded))
-        return aggregator
+        return cls(store, sources, degraded, problems)
 
     # -- lifecycle ------------------------------------------------------------------
 
     def close(self) -> None:
-        if self._owns_views:
-            for source in self._sources.values():
-                if source.view is not None:
-                    source.view.close()
+        for source in self._sources.values():
+            if source.view is not None:
+                source.view.close()
 
     def __enter__(self) -> "FleetAggregator":
         return self
@@ -324,25 +308,23 @@ class FleetAggregator:
     def _demote(self, run_id: str, reason: str, stage: str = "query") -> None:
         """Drop a run that turned out corrupt mid-query (or unopenable).
 
-        The view is closed and removed, per-run passes memoized before the
-        corruption surfaced are discarded, the run is recorded in the
-        degradation report, and — when this aggregator came from a store —
-        quarantined in its catalog so every later reader skips it too.
+        The view is closed and removed, a merged tree built before the
+        corruption surfaced is discarded, the run is recorded in the
+        degradation report, and it is quarantined in the store's catalog so
+        every later reader skips it too.
         """
         source = self._sources.pop(run_id, None)
-        if source is not None and source.view is not None and self._owns_views:
+        if source is not None and source.view is not None:
             source.view.close()
         self._degraded[run_id] = DegradedRun(run_id=run_id, reason=reason,
                                              stage=stage)
         if TELEMETRY.enabled:
             TELEMETRY.count("fleet.degraded_runs")
-        self._per_run_cache.clear()
         self._merged = None
-        if self._store is not None:
-            try:
-                self._store.quarantine(run_id, reason)
-            except KeyError:  # removed from the catalog behind our back
-                pass
+        try:
+            self._store.quarantine(run_id, reason)
+        except KeyError:  # removed from the catalog behind our back
+            pass
 
     def _ensure_view(self, source: _RunSource) -> Optional[LazyProfileView]:
         """The source's open view, opening it from the store on demand.
@@ -353,8 +335,6 @@ class FleetAggregator:
         """
         if source.view is not None:
             return source.view
-        if self._store is None:  # pragma: no cover - storeless sources hold views
-            return None
         try:
             source.view = self._store.open_view(source.run_id)
         except (ProfileFormatError, OSError) as error:
@@ -381,20 +361,16 @@ class FleetAggregator:
             self._demote(run_id, reason)
         return results
 
-    def _per_run(self, key: Tuple,
-                 value: Callable[[RunSummary], object]) -> Dict[str, object]:
-        """One memoized per-run pass: ``run id → value(summary)``, run order.
+    def _summaries(self) -> Dict[str, RunSummary]:
+        """One query pass: ``run id → summary`` for every healthy run, in run
+        order.
 
-        Runs without a summary build it from their view first (see
-        :meth:`_build_summaries`).  The result is memoized under ``key`` for
-        the current fingerprint, so every query shape that shares a pass
-        (the per-name queries on one metric, ``total_metric`` +
-        ``per_run_totals``) pays it once.
+        A run without a summary builds it from its view with
+        ``RunSummary.from_view``, which reads every frames and column block,
+        so a build that hits corruption demotes the run (stage ``"query"``).
+        The built summary stays on the run's source: only its first pass
+        reads blocks.
         """
-        self._ensure_fresh()
-        cached = self._per_run_cache.get(key)
-        if cached is not None:
-            return cached
         self.aggregate_passes += 1
         if TELEMETRY.enabled:
             TELEMETRY.count("fleet.aggregate_passes")
@@ -404,71 +380,27 @@ class FleetAggregator:
             if len(self._sources) > indexed:
                 TELEMETRY.count("fleet.lazy_served",
                                 len(self._sources) - indexed)
-        self._build_summaries()
-        results = {run_id: value(source.summary)
-                   for run_id, source in self._sources.items()}
-        self._per_run_cache[key] = results
-        self._stamp()
-        return results
-
-    def _build_summaries(self) -> None:
-        """Give every run without a summary one built from its view.
-
-        ``RunSummary.from_view`` reads every frames and column block, so a
-        build that hits corruption demotes the run (stage ``"query"``).
-        """
         missing = [(source.run_id,
                     partial(RunSummary.from_view, source.run_id,
-                            source.record.digest if source.record else "",
-                            source.view))
+                            source.record.digest, source.view))
                    for source in self._sources.values()
                    if source.summary is None]
-        if missing:
-            for run_id, summary in self._gather(missing).items():
-                self._sources[run_id].summary = summary
+        for run_id, summary in self._gather(missing).items():
+            self._sources[run_id].summary = summary
+        return {run_id: source.summary
+                for run_id, source in self._sources.items()}
 
     # -- summary-row queries --------------------------------------------------------
 
-    def _current_fingerprint(self) -> tuple:
-        return tuple(
-            (run_id, source.view.seal_end, source.view.generation)
-            if source.view is not None
-            else (run_id, "index", source.summary.digest)
-            for run_id, source in self._sources.items())
-
-    def _ensure_fresh(self) -> None:
-        """Drop memoized passes and rebuilt summaries when a view moved.
-
-        Store-backed views are immutable files, so this never fires for
-        them; but an aggregator may also hold live-attached views
-        (``LazyProfileView.attach`` + ``refresh``) or views whose hydrated
-        trees were mutated — a view's seal position and ``generation`` (0
-        until hydrated, then the hydrated tree's counter) say when.
-        Queries re-stamp the fingerprint *after* computing (``_stamp``), so
-        the hydration ``merged_tree`` itself performs — which moves a
-        view's generation without changing any result — does not
-        self-invalidate.
-        """
-        if self._current_fingerprint() != self._fingerprint:
-            self._per_run_cache.clear()
-            self._merged = None
-            for source in self._sources.values():
-                if not source.indexed:
-                    source.summary = None
-
-    def _stamp(self) -> None:
-        self._fingerprint = self._current_fingerprint()
-
-    def _run_totals(self, metric: str) -> Dict[str, object]:
-        return self._per_run(("total", metric),
-                             lambda summary: summary.totals.get(metric, 0.0))
+    def _run_totals(self, metric: str) -> Dict[str, float]:
+        return {run_id: summary.totals.get(metric, 0.0)
+                for run_id, summary in self._summaries().items()}
 
     def _rows(self, metric: str):
         """Every run's ``{(kind_code, name): state}`` rows for ``metric``, in
-        run order — one pass per metric, whatever the kind or fold."""
-        return self._per_run(
-            ("rows", metric),
-            lambda summary: summary.states.get(metric, {})).values()
+        run order — one pass, whatever the kind or fold."""
+        return [summary.states.get(metric, {})
+                for summary in self._summaries().values()]
 
     def total_metric(self, metric: str) -> float:
         """Fleet-wide metric total: the sum of every run's summary total.
@@ -480,11 +412,7 @@ class FleetAggregator:
             return float(sum(self._run_totals(metric).values()))
 
     def per_run_totals(self, metric: str) -> Dict[str, float]:
-        """``run id → metric total`` (the per-run breakdown of a fleet sum).
-
-        Shares its per-run pass with :meth:`total_metric` — asking for the
-        breakdown after the total (or vice versa) costs no second scan.
-        """
+        """``run id → metric total`` (the per-run breakdown of a fleet sum)."""
         with TELEMETRY.span("fleet.query.per_run_totals", metric=metric):
             return {run_id: float(total)
                     for run_id, total in self._run_totals(metric).items()}
@@ -530,12 +458,11 @@ class FleetAggregator:
 
         Runs share calling contexts, so they are unioned with
         ``CallingContextTree.merge_from``.  Structure needs bytes, so
-        index-served runs open their views here (on demand; an unopenable
-        run demotes).  Hydration and merge cost are paid once and cached
-        (until an underlying view moves — see ``_ensure_fresh``); runs merge
-        in run order and, within a run, shard order.
+        index-served runs open their views here (on demand); a run that
+        cannot be opened, or whose blocks fail verification while it
+        hydrates, demotes.  Hydration and merge cost are paid once and
+        cached; runs merge in run order and, within a run, shard order.
         """
-        self._ensure_fresh()
         if self._merged is None:
             # Open and hydrate first (demoting runs whose blocks turn out
             # corrupt), then merge only fully-decoded trees: a run must
@@ -549,7 +476,7 @@ class FleetAggregator:
                         tasks.append((source.run_id,
                                       (lambda v=view: v.hydrate())))
                 hydrated_trees = self._gather(tasks)
-                combined = CallingContextTree(self.program_name)
+                combined = CallingContextTree("fleet")
                 for run_id in list(self._sources):
                     hydrated = hydrated_trees.get(run_id)
                     if hydrated is None:
@@ -560,7 +487,6 @@ class FleetAggregator:
                     else:
                         combined.merge_from(hydrated)
                 self._merged = combined
-                self._stamp()
         return self._merged
 
     def merged(self) -> CallingContextTree:

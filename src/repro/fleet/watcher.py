@@ -23,9 +23,11 @@ analyzer's :class:`~repro.analyzer.regression.RegressionAnalysis` and the
   issue per newly-rotten run, and a rolling-window population-drift job diffs
   each workload's older ingested runs against its newer ones —
   :func:`name_drift` over index-served aggregators as the cheap gate, then
-  :func:`merge_population` + :class:`RegressionAnalysis` for ranked issues.
-  Issues land in a crash-safe JSONL issue log (same append discipline as the
-  health time-series);
+  both aggregators' ``merged_tree`` + :class:`RegressionAnalysis` for ranked
+  issues.  A run whose bytes rotted since ingest is demoted by that merge
+  and filed as an issue; it never crashes the watcher either.  Issues land
+  in a crash-safe JSONL issue log (same append discipline as the health
+  time-series);
 * **health time-series + dashboard**: periodic ``TELEMETRY`` snapshots are
   appended to a :class:`~repro.obs.timeseries.HealthTimeSeries`, and a
   self-refreshing HTML dashboard (``repro.gui.dashboard``) is re-rendered
@@ -51,8 +53,7 @@ from ..core import metrics as M
 from ..core.storage import LazyProfileView, ProfileFormatError
 from ..core.streaming import DONE_SUFFIX, is_marked_complete
 from ..obs import TELEMETRY, HealthTimeSeries
-from .aggregate import FleetAggregator
-from .differential import STATUS_UNCHANGED, merge_population, name_drift
+from .differential import STATUS_UNCHANGED, name_drift
 from .store import PROFILE_SUFFIX, ProfileStore, PruneReport
 
 #: Default name (inside the store root) of the persisted issue log.
@@ -393,8 +394,10 @@ class FleetWatcher:
         The window's older half is the baseline population, its newer half
         the candidate.  ``name_drift`` over two index-served aggregators is
         the cheap gate (no profile opened over an indexed store); only when
-        some name actually moved do both halves get fleet-merged and judged
-        by :class:`RegressionAnalysis`, whose ranked issues are persisted.
+        some name actually moved do both aggregators merge their runs and
+        :class:`RegressionAnalysis` judge the halves, whose ranked issues
+        are persisted.  A run the merge demotes is filed with the other
+        degradation issues, after the merge.
         """
         # Imported here, not at module top: regression itself imports the
         # fleet differential, so a module-level import would close a cycle
@@ -402,47 +405,28 @@ class FleetWatcher:
         from ..analyzer.regression import RegressionAnalysis
         for workload, window in self._drift_candidates().items():
             half = len(window) // 2
-            base_ids, cand_ids = window[:half], window[half:]
-            base_agg = FleetAggregator.from_store(self.store,
-                                                  run_ids=base_ids)
-            cand_agg = FleetAggregator.from_store(self.store,
-                                                  run_ids=cand_ids)
-            try:
+            with self.store.aggregator(run_ids=window[:half]) as base_agg, \
+                    self.store.aggregator(run_ids=window[half:]) as cand_agg:
+                judge = any(delta.status != STATUS_UNCHANGED for delta in
+                            name_drift(base_agg, cand_agg, metric=self.metric))
+                if judge:
+                    baseline = base_agg.merged_tree()
+                    candidate = cand_agg.merged_tree()
+                    # A half whose every run the merge demoted has nothing
+                    # to judge.
+                    judge = bool(base_agg.run_count and cand_agg.run_count)
                 for agg in (base_agg, cand_agg):
                     degraded = degradation_issues(agg.degradation_report())
                     tick.issues_filed += self._file_issues(
                         degraded, now, workload=workload)
-                moved = [delta for delta in
-                         name_drift(base_agg, cand_agg, metric=self.metric)
-                         if delta.status != STATUS_UNCHANGED]
-                if not moved:
-                    continue
-                baseline, candidate = self._merge_halves(
-                    workload, base_ids, cand_ids)
-            finally:
-                base_agg.close()
-                cand_agg.close()
+            if not judge:
+                continue
             collector = IssueCollector()
             RegressionAnalysis(baseline=baseline, metric=self.metric,
                                **self.drift_thresholds).run(candidate,
                                                             collector)
             tick.issues_filed += self._file_issues(collector.issues, now,
                                                    workload=workload)
-
-    def _merge_halves(self, workload: str, base_ids: List[str],
-                      cand_ids: List[str]):
-        """Fleet-merge both window halves into eager trees, closing the
-        per-run views once their observations are folded in."""
-        merged = []
-        for label, run_ids in (("baseline", base_ids),
-                               ("candidate", cand_ids)):
-            views = [self.store.open_view(run_id) for run_id in run_ids]
-            try:
-                merged.append(merge_population(views, f"{workload}:{label}"))
-            finally:
-                for view in views:
-                    view.close()
-        return merged[0], merged[1]
 
     def _job_snapshot(self, now: float, tick: WatcherTick) -> None:
         if self.health is None:

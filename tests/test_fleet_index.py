@@ -18,9 +18,9 @@ Pins the index subsystem's contracts:
   crash;
 * **dictionary loss**: a rotten or deleted name dictionary never lets an
   older summary resolve to the names a later ingest interns;
-* **staleness**: a second ingest is reflected by the next aggregator, and
-  per-run query passes are memoized per fingerprint (``top_kernels`` with
-  different ``k`` reuse one pass);
+* **staleness and passes**: a second ingest is reflected by the next
+  aggregator; every query projects the runs' summaries afresh (one pass,
+  two for ``top_kernels``), and a fallback run decodes its blocks once;
 * **the satellites**: the catalog generation counter behind ``find`` /
   ``latest``, parallel fallback decode parity, and the index-served
   ``name_drift`` scan;
@@ -60,6 +60,7 @@ from repro.fleet import (
     name_drift,
 )
 from repro.fleet.store import _CatalogLock
+from repro.obs import TELEMETRY
 
 
 def _path(workload: str, op: str, kernel: str, line: int = 10) -> CallPath:
@@ -407,26 +408,50 @@ class TestNameDictionaryLoss:
 # Satellites: memoized passes, catalog generation, parallel decode, drift
 # ---------------------------------------------------------------------------
 
-class TestQueryMemoization:
-    def test_top_kernels_variants_share_one_pass(self, tmp_path):
+class TestQueryPasses:
+    def test_each_query_shape_counts_its_passes(self, tmp_path):
+        """Every query projects the runs' summaries afresh: one pass per
+        summary-row query and two for ``top_kernels``, repeats included,
+        with equal answers each time."""
         store, _records = make_store(tmp_path)
+        shapes = [
+            (lambda agg: agg.total_metric(M.METRIC_GPU_TIME), 1),
+            (lambda agg: agg.per_run_totals(M.METRIC_GPU_TIME), 1),
+            (lambda agg: agg.aggregate_by_name(kind=FrameKind.GPU_KERNEL), 1),
+            (lambda agg: agg.name_states(kind=FrameKind.GPU_KERNEL), 1),
+            (lambda agg: agg.top_kernels(k=1), 2),
+            (lambda agg: agg.top_kernels(k=10), 2),
+        ]
         for use_index in (True, False):
             with store.aggregator(use_index=use_index) as aggregator:
-                aggregator.top_kernels(k=1)
-                passes = aggregator.aggregate_passes
-                aggregator.top_kernels(k=2)
-                aggregator.top_kernels(k=10)
-                aggregator.aggregate_by_name(kind=FrameKind.GPU_KERNEL)
-                assert aggregator.aggregate_passes == passes
+                for query, passes in shapes:
+                    before = aggregator.aggregate_passes
+                    first = query(aggregator)
+                    assert aggregator.aggregate_passes == before + passes
+                    assert query(aggregator) == first
+                    assert aggregator.aggregate_passes == before + 2 * passes
 
-    def test_total_and_per_run_share_one_pass(self, tmp_path):
+    def test_fallback_runs_read_their_blocks_once(self, tmp_path):
+        """A run without an index summary builds it on its first pass and
+        keeps it: no later query decodes a block again."""
         store, _records = make_store(tmp_path)
-        with store.aggregator() as aggregator:
-            total = aggregator.total_metric(M.METRIC_GPU_TIME)
-            passes = aggregator.aggregate_passes
-            per_run = aggregator.per_run_totals(M.METRIC_GPU_TIME)
-            assert aggregator.aggregate_passes == passes
-            assert sum(per_run.values()) == total
+        TELEMETRY.reset()
+        TELEMETRY.enable()
+        try:
+            with store.aggregator(use_index=False) as aggregator:
+                total = aggregator.total_metric(M.METRIC_GPU_TIME)
+                decoded = TELEMETRY.counter_value("storage.blocks_decoded")
+                assert decoded > 0
+                per_run = aggregator.per_run_totals(M.METRIC_GPU_TIME)
+                aggregator.top_kernels(k=10)
+                aggregator.name_states()
+                assert TELEMETRY.counter_value(
+                    "storage.blocks_decoded") == decoded
+                assert sum(per_run.values()) == total
+                assert aggregator.hydrated_run_ids == []
+        finally:
+            TELEMETRY.disable()
+            TELEMETRY.reset()
 
 
 class TestCatalogGeneration:

@@ -12,7 +12,8 @@ Pins the watcher's contracts:
   retention applied through the catalog lock after each ingest, and an
   ingest failure filing a watcher issue instead of crashing;
 * **standing jobs** — scheduling by period, scrub filing quarantine issues,
-  health snapshots, dashboard re-render;
+  the drift job demoting a run whose bytes rotted since ingest, health
+  snapshots, dashboard re-render;
 * the ISSUE's **end-to-end acceptance**: a dashboard that reflects a new
   seal within one poll, a completed run ingested then pruned per retention,
   and the rolling drift job filing an injected slowdown as the top-ranked
@@ -25,7 +26,8 @@ import time
 
 import pytest
 
-from repro.core import ProfileDatabase, ProfileMetadata, StreamingProfileWriter
+from repro.core import (ProfileDatabase, ProfileMetadata,
+                        StreamingProfileWriter, open_binary)
 from repro.core.faultfs import flip_bit
 from repro.core import metrics as M
 from repro.core.cct import ShardedCallingContextTree
@@ -116,6 +118,40 @@ def observe(database: ProfileDatabase, workload: str, op: str, kernel: str,
 
 def gauge(name: str) -> float:
     return TELEMETRY.snapshot()["gauges"][name]
+
+
+def drift_store(tmp_path):
+    """A store of four convnet runs, the newest with a ``k_hot`` slowdown.
+
+    A drift window over it splits into two fast baseline runs and a fast
+    and a slow candidate.
+    """
+    store = ProfileStore(tmp_path / "store")
+    runs = [store.ingest(make_database("convnet", fast_observations(i / 1e3)))
+            for i in range(3)]
+    slow = make_database("convnet", fast_observations(0.003))
+    observe(slow, "convnet", "attn", "k_hot", 50.0)
+    runs.append(store.ingest(slow))
+    return store, runs
+
+
+def rot_frames_block(store: ProfileStore, run_id: str) -> None:
+    """Flip a bit inside a stored run's frames block (rot after ingest)."""
+    path = store.profile_path(run_id)
+    with open_binary(path) as view:
+        offset = int(view._toc["shards"][0]["frames"]["offset"])
+    flip_bit(path, offset + 3)
+
+
+def poll_drift(tmp_path, store: ProfileStore):
+    """One poll running only the drift job; returns the issue log's rows."""
+    issue_log = str(tmp_path / "issues.jsonl")
+    with FleetWatcher(str(tmp_path / "watch"), store,
+                      issue_log_path=issue_log, scrub_every_s=None,
+                      drift_every_s=0.0, snapshot_every_s=None,
+                      dashboard_every_s=None) as watcher:
+        assert watcher.poll_once(now=1000.0).jobs_ran == ["drift"]
+    return HealthTimeSeries(issue_log).records()
 
 
 # ---------------------------------------------------------------------------
@@ -515,6 +551,33 @@ class TestWatcherJobs:
             nodes = watcher.runs[path].nodes
             assert f"{nodes} node(s)" in page
         writer.close()
+
+    def test_drift_job_demotes_run_rotted_since_ingest(self, tmp_path):
+        """A baseline run whose frames block rots after ingest (no scrub has
+        seen it) is quarantined by the drift job's merge instead of raising
+        out of ``poll_once``, and the slowdown is still ranked first."""
+        store, runs = drift_store(tmp_path)
+        rot_frames_block(store, runs[0].run_id)
+        rows = poll_drift(tmp_path, store)
+        assert [r.run_id for r in store.quarantined()] == [runs[0].run_id]
+        durability = [row for row in rows
+                      if row["analysis"] == "store_durability"]
+        assert len(durability) == 1
+        assert runs[0].run_id in durability[0]["message"]
+        regressions = [row for row in rows if row["analysis"] == "regression"]
+        top = min(regressions, key=lambda row: row["metrics"]["rank"])
+        assert top["metrics"]["rank"] == 1.0
+        assert "k_hot" in top["node"]
+
+    def test_drift_job_skips_a_half_the_merge_emptied(self, tmp_path):
+        """With every baseline run rotted there is nothing to judge the
+        candidates against: both runs are filed, no regression is."""
+        store, runs = drift_store(tmp_path)
+        for record in runs[:2]:
+            rot_frames_block(store, record.run_id)
+        rows = poll_drift(tmp_path, store)
+        assert len(store.quarantined()) == 2
+        assert [row["analysis"] for row in rows] == ["store_durability"] * 2
 
 
 # ---------------------------------------------------------------------------
