@@ -15,11 +15,16 @@ the thread's shadow stack), the node its path reached before its GPU API and
 kernel frames; later launches in it walk only those frames from there.  The
 launch-context table maps ``DLMonitor.launch_context`` keys to those nodes,
 so the first launch of an invocation whose context was seen before (the same
-Python path, operator stack and forward record) finds its node with one
-probe instead of building and inserting a call path; only the operator's
-Python walk is left.  With native frames on there is no key
-and every invocation's first launch builds its path.  With the cache off
-every launch inserts its full path: the reference.
+Python path, operator stack and forward record, and with native frames on
+the same native frames up to the operator's dispatch frame) finds its node
+with one probe instead of building and inserting a call path; only the
+operator's Python walk and, with native frames on, the bounded unwind the
+key holds are left.  A miss builds the path from the frames that unwind
+read.  With native frames on, a later launch reuses the memo only when the
+native frames pushed since the operator entered have the pcs they had at
+the launch it was taken at (for a kernel launch, the launch API's own
+frame); otherwise it probes the table again.  With the cache off every
+launch inserts its full path: the reference.
 
 The collector attributes into the *launching* thread's private shard of the
 :class:`~repro.core.cct.ShardedCallingContextTree`: the call path is inserted
@@ -44,8 +49,8 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ..dlmonitor.api import DLMonitor
-from ..dlmonitor.callpath import FrameKind, gpu_instruction_frame, gpu_instruction_identity
-from ..dlmonitor.integration import gpu_leaf_frames
+from ..dlmonitor.callpath import (FrameKind, gpu_instruction_frame, gpu_instruction_identity,
+                                  gpu_leaf_frames)
 from ..dlmonitor.shadow_stack import ThreadState
 from ..gpu.activity import ActivityKind, ActivityRecord
 from ..gpu.runtime import ApiCallbackData
@@ -142,25 +147,33 @@ class GpuMetricCollector:
         shard = state.shard
         if shard is None:
             shard = state.shard = self.tree.shard_for(state.thread)
+        sources = self._sources
         stack = state.stack
         entry = stack[-1] if stack and monitor.enable_callpath_cache else None
-        key = None
-        if entry is not None and entry.launch_node is None:
-            key = monitor.launch_context(self._sources, state)
-            if key is not None:
+        read = None
+        if entry is not None:
+            # With native frames on, the memo holds only while the native
+            # frames pushed since the operator entered have the pcs it was
+            # taken with.
+            pushed = (state.thread.native_stack.pcs_from(entry.native_depth)
+                      if sources.native else None)
+            if entry.launch_node is None or pushed != entry.launch_pushed:
+                if sources.native:
+                    read = monitor.native_read(state)
+                key = monitor.launch_context(sources, state, read)
                 entry.launch_node = state.launch_nodes.get(key)
+                entry.launch_pushed = pushed
         if entry is not None and entry.launch_node is not None:
-            node = shard.insert_below(
-                entry.launch_node, gpu_leaf_frames(data) if self._sources.gpu else ())
+            node = shard.insert_below(entry.launch_node,
+                                      gpu_leaf_frames(data) if sources.gpu else ())
         else:
-            node = shard.insert(monitor.callpath_get(sources=self._sources, thread=state.thread))
+            node = shard.insert(monitor.callpath_get(sources=sources, thread=state.thread,
+                                                     native_read=read))
             if entry is not None:
                 prefix = node
                 while prefix.frame.kind in _LEAF_KINDS:
                     prefix = prefix.parent
-                entry.launch_node = prefix
-                if key is not None:
-                    state.launch_nodes[key] = prefix
+                entry.launch_node = state.launch_nodes[key] = prefix
         self.correlations.register(data.correlation_id, node)
         if data.api_name.endswith("Malloc") and data.bytes:
             shard.attribute(node, M.METRIC_ALLOCATED_BYTES, data.bytes)

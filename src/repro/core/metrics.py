@@ -85,7 +85,10 @@ class MetricAggregate:
         self._m2 = 0.0
 
     def add(self, value: float) -> None:
-        """Fold one observation into the running statistics (Welford update)."""
+        """Fold one observation into the running statistics (Welford update).
+
+        :meth:`MetricSet.add_many` inlines these steps; change both together.
+        """
         value = float(value)
         self.count += 1
         self.total += value
@@ -223,14 +226,28 @@ class MetricSet:
         aggregate.add(value)
 
     def add_many(self, values: Mapping[str, float]) -> None:
-        """Fold one observation of several metrics in a single call."""
+        """Fold one observation of several metrics in a single call.
+
+        Each value is folded with :meth:`MetricAggregate.add`'s arithmetic,
+        inlined (same operations, same order, so bit-identical states): this
+        is the attribution path of every activity record.
+        """
         metrics = self._metrics
         for name, value in values.items():
             aggregate = metrics.get(name)
             if aggregate is None:
                 aggregate = MetricAggregate()
                 metrics[name] = aggregate
-            aggregate.add(value)
+            value = float(value)
+            count = aggregate.count = aggregate.count + 1
+            aggregate.total += value
+            if value < aggregate.minimum:
+                aggregate.minimum = value
+            if value > aggregate.maximum:
+                aggregate.maximum = value
+            delta = value - aggregate._mean
+            mean = aggregate._mean = aggregate._mean + delta / count
+            aggregate._m2 += delta * (value - mean)
 
     def get(self, name: str) -> Optional[MetricAggregate]:
         return self._metrics.get(name)

@@ -31,22 +31,26 @@ reused by every later one.  Two modes exist:
 * with native collection, unwinding proceeds bottom-up only until the cached
   operator's dispatch frame is reached, then the cached prefix is reused.
 
-Without native collection the cache also spans invocations:
-``launch_context`` keys the operator on top of a thread's shadow stack by
-everything its call path holds above the GPU leaf (the Python path, each
-stacked operator's name, direction and scope, a backward thread's forward
-record).  The GPU collector keeps, per thread, a table from those keys to the
-CCT node above the launch leaves, so an operator called again from a context
-seen before reaches that node without a new call path.  Walked Python paths
-and scope tuples are interned per monitor, so equal keys and forward records
-share their parts.
+The cache also spans invocations: ``launch_context`` keys the operator on
+top of a thread's shadow stack by everything its call path holds above the
+GPU leaf (the Python path, each stacked operator's name, direction and
+scope, a backward thread's forward record, and with native collection the
+pcs that bounded unwind reads and each stacked operator's dispatch pc).  The
+GPU collector keeps, per thread, a table from those keys to the CCT node
+above the launch leaves, so an operator called again from a context seen
+before reaches that node without a new call path, as HPCToolkit's
+trampolines let an unwind stop at the first frame an earlier one saw.  A
+miss builds its call path from the frames the key's unwind read
+(``native_read``), so no frame is unwound twice.  Walked Python paths, scope
+tuples and native pcs tuples are interned per monitor, so equal keys and
+forward records share their parts.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..framework.eager import CallbackInfo, EagerEngine, PHASE_BEFORE
 from ..framework.jit import CompilationEvent, JitCompiler, PHASE_FUSION
@@ -54,7 +58,7 @@ from ..framework.threads import THREAD_BACKWARD, ThreadContext
 from ..gpu.cupti import GpuTracingApi
 from ..gpu.roctracer import tracing_api_for
 from ..gpu.runtime import ApiCallbackData, ApiPhase
-from ..native.unwinder import Unwinder
+from ..native.unwinder import NativeFrame, Unwinder
 from ..pycontext import PyFrame, capture_user_frames
 from .association import ForwardBackwardAssociator, ForwardRecord
 from .audit import CustomDriverInterceptor, LibraryAuditor, parse_interception_config
@@ -127,10 +131,12 @@ class DLMonitor:
         self._gpu_exit: Optional[GpuApiHandler] = None
         #: Per tid, the thread's collection record.
         self._states: Dict[int, ThreadState] = {}
-        #: Interned Python paths and scope tuples: equal ones are one object,
-        #: so launch-context keys and forward records share them.
+        #: Interned Python paths, scope tuples and native pcs tuples: equal
+        #: ones are one object, so launch-context keys and forward records
+        #: share them.
         self._python_paths: Dict[Tuple[PyFrame, ...], Tuple[PyFrame, ...]] = {}
         self._scopes: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
+        self._native_pcs: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
         self._initialized = False
         self._custom_interceptor: Optional[CustomDriverInterceptor] = None
         if interception_config:
@@ -168,6 +174,7 @@ class DLMonitor:
         self._states.clear()
         self._python_paths.clear()
         self._scopes.clear()
+        self._native_pcs.clear()
         self._initialized = False
 
     @property
@@ -221,8 +228,14 @@ class DLMonitor:
     # ------------------------------------------------------------------ call paths
 
     def callpath_get(self, sources: Optional[CallPathSources] = None,
-                     thread: Optional[ThreadContext] = None) -> CallPath:
-        """Construct the unified multi-layer call path for ``thread`` (default: current)."""
+                     thread: Optional[ThreadContext] = None,
+                     native_read: Optional[Sequence[NativeFrame]] = None) -> CallPath:
+        """Construct the unified multi-layer call path for ``thread`` (default: current).
+
+        A caller that has already unwound the thread as it stands passes
+        :meth:`native_read`'s frames as ``native_read``: the path reuses them
+        instead of unwinding again.
+        """
         sources = sources if sources is not None else CallPathSources.all()
         thread = thread if thread is not None else self.engine.threads.current
         state = self._states.get(thread.tid) or self.thread_state(thread)
@@ -256,28 +269,41 @@ class DLMonitor:
             gpu_leaf=state.gpu_call if sources.gpu else None,
             cached_prefix=cached_prefix,
             forward_record=forward_record,
+            native_read=native_read,
         )
         self.stats.callpaths_built += 1
         return path
 
-    def launch_context(self, sources: CallPathSources,
-                       state: ThreadState) -> Optional[tuple]:
+    def native_read(self, state: ThreadState) -> Optional[List[NativeFrame]]:
+        """The native frames of a launch's call path, innermost first.
+
+        ``state`` has an operator on its shadow stack and the call-path cache
+        is on: the unwind stops at that operator's dispatch frame or below
+        the Python boundary (``CallPathBuilder.read_native``).  ``None`` for
+        an empty native stack.
+        """
+        return self.builder.read_native(state.thread, state.stack[-1].dispatch_pc)
+
+    def launch_context(self, sources: CallPathSources, state: ThreadState,
+                       native_read: Optional[Sequence[NativeFrame]]) -> tuple:
         """A key for the frames ``callpath_get`` builds above a launch's GPU leaf.
 
         ``state`` is a thread's record with an operator on its shadow stack,
-        and the call-path cache is on.  On one thread, equal keys give equal
-        frames above the leaf, so a profiler can map a key to the CCT node
-        those frames reach.  The key is ``(python, forward)``, then
-        ``(op_name, is_backward, scope)`` of each shadow-stack entry,
+        and the call-path cache is on; ``native_read`` is
+        :meth:`native_read`'s result for it with native frames on, ``None``
+        with them off.  On one thread, equal keys give equal frames above
+        the leaf, so a profiler can map a key to the CCT node those frames
+        reach.  The key is ``(python, forward, native)``, then ``(op_name,
+        is_backward, scope, dispatch_pc)`` of each shadow-stack entry,
         outermost first, when framework frames are on: ``python`` is the top
-        entry's Python path (walked once per operator) and ``forward`` the
+        entry's Python path (walked once per operator), ``forward`` the
         backward thread's forward record as ``(op_name, scope,
-        python_callpath)``, each ``None`` where it has no part in the path.
-        ``None`` with native frames on: they depend on the native stack,
-        which the key does not hold.
+        python_callpath)`` and ``native`` the pcs of ``native_read``, each
+        ``None`` where it has no part in the path.  An empty native stack's
+        ``None`` read thus keys apart from an empty read's ``()``: the path
+        then holds no native part at all.  ``dispatch_pc`` places an
+        operator frame among the native ones.
         """
-        if sources.native:
-            return None
         thread, entry = state.thread, state.stack[-1]
         python = None
         if sources.python and thread.has_python_context:
@@ -288,11 +314,16 @@ class DLMonitor:
             if record is not None:
                 forward = (record.op_name, record.scope, record.python_callpath)
         operators = state.stack if sources.framework else ()
+        native = None
+        if native_read is not None:
+            pcs = tuple([frame.pc for frame in native_read])
+            native = self._native_pcs.setdefault(pcs, pcs)
         # Unpacking a list builds the key at its final size; ``tuple()`` of
         # a generator would free a resized one-element tuple per call, and
         # those pile up in CPython's tuple free list.
-        return (python, forward, *[
-            (operator.op_name, operator.is_backward, operator.scope) for operator in operators])
+        return (python, forward, native, *[
+            (operator.op_name, operator.is_backward, operator.scope, operator.dispatch_pc)
+            for operator in operators])
 
     # ------------------------------------------------------------------ framework interception
 
@@ -324,6 +355,7 @@ class DLMonitor:
                 python_callpath=() if entry_frame is None else None,
                 scope=self._scopes.setdefault(scope, scope),
                 entry_frame=entry_frame,
+                native_depth=len(native_frames),
             )
             stack.append(entry)
             if not info.is_backward and info.sequence_id is not None:

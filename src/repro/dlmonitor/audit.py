@@ -14,7 +14,7 @@ Two paper features live here:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..gpu.runtime import ApiCallbackData, GpuRuntime
 from ..native.symbols import LIBPYTHON, AddressSpace
@@ -61,13 +61,23 @@ class LibraryAuditor:
 
     def __init__(self, address_space: AddressSpace) -> None:
         self.address_space = address_space
+        self._python_pcs: Optional[Tuple[int, int]] = None
 
     def loaded_libraries(self) -> List[str]:
         return [library.name for library in self.address_space.libraries]
 
-    def is_python_frame_pc(self, pc: int) -> bool:
-        """True when a native PC falls inside libpython's address range."""
-        return self.address_space.is_in_library(pc, LIBPYTHON)
+    def python_pc_range(self) -> Tuple[int, int]:
+        """libpython's address range ``[start, end)``, empty until it is loaded:
+        a native pc inside it is the interpreter's.
+
+        A loaded library never moves, so the range is looked up once.
+        """
+        if self._python_pcs is None:
+            if LIBPYTHON not in self.loaded_libraries():
+                return (0, 0)
+            library = self.address_space.library(LIBPYTHON)
+            self._python_pcs = (library.base, library.end)
+        return self._python_pcs
 
     def library_of(self, pc: int) -> Optional[str]:
         return self.address_space.library_of(pc)

@@ -160,12 +160,16 @@ class CallPath:
 # ``_PYTHON_FRAMES`` maps ``(file, line, function)`` triples, which is what
 # the Python part of every call path arrives as, to the same interned frames.
 #
+# ``_GPU_LEAVES`` maps ``(API name, kernel name, device)`` to the frames a
+# GPU API call ends its call path with, so a launch builds no tuple either.
+#
 # Deserialization and thread frames deliberately do NOT intern (loaded trees
 # build every frame exactly once, and tids are unbounded across sessions);
 # long-lived processes can still call ``clear_frame_intern`` between sessions
 # if they want a hard reset.
 _FRAME_INTERN: Dict[Tuple, Frame] = {}
 _PYTHON_FRAMES: Dict[Tuple[str, int, str], Frame] = {}
+_GPU_LEAVES: Dict[Tuple[str, str, str], Tuple[Frame, ...]] = {}
 
 
 def _interned(key: Tuple) -> Frame:
@@ -196,6 +200,7 @@ def clear_frame_intern() -> None:
     """Drop the intern tables (safe: interning is an identity optimisation only)."""
     _FRAME_INTERN.clear()
     _PYTHON_FRAMES.clear()
+    _GPU_LEAVES.clear()
 
 
 # -- frame construction helpers ---------------------------------------------------------
@@ -223,6 +228,25 @@ def scope_frame(scope_name: str) -> Frame:
 
 def gpu_kernel_frame(kernel_name: str, device: str = "") -> Frame:
     return _interned(("gpu_kernel", kernel_name, "", 0, "", 0, device))
+
+
+def gpu_leaf_frames(data) -> Tuple[Frame, ...]:
+    """The GPU API frame and, for a kernel launch, the kernel frame of ``data``.
+
+    ``data`` is a GPU API call's ``ApiCallbackData``.  One memoized tuple
+    serves every call of one API name, kernel name and device.
+    """
+    kernel = data.kernel_function
+    key = (data.api_name, kernel.name if kernel is not None else "", data.device)
+    leaf = _GPU_LEAVES.get(key)
+    if leaf is None:
+        api_name, kernel_name, device = key
+        library = "libcudart.so" if api_name.startswith("cuda") else "libamdhip64.so"
+        api_frame = gpu_api_frame(api_name, library=library)
+        leaf = _GPU_LEAVES[key] = (
+            (api_frame, gpu_kernel_frame(kernel_name, device=device)) if kernel_name
+            else (api_frame,))
+    return leaf
 
 
 def gpu_instruction_frame(kernel_name: str, pc_offset: int, stall_reason: str) -> Frame:

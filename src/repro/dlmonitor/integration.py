@@ -34,8 +34,7 @@ from .callpath import (
     CallPath,
     Frame,
     framework_frame,
-    gpu_api_frame,
-    gpu_kernel_frame,
+    gpu_leaf_frames,
     native_frame,
     python_frames_from_triples,
     scope_frame,
@@ -71,16 +70,6 @@ class CallPathSources:
         return cls(python=True, framework=False, native=False, gpu=False)
 
 
-def gpu_leaf_frames(data: ApiCallbackData) -> Tuple[Frame, ...]:
-    """The GPU API frame and, for a kernel launch, the kernel frame of ``data``."""
-    library = "libcudart.so" if data.api_name.startswith("cuda") else "libamdhip64.so"
-    api_frame = gpu_api_frame(data.api_name, library=library)
-    kernel = data.kernel_function
-    if kernel is None or not kernel.name:
-        return (api_frame,)
-    return (api_frame, gpu_kernel_frame(kernel.name, device=data.device))
-
-
 class CallPathBuilder:
     """Builds unified call paths for a thread from the configured sources."""
 
@@ -103,10 +92,14 @@ class CallPathBuilder:
         gpu_leaf: Optional[ApiCallbackData] = None,
         cached_prefix: Optional[ShadowEntry] = None,
         forward_record: Optional[ForwardRecord] = None,
+        native_read: Optional[Sequence[NativeFrame]] = None,
     ) -> CallPath:
         """Assemble the unified call path for ``thread``, ending at ``gpu_leaf``'s frames.
 
         ``stack`` is the thread's shadow stack, outermost operator first.
+        ``native_read`` is what ``read_native`` returned for this thread and
+        ``cached_prefix`` when the caller has already unwound; otherwise the
+        build unwinds itself.
         """
         prefix = self._thread_prefixes.get(thread.tid)
         if prefix is None:
@@ -118,9 +111,12 @@ class CallPathBuilder:
                                          cached_prefix, forward_record)
         framework_part = self._framework_part(stack, sources, forward_record)
 
-        if sources.native and thread.native_stack.depth:
-            frames.extend(self._integrate_native(thread, stack, python_part,
-                                                 framework_part, cached_prefix,
+        if sources.native and native_read is None:
+            native_read = self.read_native(
+                thread, cached_prefix.dispatch_pc if cached_prefix is not None else None)
+        if native_read is not None:
+            frames.extend(self._integrate_native(stack, python_part, framework_part,
+                                                 native_read,
                                                  include_operators=sources.framework))
         else:
             frames.extend(python_part)
@@ -168,47 +164,50 @@ class CallPathBuilder:
             frames.append(framework_frame(entry.op_name, backward=entry.is_backward))
         return frames
 
-    def _integrate_native(self, thread: ThreadContext, stack: Sequence[ShadowEntry],
-                          python_part: List[Frame], framework_part: List[Frame],
-                          cached_prefix: Optional[ShadowEntry],
-                          include_operators: bool = True) -> List[Frame]:
-        """Merge native frames with the Python and framework parts.
+    def read_native(self, thread: ThreadContext,
+                    stop_pc: Optional[int]) -> Optional[List[NativeFrame]]:
+        """The native frames a call path holds, innermost first.
 
-        The native stack is unwound bottom-up (``unw_step``-style).  When call-
-        path caching is active the unwind stops as soon as the cached
-        operator's dispatch frame is reached; the cached prefix stands in for
-        everything above it.
+        The native stack is unwound bottom-up (``unw_step``-style) until the
+        first ``libpython`` frame, which is left out: above it is the
+        interpreter, which the Python call path stands for.  When call-path
+        caching is active the unwind also stops at, and keeps, the frame
+        whose pc is ``stop_pc``: the cached operator's dispatch frame, above
+        which the cached prefix stands in for everything.  ``None`` when
+        the thread has no native stack at all.
         """
-        cursor = self.unwinder.cursor(thread.native_stack)
-        collected: List[Tuple[NativeFrame, Optional[Frame]]] = []
-        stop_pc = cached_prefix.dispatch_pc if cached_prefix is not None else None
-        reached_python_boundary = False
-        # Operators by dispatch pc: the innermost wins a pc several share.
-        operators = {entry.dispatch_pc: entry for entry in stack} if include_operators else {}
-
+        native_stack = thread.native_stack
+        if not native_stack.depth:
+            return None
+        python_start, python_end = self.auditor.python_pc_range()
+        cursor = self.unwinder.cursor(native_stack)
+        read: List[NativeFrame] = []
         for frame in cursor:
-            operator_frame: Optional[Frame] = None
-            if operators:
-                entry = operators.get(frame.pc)
-                if entry is not None:
-                    operator_frame = framework_frame(entry.op_name, backward=entry.is_backward)
-            if self.auditor.is_python_frame_pc(frame.pc):
-                # Everything above this point is the interpreter: it is
-                # represented by the Python call path instead.
-                reached_python_boundary = True
+            pc = frame.pc
+            if python_start <= pc < python_end:
                 break
-            collected.append((frame, operator_frame))
-            if stop_pc is not None and frame.pc == stop_pc:
+            read.append(frame)
+            if pc == stop_pc:
                 break
         self.unwinder.charge(cursor)
+        return read
 
-        # ``collected`` is bottom-up; emit top-down with operator frames
-        # inserted under their caller (i.e. just before the matching native
-        # frame in top-down order).
+    def _integrate_native(self, stack: Sequence[ShadowEntry],
+                          python_part: List[Frame], framework_part: List[Frame],
+                          native_read: Sequence[NativeFrame],
+                          include_operators: bool = True) -> List[Frame]:
+        """Merge the native frames ``read_native`` read with the Python and framework parts.
+
+        Native frames are emitted top-down, each operator frame just above
+        the native frame at its dispatch pc (i.e. under its caller).
+        """
+        # Operators by dispatch pc: the innermost wins a pc several share.
+        operators = {entry.dispatch_pc: entry for entry in stack} if include_operators else {}
         native_top_down: List[Frame] = []
-        for frame, operator_frame in reversed(collected):
-            if operator_frame is not None:
-                native_top_down.append(operator_frame)
+        for frame in reversed(native_read):
+            entry = operators.get(frame.pc)
+            if entry is not None:
+                native_top_down.append(framework_frame(entry.op_name, backward=entry.is_backward))
             native_top_down.append(native_frame(frame.function, frame.library, frame.pc))
 
         merged: List[Frame] = []
@@ -221,8 +220,5 @@ class CallPathBuilder:
         for frame in framework_part:
             if frame.tag != "scope" and frame.identity() not in inserted_ops:
                 merged.append(frame)
-        if not reached_python_boundary and not python_part:
-            # Pure native thread with no Python context at all: nothing to graft.
-            pass
         merged.extend(native_top_down)
         return merged

@@ -6,7 +6,10 @@ the deep-learning operators currently executing, outermost first, together
 with the *memory location* of each operator's dispatch frame (here: the
 program counter of the native frame the framework pushed when entering the
 operator).  Call-path integration walks the native stack bottom-up and
-matches these addresses to decide where to insert operator frames.  The
+matches these addresses to decide where to insert operator frames; each
+entry also records how deep the native stack was when its operator entered,
+so the frames pushed since (for a kernel launch, the launch API's own frame)
+can be told apart from the ones every launch in the operator shares.  The
 record also holds the GPU API call in progress, the thread's CCT shard that
 both collectors attribute into, and the GPU collector's launch-context table.
 """
@@ -36,8 +39,15 @@ class ShadowEntry:
     scope: Tuple[str, ...] = ()
     #: The frame that called the entry hook, held until that walk.
     entry_frame: Optional[FrameType] = None
+    #: Native stack depth when the operator entered.
+    native_depth: int = 0
     #: The GPU collector's CCT node above this operator's launch leaves.
     launch_node: Any = None
+    #: With native frames on, the pcs of the native frames pushed since the
+    #: operator entered, at the launch ``launch_node`` was taken at: a later
+    #: launch reuses that node only when its own pushed pcs are equal.
+    #: ``None`` with native frames off, where the node does not depend on them.
+    launch_pushed: Optional[List[int]] = None
 
 
 @dataclass(slots=True)
@@ -52,5 +62,6 @@ class ThreadState:
     #: The collectors' CCT shard for this thread, resolved at its first
     #: launch or CPU sample.
     shard: Any = None
-    #: The GPU collector's ``DLMonitor.launch_context`` keys → CCT nodes.
+    #: The GPU collector's ``DLMonitor.launch_context`` keys → CCT nodes,
+    #: with native frames on as well as off.
     launch_nodes: Dict[tuple, Any] = field(default_factory=dict)

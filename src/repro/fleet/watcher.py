@@ -183,6 +183,8 @@ class FleetWatcher:
             "dashboard": (dashboard_every_s, self._job_dashboard),
         }
         self._next_due: Dict[str, float] = {name: 0.0 for name in self._jobs}
+        #: Per workload, the run ids of the drift window last judged.
+        self._drift_judged: Dict[str, List[str]] = {}
         self.ticks = 0
 
     # -- the poll loop -----------------------------------------------------------------
@@ -397,13 +399,18 @@ class FleetWatcher:
         some name actually moved do both aggregators merge their runs and
         :class:`RegressionAnalysis` judge the halves, whose ranked issues
         are persisted.  A run the merge demotes is filed with the other
-        degradation issues, after the merge.
+        degradation issues, after the merge.  Each window is judged once per
+        watcher process: a workload is judged again only after an ingest,
+        prune or quarantine has changed its window's run ids.  The windows
+        judged are kept in memory, so a restarted watcher judges them again.
         """
         # Imported here, not at module top: regression itself imports the
         # fleet differential, so a module-level import would close a cycle
         # through ``repro.analyzer.__init__``.
         from ..analyzer.regression import RegressionAnalysis
         for workload, window in self._drift_candidates().items():
+            if self._drift_judged.get(workload) == window:
+                continue
             half = len(window) // 2
             with self.store.aggregator(run_ids=window[:half]) as base_agg, \
                     self.store.aggregator(run_ids=window[half:]) as cand_agg:
@@ -419,14 +426,16 @@ class FleetWatcher:
                     degraded = degradation_issues(agg.degradation_report())
                     tick.issues_filed += self._file_issues(
                         degraded, now, workload=workload)
-            if not judge:
-                continue
-            collector = IssueCollector()
-            RegressionAnalysis(baseline=baseline, metric=self.metric,
-                               **self.drift_thresholds).run(candidate,
-                                                            collector)
-            tick.issues_filed += self._file_issues(collector.issues, now,
-                                                   workload=workload)
+            if judge:
+                collector = IssueCollector()
+                RegressionAnalysis(baseline=baseline, metric=self.metric,
+                                   **self.drift_thresholds).run(candidate,
+                                                                collector)
+                tick.issues_filed += self._file_issues(collector.issues, now,
+                                                       workload=workload)
+            # Marked only once its issues are filed: a judgement that raises
+            # leaves the window to be judged again at the next tick.
+            self._drift_judged[workload] = window
 
     def _job_snapshot(self, now: float, tick: WatcherTick) -> None:
         if self.health is None:

@@ -13,6 +13,7 @@ records (pushed and popped by the framework and GPU runtime substrates).  The
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterator, List, Optional, Sequence
 
 from .symbols import AddressSpace, Symbol
@@ -35,6 +36,9 @@ class NativeFrame:
 
     def __str__(self) -> str:
         return f"{self.symbol.name}+0x{self.pc - self.symbol.address:x} ({self.symbol.library})"
+
+
+_PC = attrgetter("pc")
 
 
 class NativeStack:
@@ -64,6 +68,13 @@ class NativeStack:
     @property
     def depth(self) -> int:
         return len(self._frames)
+
+    def pcs_from(self, depth: int) -> List[int]:
+        """The pcs of the frames above the first ``depth``, outermost first."""
+        # A list: ``tuple()`` of a ``map`` allocates for ten items, then
+        # resizes, and each resized tuple freed lands in CPython's tuple
+        # free list for its size.
+        return list(map(_PC, self._frames[depth:]))
 
     def __len__(self) -> int:
         return len(self._frames)

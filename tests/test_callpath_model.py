@@ -26,9 +26,11 @@ from repro.dlmonitor.callpath import (
     frame_intern_size,
     gpu_instruction_frame,
     gpu_instruction_identity,
+    gpu_leaf_frames,
     intern_frame,
     scope_frame,
 )
+from repro.gpu.runtime import ApiCallbackData, ApiPhase, KernelFunction
 
 
 class TestFrameIdentity:
@@ -99,15 +101,31 @@ class TestFrameInterning:
             assert helper(*args) is frame
             assert intern_frame(dataclasses.replace(direct)) is frame
 
+        api_name = ("cuda" if flag else "hip") + name
+        launch = ApiCallbackData(api_name=api_name, phase=ApiPhase.ENTER, correlation_id=1,
+                                 device=text, kernel_function=KernelFunction(name))
+        api = Frame(kind=FrameKind.GPU_API, name=api_name,
+                    library="libcudart.so" if flag else "libamdhip64.so")
+        kernel = Frame(kind=FrameKind.GPU_KERNEL, name=name, tag=text)
+        leaf = gpu_leaf_frames(launch)
+        assert leaf == ((api, kernel) if name else (api,))
+        assert gpu_leaf_frames(dataclasses.replace(launch)) is leaf
+        assert leaf[0] is gpu_api_frame(api.name, api.library)
+
         clear_frame_intern()
         assert frame_intern_size() == 0 and not callpath._PYTHON_FRAMES
+        assert not callpath._GPU_LEAVES
         # After a reset, whichever of intern_frame and a helper comes first
-        # supplies the canonical object.
+        # supplies the canonical object, and the leaf memo is rebuilt from it.
         for helper, args, direct in cases:
             clear_frame_intern()
             fresh = dataclasses.replace(direct)
             assert intern_frame(fresh) is fresh
             assert helper(*args) is fresh
+        clear_frame_intern()
+        fresh = dataclasses.replace(api)
+        assert intern_frame(fresh) is fresh
+        assert gpu_leaf_frames(launch) is not leaf and gpu_leaf_frames(launch)[0] is fresh
 
     def test_python_frames_from_triples_keeps_order_and_duplicates(self):
         triples = [("a.py", 1, "f"), ("b.py", 2, "g"), ("a.py", 1, "f")]

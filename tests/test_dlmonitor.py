@@ -288,7 +288,9 @@ class TestLaunchContext:
             if event.phase != "enter":
                 return
             thread = engine.threads.current
-            key = monitor.launch_context(sources, monitor.thread_state(thread))
+            state = monitor.thread_state(thread)
+            read = monitor.native_read(state) if sources.native else None
+            key = monitor.launch_context(sources, state, read)
             path = monitor.callpath_get(sources, thread)
             launches.append((key, path.frames[:-2]))
 
@@ -307,8 +309,16 @@ class TestLaunchContext:
         assert first == again and above == above_again
         assert other != first
 
-    def test_native_frames_have_no_key(self, engine):
-        assert [key for key, _ in self._launches(engine, CallPathSources.all())] == [None] * 3
+    def test_same_operator_from_two_lines_gets_two_native_keys(self, engine):
+        """With native frames on, the key holds the pcs of the native frames
+        the launch's call path holds, innermost first."""
+        (first, above), (again, above_again), (other, _) = self._launches(
+            engine, CallPathSources.all())
+        assert first is not None
+        assert first == again and above == above_again
+        assert other != first
+        native = [frame.pc for frame in above if frame.kind is FrameKind.NATIVE]
+        assert native and first[2] == tuple(reversed(native))
 
 
 class TestThreadState:
@@ -424,7 +434,8 @@ class TestAuditing:
         auditor = LibraryAuditor(engine.address_space)
         assert LIBPYTHON in auditor.loaded_libraries()
         py_eval = engine.address_space.library(LIBPYTHON).symbols["PyEval_EvalFrameDefault"]
-        assert auditor.is_python_frame_pc(py_eval.address + 1)
+        start, end = auditor.python_pc_range()
+        assert start <= py_eval.address + 1 < end
         assert auditor.library_of(py_eval.address + 1) == LIBPYTHON
 
     def test_parse_interception_config(self):

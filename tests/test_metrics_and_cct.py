@@ -1,6 +1,7 @@
 """Tests for metric aggregation and the calling context tree."""
 
 import statistics
+import struct
 
 import pytest
 from hypothesis import given, strategies as st
@@ -97,6 +98,23 @@ class TestMetricSet:
         assert metric_set.count("gpu_time") == 2
         assert "gpu_time" in metric_set and "cpu_time" not in metric_set
         assert metric_set.sum("missing") == 0.0
+
+    @given(st.lists(st.dictionaries(
+        st.sampled_from(["gpu_time", "blocks", "registers"]),
+        st.one_of(st.floats(allow_nan=False), st.integers(-2**53, 2**53)),
+        max_size=3), max_size=30))
+    def test_add_many_folds_bit_for_bit_as_add(self, observations):
+        """``add_many`` inlines ``MetricAggregate.add``'s arithmetic: every
+        aggregate's state is bit-for-bit the one-at-a-time fold's."""
+        many, one_at_a_time = MetricSet(), {}
+        for values in observations:
+            many.add_many(values)
+            for name, value in values.items():
+                one_at_a_time.setdefault(name, MetricAggregate()).add(value)
+        assert list(many.names()) == list(one_at_a_time)
+        for name, aggregate in one_at_a_time.items():
+            assert (struct.pack("<q5d", *many.get(name).state())
+                    == struct.pack("<q5d", *aggregate.state()))
 
     def test_merge(self):
         a, b = MetricSet(), MetricSet()

@@ -16,6 +16,7 @@ from repro.core.cct import CallingContextTree
 from repro.dlmonitor.callpath import FrameKind
 from repro.framework import EagerEngine, modules, tensor
 from repro.framework import functional as F
+from repro.framework.eager import PHASE_BEFORE
 from repro.framework.jit import JitCompiler, jit
 from repro.workloads import create_workload
 
@@ -214,6 +215,7 @@ class TestCollectionPaths:
         ("unet", "jit", ProfilerConfig.without_native),
         ("resnet", "eager", ProfilerConfig.full),  # native frames and PC sampling
         ("llama3", "eager", ProfilerConfig.without_native),
+        ("llama3", "eager", ProfilerConfig.full),
         ("gnn", "jit", ProfilerConfig.without_native),
     ])
     def test_callpath_cache_on_and_off_build_the_same_profile(self, model, mode, preset):
@@ -229,10 +231,11 @@ class TestCollectionPaths:
                               for config in (cached, uncached))
         assert columns == reference
 
-    def test_steady_iterations_build_call_paths_only_for_cpu_samples(self):
+    @pytest.mark.parametrize("preset", [ProfilerConfig.without_native, ProfilerConfig.full])
+    def test_steady_iterations_build_call_paths_only_for_cpu_samples(self, preset):
         """Once every launch context has been seen, launches build no call path."""
         engine = EagerEngine("a100")
-        profiler = DeepContextProfiler(engine, ProfilerConfig.without_native())
+        profiler = DeepContextProfiler(engine, preset())
         workload = create_workload("gnn", small=True)
         deltas = []
         with engine, profiler.profile():
@@ -247,6 +250,34 @@ class TestCollectionPaths:
         assert deltas[0][0] > deltas[0][1]
         for built, sampled in deltas[1:]:
             assert built == sampled, deltas
+
+    @pytest.mark.parametrize("preset", [ProfilerConfig.without_native, ProfilerConfig.full])
+    def test_copy_as_an_operator_enters_leaves_its_kernel_paths_alone(self, preset):
+        """A hook copies memory as relu enters, before relu's kernel launch:
+        the copy's native context, which lacks the launch API's frame, is
+        not reused for the kernel."""
+        def relu_kernels(callpath_cache):
+            engine = EagerEngine("a100")
+            config = preset()
+            config.callpath_cache = callpath_cache
+            profiler = DeepContextProfiler(engine, config)
+            x = tensor((64, 64))
+
+            def copy_in_relu(info):
+                if info.phase == PHASE_BEFORE and info.op_name == "aten::relu":
+                    engine.runtime.memcpy(1024, "h2d")
+
+            with engine, profiler.profile():
+                engine.add_global_callback(copy_in_relu)
+                for _ in range(2):
+                    F.relu(x)
+                engine.synchronize()
+            return [(kernel.callpath(), kernel.exclusive.count(M.METRIC_KERNEL_COUNT))
+                    for kernel in profiler.database.tree.kernels]
+
+        # One call site for both runs: the profile records this test's line.
+        cached, reference = (relu_kernels(cache) for cache in (True, False))
+        assert cached == reference and [count for _, count in cached] == [2]
 
     def test_live_memory_stays_flat_across_iterations(self):
         """Live memory is bounded by distinct contexts, not by iterations run."""

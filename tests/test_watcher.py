@@ -12,8 +12,8 @@ Pins the watcher's contracts:
   retention applied through the catalog lock after each ingest, and an
   ingest failure filing a watcher issue instead of crashing;
 * **standing jobs** — scheduling by period, scrub filing quarantine issues,
-  the drift job demoting a run whose bytes rotted since ingest, health
-  snapshots, dashboard re-render;
+  the drift job demoting a run whose bytes rotted since ingest and judging
+  each window once, health snapshots, dashboard re-render;
 * the ISSUE's **end-to-end acceptance**: a dashboard that reflects a new
   seal within one poll, a completed run ingested then pruned per retention,
   and the rolling drift job filing an injected slowdown as the top-ranked
@@ -568,6 +568,48 @@ class TestWatcherJobs:
         top = min(regressions, key=lambda row: row["metrics"]["rank"])
         assert top["metrics"]["rank"] == 1.0
         assert "k_hot" in top["node"]
+
+    def test_drift_job_judges_an_unchanged_window_once(self, tmp_path):
+        """Drift ticks over an unchanged window file its issues once; an
+        ingest changes the window, which is then judged again."""
+        store, _ = drift_store(tmp_path)
+        issue_log = str(tmp_path / "issues.jsonl")
+        with FleetWatcher(str(tmp_path / "watch"), store,
+                          issue_log_path=issue_log, scrub_every_s=None,
+                          drift_every_s=60.0, snapshot_every_s=None,
+                          dashboard_every_s=None) as watcher:
+            ticks = [watcher.poll_once(now=1000.0 + 60.0 * i) for i in range(3)]
+            assert [tick.jobs_ran for tick in ticks] == [["drift"]] * 3
+            filed = [tick.issues_filed for tick in ticks]
+            assert filed[0] > 0 and filed[1:] == [0, 0]
+            assert len(HealthTimeSeries(issue_log).records()) == filed[0]
+
+            slow = make_database("convnet", fast_observations(0.004))
+            observe(slow, "convnet", "attn", "k_hot", 60.0)
+            store.ingest(slow)
+            assert watcher.poll_once(now=1180.0).issues_filed > 0
+
+    def test_drift_job_judges_again_a_window_whose_judgement_raised(
+            self, tmp_path, monkeypatch):
+        """A judgement that raises leaves its window unjudged: the next
+        drift tick judges it and files its issues."""
+        from repro.analyzer.regression import RegressionAnalysis
+        store, _ = drift_store(tmp_path)
+        run = RegressionAnalysis.run
+
+        def fail_once(self, *args, **kwargs):
+            monkeypatch.setattr(RegressionAnalysis, "run", run)
+            raise RuntimeError("judgement failed")
+
+        monkeypatch.setattr(RegressionAnalysis, "run", fail_once)
+        with FleetWatcher(str(tmp_path / "watch"), store,
+                          issue_log_path=str(tmp_path / "issues.jsonl"),
+                          scrub_every_s=None, drift_every_s=60.0,
+                          snapshot_every_s=None,
+                          dashboard_every_s=None) as watcher:
+            with pytest.raises(RuntimeError):
+                watcher.poll_once(now=1000.0)
+            assert watcher.poll_once(now=1060.0).issues_filed > 0
 
     def test_drift_job_skips_a_half_the_merge_emptied(self, tmp_path):
         """With every baseline run rotted there is nothing to judge the
